@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import decision as dec, fa, fo, relations as rel
@@ -225,7 +224,7 @@ def cmd_ball(args):
     report = dec.growth_profile(P, args.radius)
     print("sizes: " + " ".join(str(s) for s in report.sizes))
     if args.list:
-        for w in dec.ball(P, args.radius):
+        for w in report.ball:
             print(" ".join(w.names()))
     return EXIT_TRUE
 
@@ -317,7 +316,6 @@ def cmd_export(args):
 
 def make_parser():
     parser = _Parser(prog="cayleyauto", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--max-states", type=int, default=10**6)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,8 +396,6 @@ def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed is not None:
-            random.seed(args.seed)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,12 +24,14 @@ class EvalTrace:
 @dataclass
 class GrowthReport:
     """Ball sizes against the |Σ|^(C·n) bound, with the per-generator
-    constants C = C₁·C₂ (relation states × domain states)."""
+    constants C = C₁·C₂ (relation states × domain states), and the ball's
+    representatives in breadth-first order."""
 
     sizes: list
     constants: dict
     bounds: list
     ok: bool
+    ball: list
 
 
 def eval_function(r, inputs):
@@ -51,19 +53,10 @@ def eval_function(r, inputs):
 
 def _eval_search(r, inputs):
     """(output word, transitions taken); raises if zero or several outputs."""
-    conv = r.conv
     d = r.dfa
-    n = r.arity - 1
+    index = r.input_rows()
     maxlen = max((len(u) for u in inputs), default=0)
     steps = 0
-
-    def column(pos, ydig):
-        t = tuple(
-            u.indices[pos] if pos < len(u) else rel.PAD for u in inputs
-        ) + (ydig,)
-        if all(c == rel.PAD for c in t):
-            return None
-        return conv.index_of(t)
 
     # per automaton state keep up to two distinct output prefixes, so that a
     # second accepted output (a functionality violation) is always detected
@@ -88,38 +81,32 @@ def _eval_search(r, inputs):
     running = {d.initial: [()]}
     ended = {}
     for pos in range(maxlen):
+        col = tuple(u.indices[pos] if pos < len(u) else rel.PAD for u in inputs)
         nrun, nend = {}, {}
         for q, words in running.items():
-            row = d.rows.get(q, {})
-            for ydig in range(conv.radix - 1):
-                sym = column(pos, ydig)
-                if sym in row and row[sym] != d.sink:
-                    steps += 1
-                    push(nrun, row[sym], [w + (ydig,) for w in words])
-            sym = column(pos, rel.PAD)
-            if sym is not None and sym in row and row[sym] != d.sink:
+            for ydig, t in index.get(q, {}).get(col, ()):
                 steps += 1
-                push(nend, row[sym], words)
+                if ydig == rel.PAD:
+                    push(nend, t, words)
+                else:
+                    push(nrun, t, [w + (ydig,) for w in words])
         for q, words in ended.items():
-            row = d.rows.get(q, {})
-            sym = column(pos, rel.PAD)
-            if sym is not None and sym in row and row[sym] != d.sink:
+            entries = index.get(q, {}).get(col)
+            if entries and entries[0][0] == rel.PAD:
                 steps += 1
-                push(nend, row[sym], words)
+                push(nend, entries[0][1], words)
         running, ended = nrun, nend
     record(running)
     record(ended)
-    # the output may outrun the inputs by at most the state count
+    # the output may outrun the inputs by at most the state count; the input
+    # tracks are all PAD there, so every column has an output digit
+    tail = (rel.PAD,) * len(inputs)
     for _ in range(d.n_states + 1):
         nrun = {}
         for q, words in running.items():
-            row = d.rows.get(q, {})
-            for ydig in range(conv.radix - 1):
-                # inputs exhausted: all-pad columns except the output digit
-                sym = conv.index_of(tuple([rel.PAD] * n + [ydig]))
-                if sym in row and row[sym] != d.sink:
-                    steps += 1
-                    push(nrun, row[sym], [w + (ydig,) for w in words])
+            for ydig, t in index.get(q, {}).get(tail, ()):
+                steps += 1
+                push(nrun, t, [w + (ydig,) for w in words])
         running = nrun
         record(running)
         if len(found) > 1:
@@ -190,14 +177,11 @@ def relator_holds(P, w):
     return fa.language_equal(chain.dfa, rel.equality_relation(P.domain).dfa)
 
 
-def ball(P, radius):
-    """Representatives within the given Cayley-graph distance of the
-    identity, in breadth-first order, each shell sorted length-lex."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+def _shells(P, radius):
+    """Breadth-first shells of the Cayley graph around the identity: the
+    representatives at distance 1, .., radius, each shell sorted length-lex."""
     rels = [P.relation(n, s) for n in P.generators for s in (1, -1)]
     seen = {P.identity.indices}
-    out = [P.identity]
     frontier = [P.identity]
     for _ in range(radius):
         shell = []
@@ -208,8 +192,18 @@ def ball(P, radius):
                     seen.add(v.indices)
                     shell.append(v)
         shell.sort(key=lambda w: (len(w), w.indices))
-        out.extend(shell)
+        yield shell
         frontier = shell
+
+
+def ball(P, radius):
+    """Representatives within the given Cayley-graph distance of the
+    identity, in breadth-first order, each shell sorted length-lex."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    out = [P.identity]
+    for shell in _shells(P, radius):
+        out.extend(shell)
     return out
 
 
@@ -224,27 +218,21 @@ def growth_constants(P):
 
 
 def growth_profile(P, radius):
-    """Ball sizes with the |Σ|^(C·n) bound they must respect."""
+    """Ball sizes with the |Σ|^(C·n) bound they must respect; the report also
+    holds the ball itself, in the order `ball` gives."""
     consts = growth_constants(P)
     c = max(max(consts.values(), default=1), len(P.identity)) + 1
     sigma = max(P.base.size, 2)
-    rels = [P.relation(n, s) for n in P.generators for s in (1, -1)]
-    seen = {P.identity.indices}
-    frontier = [P.identity]
+    members = [P.identity]
     sizes = [1]
-    for _ in range(radius):
-        new = []
-        for u in frontier:
-            for r in rels:
-                v, _ = _eval_search(r, [u])
-                if v.indices not in seen:
-                    seen.add(v.indices)
-                    new.append(v)
-        frontier = new
-        sizes.append(sizes[-1] + len(new))
+    for shell in _shells(P, radius):
+        members.extend(shell)
+        sizes.append(len(members))
     bounds = [sigma ** (c * n) for n in range(radius + 1)]
     ok = all(s <= b for s, b in zip(sizes, bounds))
-    return GrowthReport(sizes=sizes, constants=consts, bounds=bounds, ok=ok)
+    return GrowthReport(
+        sizes=sizes, constants=consts, bounds=bounds, ok=ok, ball=members
+    )
 
 
 def check_presentation(P):

@@ -415,10 +415,6 @@ def intersect(a, b):
     return dfa_intersect(a, b).as_nfa()
 
 
-def union(a, b):
-    return dfa_union(a, b).as_nfa()
-
-
 def difference(a, b):
     return dfa_difference(a, b).as_nfa()
 
@@ -592,6 +588,10 @@ def to_text(a):
 def from_text(text, alphabet=None):
     """Parse the text automaton format; returns an Nfa."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3:
+        raise ValueError(
+            "automaton text needs a header, an initial and an accepting line"
+        )
     head = lines[0].split()
     if head[0] != "nfa" or len(head) < 3:
         raise ValueError("bad automaton header")
@@ -607,7 +607,10 @@ def from_text(text, alphabet=None):
     accepting = {int(x) for x in lines[2].split()[1:]}
     trans = {}
     for ln in lines[3:]:
-        q, sym, t = ln.split()
+        fields = ln.split()
+        if len(fields) != 3 or fields[1] not in alphabet.index:
+            raise ValueError(f"bad transition line {ln!r}")
+        q, sym, t = fields
         trans.setdefault((int(q), alphabet.index[sym]), set()).add(int(t))
     return Nfa(alphabet, n_states, initial, accepting, trans)
 

@@ -90,6 +90,29 @@ class RegularRelation:
             raise ValueError("alphabet does not match declared base/arity")
         if dfa.sink is not None and dfa.sink in dfa.accepting:
             raise ValueError("valid relations cannot have an accepting sink")
+        self._input_rows = None
+
+    def input_rows(self):
+        """Transitions keyed for solving for the last track: state → column of
+        the other tracks (PAD included) → [(last-track digit, target)], sorted
+        by digit so a PAD digit comes first.  Edges into the sink are left out.
+
+        Built on the first call and cached; intermediate relations of the
+        constructions are never searched, so they never pay for it."""
+        if self._input_rows is None:
+            d, tuple_of = self.dfa, self.conv.tuple_of
+            index = {}
+            for q, row in d.rows.items():
+                cols = {}
+                for sym, t in row.items():
+                    if t != d.sink:
+                        col = tuple_of(sym)
+                        cols.setdefault(col[:-1], []).append((col[-1], t))
+                for entries in cols.values():
+                    entries.sort()
+                index[q] = cols
+            self._input_rows = index
+        return self._input_rows
 
     def contains(self, words):
         return fa.accepts(self.dfa, convolve(words, alphabet=self.conv))
@@ -161,30 +184,6 @@ def _valid_step(conv, mask, sym):
             break
     cache[key] = out
     return out
-
-
-def valid_convolution(base, arity):
-    """Total DFA for the language of well-formed convolutions."""
-    conv = conv_alphabet(base, arity)
-    ids = {0: 0}
-    rows = {}
-    queue = deque([0])
-    order = [0]
-    while queue:
-        mask = queue.popleft()
-        row = {}
-        for sym in range(conv.size):
-            m2 = _valid_step(conv, mask, sym)
-            if m2 is None:
-                continue
-            if m2 not in ids:
-                ids[m2] = len(order)
-                order.append(m2)
-                queue.append(m2)
-            row[sym] = ids[m2]
-        rows[ids[mask]] = row
-    sink = len(order)
-    return Dfa(conv, len(order) + 1, 0, frozenset(range(len(order))), rows, sink)
 
 
 def _restrict_valid(d, conv):
@@ -1037,8 +1036,8 @@ def rel_to_text(r):
 
 def rel_from_text(text):
     lines = text.splitlines()
-    head = lines[0].split()
-    if head[0] != "relation" or head[2] != "over":
+    head = lines[0].split() if lines else []
+    if len(head) < 4 or head[0] != "relation" or head[2] != "over":
         raise ValueError("bad relation header")
     arity = int(head[1])
     base = Alphabet(head[3:])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +151,34 @@ def test_missing_or_corrupt_files(tmp_path):
     notpres = tmp_path / "notpres.json"
     notpres.write_text(json.dumps({"hello": 1}))
     assert cli.main(["eval", str(notpres), "e1"]) == 2
+
+
+def test_cut_automaton_text_exits_invalid(tmp_path):
+    # run as its own process so that an uncaught exception shows as a
+    # traceback on stderr, the way a user would see it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = str(tmp_path / "zn2.json")
+    assert cli.main(["build", "zn", "-n", "2", "--out", path]) == 0
+    doc = json.load(open(path))
+    cuts = {
+        "domain": lambda d: d.update(domain=d["domain"].splitlines()[0]),
+        "relation": lambda d: d["generators"]["e1"].update(
+            relation=d["generators"]["e1"]["relation"].splitlines()[0]
+        ),
+    }
+    for name, cut in cuts.items():
+        broken = json.loads(json.dumps(doc))
+        cut(broken)
+        bad = tmp_path / f"cut-{name}.json"
+        bad.write_text(json.dumps(broken))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleyauto.cli", "eval", str(bad), "e1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
 
 
 def test_usage_errors(capsys):

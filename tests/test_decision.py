@@ -38,7 +38,7 @@ def test_eval_function_outside_domain():
     P = fg_abelian(0, [2])
     r = P.relation("d1")
     bad = Word(P.base, (0, 0))  # not a representative
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the relation's domain"):
         dec.eval_function(r, [bad])
 
 
@@ -46,10 +46,49 @@ def test_eval_function_rejects_non_functional_relation():
     a = pres.BITS
     u = Word(a, (0,))
     r = rel.relation_from_tuples(a, 2, [(u, Word(a, (1,))), (u, Word(a, (0, 1)))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not functional"):
         dec.eval_function(r, [u])
     with pytest.raises(ValueError):
         dec.eval_function(r, [u, u])
+
+
+def _assert_agrees_with_tuples(r, k):
+    """eval_function against brute force: every member tuple with at most k
+    columns is the unique output for its inputs."""
+    tuples = r.tuples(k)
+    assert tuples
+    outputs = {}
+    for t in tuples:
+        outputs.setdefault(tuple(w.indices for w in t[:-1]), []).append(t[-1])
+    past_inputs = 0
+    for t in tuples:
+        inputs, y = list(t[:-1]), t[-1]
+        assert outputs[tuple(w.indices for w in inputs)] == [y]
+        assert dec.eval_function(r, inputs).indices == y.indices
+        past_inputs += len(y) > max(len(w) for w in inputs)
+    assert past_inputs  # outputs longer than the inputs reach the tail phase
+
+
+def test_eval_function_agrees_with_tuples_of_inverse_edge():
+    P = bs1n(2)
+    _assert_agrees_with_tuples(P.relation("a", -1), 4)
+    _assert_agrees_with_tuples(P.relation("b", -1), 4)
+
+
+def test_eval_function_agrees_with_tuples_of_addition():
+    _assert_agrees_with_tuples(pres.addition_relation(), 4)
+
+
+def test_search_index_is_built_once_per_relation():
+    P = zn(1)
+    r = P.relation("e1")
+    index = r.input_rows()
+    assert r.input_rows() is index
+    dec.eval_function(r, [P.identity])
+    assert r.input_rows() is index
+    inverse = P.relation("e1", -1)
+    assert inverse.input_rows() is not index
+    assert inverse.input_rows() is inverse.input_rows()
 
 
 def test_eval_trace_records_each_step():

@@ -251,6 +251,17 @@ def test_rel_text_round_trip():
     assert fa.language_equal(r.dfa, back.dfa)
 
 
+def test_rel_text_rejects_cut_text():
+    r, _ = small_relation(random.Random(12), 2)
+    lines = rel.rel_to_text(r).splitlines()
+    assert len(lines) > 4
+    cut = ["", "relation 2", *("\n".join(lines[:k]) for k in range(1, 4))]
+    cut.append("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]))
+    for text in cut:
+        with pytest.raises(ValueError):
+            rel.rel_from_text(text)
+
+
 def test_make_relation_rejects_accepting_sink():
     conv = rel.conv_alphabet(AB, 2)
     d = fa.Dfa(conv, 2, 0, frozenset({1}), {}, 1)
