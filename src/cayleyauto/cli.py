@@ -380,7 +380,6 @@ def make_parser():
     f.add_argument("path")
     f.add_argument("formula", nargs="?")
     f.add_argument("--formula-file")
-    f.add_argument("--decide", action="store_true")
     f.add_argument("--compile", metavar="OUT")
     f.add_argument("--vars")
     f.set_defaults(func=cmd_fo)

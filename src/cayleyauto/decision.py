@@ -151,30 +151,13 @@ def is_identity(P, w):
     return canonical_rep(P, w).indices == P.identity.indices
 
 
-def _right_chain(P, w):
-    """Composition of edge relations along a group word."""
-    cur = rel.equality_relation(P.domain)
-    for name, sign in w:
-        cur = rel.compose(cur, P.relation(name, sign))
-    return cur
-
-
-def _left_chain(P, w):
-    """Composition of left edge relations: u -> w̄·u."""
-    cur = rel.equality_relation(P.domain)
-    for name, sign in reversed(list(w)):
-        r = P.left[name] if sign == 1 else rel.transpose(P.left[name])
-        cur = rel.compose(cur, r)
-    return cur
-
-
 def relator_holds(P, w):
     """Whether the group word is a relator globally: its composed edge
     relation is the identity map on every representative."""
     if not len(w):
         raise ValueError("the word must be nonempty")
-    chain = _right_chain(P, w)
-    return fa.language_equal(chain.dfa, rel.equality_relation(P.domain).dfa)
+    chain = P.right_chain(w)
+    return fa.language_equal(chain.dfa, P.equality_relation().dfa)
 
 
 def _shells(P, radius):
@@ -247,7 +230,7 @@ def check_presentation(P):
     items = [(name, r) for name, r in P.generators.items()]
     if P.left:
         items += [(f"left:{name}", r) for name, r in P.left.items()]
-    eq = rel.equality_relation(P.domain)
+    eq = P.equality_relation()
     for name, r in items:
         struct = fo.AutomaticStructure(P.domain, {"F": r})
         # functional iff {(v,w) : some u maps to both} is within equality,
@@ -314,8 +297,8 @@ def conjugate(P, p, q):
     set S = {u : u·p̄ = q̄·u}; the witness is its length-lex-least member."""
     if not P.is_biautomatic():
         raise ValueError("conjugacy needs a presentation with left relations")
-    rp = _right_chain(P, p)
-    lq = _left_chain(P, q)
+    rp = P.right_chain(p)
+    lq = P.left_chain(q)
     s = rel.project(rel.rel_intersect(rp, lq), 1)
     words = fa.enumerate_words(s.dfa, max_length=s.dfa.n_states + 1, count=1)
     if not words:

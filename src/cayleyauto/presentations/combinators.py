@@ -353,12 +353,6 @@ def finite_extension(data):
         2,
     ).dfa
 
-    def chain(word):
-        cur = rel.equality_relation(H.domain)
-        for name, sgn in word:
-            cur = rel.compose(cur, H.relation(name, sgn))
-        return cur
-
     def assemble(cases):
         joined = [
             rel.join([(c, (0, 2)), (pair, (1, 3))], 4) for c, pair in cases
@@ -372,7 +366,7 @@ def finite_extension(data):
             w = GroupWord([(x, 1)]) if i == 0 else data.conjugation[(i, x)]
             cases.append(
                 (
-                    rel.embed_relation(chain(w), U, mh),
+                    rel.embed_relation(H.right_chain(w), U, mh),
                     rel.relation_from_tuples(U, 2, [(cosym[i], cosym[i])]),
                 )
             )
@@ -382,7 +376,7 @@ def finite_extension(data):
         for i in range(r):
             cases.append(
                 (
-                    rel.embed_relation(chain(data.correction[i][s]), U, mh),
+                    rel.embed_relation(H.right_chain(data.correction[i][s]), U, mh),
                     rel.relation_from_tuples(
                         U, 2, [(cosym[i], cosym[data.mult[i][s]])]
                     ),
@@ -459,18 +453,11 @@ def extend_generator(P, name, w):
         raise ValueError("the defining word must be nonempty")
     if name in P.generators:
         raise ValueError(f"generator {name!r} already exists")
-    cur = rel.equality_relation(P.domain)
-    for n, s in w:
-        cur = rel.compose(cur, P.relation(n, s))
     gens = dict(P.generators)
-    gens[name] = cur
+    gens[name] = P.right_chain(w)
     left = dict(P.left) if P.left else None
     if P.is_biautomatic():
-        lcur = rel.equality_relation(P.domain)
-        for n, s in reversed(list(w)):
-            lr = P.left[n] if s == 1 else rel.transpose(P.left[n])
-            lcur = rel.compose(lcur, lr)
-        left[name] = lcur
+        left[name] = P.left_chain(w)
     meta = dict(P.meta)
     meta["extended"] = meta.get("extended", []) + [[name, str(w)]]
     return GraphAutomaticPresentation(

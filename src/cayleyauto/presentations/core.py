@@ -84,6 +84,8 @@ class GraphAutomaticPresentation:
         self.left = dict(left or {})
         self.meta = dict(meta or {})
         self._inverses = {}
+        self._left_inverses = {}
+        self._equality = None
         if identity.alphabet != base:
             raise ValueError("identity word uses a different alphabet")
         if not fa.accepts(self.domain, identity):
@@ -110,6 +112,38 @@ class GraphAutomaticPresentation:
         if name not in self._inverses:
             self._inverses[name] = rel.transpose(self.generators[name])
         return self._inverses[name]
+
+    def left_relation(self, name, sign=1):
+        """Left edge relation u -> x·u for a generator or (via transpose)
+        its inverse."""
+        if name not in self.left:
+            raise KeyError(f"no left relation for generator {name!r}")
+        if sign == 1:
+            return self.left[name]
+        if name not in self._left_inverses:
+            self._left_inverses[name] = rel.transpose(self.left[name])
+        return self._left_inverses[name]
+
+    def equality_relation(self):
+        """{(u,u) : u a representative}, the unit of composition."""
+        if self._equality is None:
+            self._equality = rel.equality_relation(self.domain)
+        return self._equality
+
+    def right_chain(self, w):
+        """Composition of the edge relations along a group word: u -> u·w̄."""
+        cur = self.equality_relation()
+        for name, sign in w:
+            cur = rel.compose(cur, self.relation(name, sign))
+        return cur
+
+    def left_chain(self, w):
+        """Composition of the left edge relations along a group word:
+        u -> w̄·u."""
+        cur = self.equality_relation()
+        for name, sign in reversed(list(w)):
+            cur = rel.compose(cur, self.left_relation(name, sign))
+        return cur
 
     def is_biautomatic(self):
         return set(self.left) == set(self.generators) and bool(self.generators)

@@ -413,7 +413,9 @@ def compose(r, s):
     Built as a synchronized product that guesses the middle track column by
     column (with end-of-run flags and an acceptance closure for middle tails
     that outlast both outer tracks); extensionally equal to
-    project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).
+    project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
+    state tries only ◇ and the middle digits that both relations have
+    edges for.
     """
     if r.arity != 2 or s.arity != 2:
         raise ValueError("compose needs binary relations")
@@ -422,15 +424,17 @@ def compose(r, s):
     A = fa._ensure_sink(r.dfa)
     B = fa._ensure_sink(s.dfa)
     conv = r.conv
-    base_n = r.base.size
-    # index A rows by middle component, B rows by first component
+    # a 2-track column symbol is first + second·radix in digits, ◇ the top one
+    radix = conv.radix
+    pad = radix - 1
+    # index A rows by middle digit, B rows by first digit
     a_by_mid = {}
     for q, row in A.rows.items():
         bucket = a_by_mid.setdefault(q, {})
         for sym, t in row.items():
             if t == A.sink:
                 continue
-            a, b = conv.tuple_of(sym)
+            b, a = divmod(sym, radix)
             bucket.setdefault(b, []).append((a, t))
     b_by_first = {}
     for q, row in B.rows.items():
@@ -438,21 +442,22 @@ def compose(r, s):
         for sym, t in row.items():
             if t == B.sink:
                 continue
-            b, c = conv.tuple_of(sym)
+            c, b = divmod(sym, radix)
             bucket.setdefault(b, []).append((c, t))
     # acceptance closure over middle-only tail columns (◇,b)/(b,◇),
     # computed lazily on the pairs the product construction reaches
     def tail_succ(qa, qb):
         succ = []
+        brow = b_by_first.get(qb, {})
         for b, alist in a_by_mid.get(qa, {}).items():
-            if b == PAD:
+            if b == pad:
                 continue
-            blist = b_by_first.get(qb, {}).get(b, [])
+            blist = brow.get(b, [])
             for a, ta in alist:
-                if a != PAD:
+                if a != pad:
                     continue
                 for c, tb in blist:
-                    if c == PAD:
+                    if c == pad:
                         succ.append((ta, tb))
         return succ
 
@@ -486,6 +491,7 @@ def compose(r, s):
     def s_ok(qb):
         return qb == DONE or qb in B.accepting
 
+    no_row = {}
     start = (A.initial, B.initial, False)
     ids = {start: 0}
     order = [start]
@@ -495,34 +501,33 @@ def compose(r, s):
         state = queue.popleft()
         qa, qb, vdone = state
         src = ids[state]
-        mids = [PAD] if vdone else [PAD] + list(range(base_n))
-        for b in mids:
-            # r side options for this middle symbol: (a, next state)
-            if qa == DONE:
-                a_opts = [(PAD, DONE)] if b == PAD else []
-            else:
-                a_opts = list(a_by_mid.get(qa, {}).get(b, []))
-                if b == PAD and qa in A.accepting:
-                    a_opts.append((PAD, DONE))  # r's word ends here
-            if qb == DONE:
-                c_opts = [(PAD, DONE)] if b == PAD else []
-            else:
-                c_opts = list(b_by_first.get(qb, {}).get(b, []))
-                if b == PAD and qb in B.accepting:
-                    c_opts.append((PAD, DONE))
-            if not a_opts or not c_opts:
-                continue
-            v2 = vdone or b == PAD
+        arow = no_row if qa == DONE else a_by_mid.get(qa, no_row)
+        brow = no_row if qb == DONE else b_by_first.get(qb, no_row)
+        # middle ◇: each side reads an (x,◇) edge, or its word ends here
+        a_pad = arow.get(pad, [])
+        if r_ok(qa):
+            a_pad = a_pad + [(pad, DONE)]
+        c_pad = brow.get(pad, [])
+        if s_ok(qb):
+            c_pad = c_pad + [(pad, DONE)]
+        moves = [(a_pad, c_pad, True)]
+        if not vdone:
+            small, big = (arow, brow) if len(arow) <= len(brow) else (brow, arow)
+            moves.extend(
+                (arow[b], brow[b], False)
+                for b in small if b != pad and b in big
+            )
+        for a_opts, c_opts, v2 in moves:
             for a, ta in a_opts:
                 for c, tb in c_opts:
-                    if a == PAD and c == PAD:
+                    if a == pad and c == pad:
                         continue  # all-◇ output column does not exist
                     tgt = (ta, tb, v2)
                     if tgt not in ids:
                         ids[tgt] = len(order)
                         order.append(tgt)
                         queue.append(tgt)
-                    trans.setdefault((src, conv.index_of((a, c))), set()).add(ids[tgt])
+                    trans.setdefault((src, a + c * radix), set()).add(ids[tgt])
     tail = tail_closure(
         {
             (qa, qb)
@@ -539,7 +544,8 @@ def compose(r, s):
         elif (qa, qb) in tail:
             accepting.add(ids[state])
     nfa = Nfa(conv, len(order), {0}, accepting, trans)
-    return make_relation(r.base, 2, fa.determinize(nfa))
+    # valid as built: outer tracks follow r/s until DONE, then ◇; no all-◇ column
+    return RegularRelation(r.base, 2, fa.minimize(fa.determinize(nfa)))
 
 
 # ---------------------------------------------------------------------------

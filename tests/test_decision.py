@@ -133,6 +133,17 @@ def test_relator_holds_agrees_with_identity_check():
         assert dec.relator_holds(P, w) == dec.is_identity(P, w)
 
 
+def test_compose_on_large_alphabet_matches_right_multiply():
+    # most of BS(1,2)'s middle digits have no edge in a given state, so the
+    # composition must find the few that both relations share
+    P = bs1n(2)
+    assert P.base.size == 215
+    c = rel.compose(P.relation("a"), P.relation("b", -1))
+    w = GroupWord.parse("a b^-1")
+    for u in dec.ball(P, 3):
+        assert dec.eval_function(c, [u]) == dec.right_multiply(P, u, w)
+
+
 def test_ball_contents():
     P = zn(1)
     b = dec.ball(P, 3)

@@ -1,10 +1,11 @@
 import pytest
 
-from cayleyauto import fa
+from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.presentations import (
     FiniteGroupTable,
     GroupWord,
     Nilpotent2Spec,
+    free_group,
     heisenberg,
     zn,
 )
@@ -111,6 +112,29 @@ def test_presentation_relation_signs():
     rinv = P.relation("e1", -1)
     for (u,), (v,) in [(t[:1], t[1:]) for t in r.tuples(max_length=3)]:
         assert rinv.contains((v, u))
+
+
+def test_presentation_caches_chain_pieces():
+    P = heisenberg()
+    assert P.equality_relation() is P.equality_relation()
+    assert P.right_chain(GroupWord([])) is P.equality_relation()
+    assert P.left_relation("A") is P.left["A"]
+    inv = P.left_relation("A", -1)
+    assert inv is P.left_relation("A", -1)
+    assert fa.language_equal(inv.dfa, rel.transpose(P.left["A"]).dfa)
+    with pytest.raises(KeyError):
+        free_group(2).left_relation("a")
+
+
+def test_presentation_chains_multiply_on_each_side():
+    P = heisenberg()
+    w = GroupWord.parse("A C^-1")
+    right, left = P.right_chain(w), P.left_chain(w)
+    for text in ["", "A", "B^-1", "C A", "A^-1 C^-1 B"]:
+        v = GroupWord.parse(text)
+        u = [dec.canonical_rep(P, v)]
+        assert dec.eval_function(right, u) == dec.canonical_rep(P, v * w)
+        assert dec.eval_function(left, u) == dec.canonical_rep(P, w * v)
 
 
 def test_presentation_json_round_trip():

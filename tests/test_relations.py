@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayleyauto import fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
+from cayleyauto.presentations import bs1n, heisenberg
 
 from helpers import all_words
 
@@ -117,6 +118,35 @@ def test_compose_matches_definition(seed):
     s, ss = small_relation(rng, 2)
     expect = {(a, c) for a, b in sr for b2, c in ss if b == b2}
     assert members(rel.compose(r, s)) == expect
+
+
+def assert_valid_as_built(c):
+    # compose skips make_relation's validity filter; running it again must
+    # leave the minimal automaton exactly as it is
+    again = rel.make_relation(c.base, 2, c.dfa).dfa
+    assert again.rows == c.dfa.rows
+    assert again.accepting == c.dfa.accepting
+    assert again.sink == c.dfa.sink
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_compose_output_needs_no_validity_pass(seed):
+    rng = random.Random(seed)
+    r, _ = small_relation(rng, 2, max_len=rng.randint(1, 3))
+    s, _ = small_relation(rng, 2, max_len=rng.randint(1, 3))
+    assert_valid_as_built(rel.compose(r, s))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: bs1n(2), heisenberg], ids=["bs1n2", "heisenberg"]
+)
+def test_compose_of_generators_needs_no_validity_pass(build):
+    P = build()
+    signed = [P.relation(x, s) for x in P.generators for s in (1, -1)]
+    for r in signed:
+        for s in signed:
+            assert_valid_as_built(rel.compose(r, s))
 
 
 @settings(max_examples=15, deadline=None)
