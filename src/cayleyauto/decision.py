@@ -227,11 +227,12 @@ def check_presentation(P):
         "ok": True,
     }
     consts = growth_constants(P)
-    items = [(name, r) for name, r in P.generators.items()]
-    if P.left:
-        items += [(f"left:{name}", r) for name, r in P.left.items()]
+    items = [(name, r, P.relation(name, -1)) for name, r in P.generators.items()]
+    items += [
+        (f"left:{name}", r, P.left_relation(name, -1)) for name, r in P.left.items()
+    ]
     eq = P.equality_relation()
-    for name, r in items:
+    for name, r, inverse in items:
         struct = fo.AutomaticStructure(P.domain, {"F": r})
         # functional iff {(v,w) : some u maps to both} is within equality,
         # injective iff {(u,v) : both map to some w} is; the inclusions are
@@ -239,12 +240,8 @@ def check_presentation(P):
         entry = {
             "in_domain": rel.relation_in_domain_power(r, P.domain),
             "total": fo.decide(struct, "A u (E v (F(u,v)))"),
-            "functional": fa.is_subset(
-                rel.compose(rel.transpose(r), r).dfa, eq.dfa
-            ),
-            "injective": fa.is_subset(
-                rel.compose(r, rel.transpose(r)).dfa, eq.dfa
-            ),
+            "functional": fa.is_subset(rel.compose(inverse, r).dfa, eq.dfa),
+            "injective": fa.is_subset(rel.compose(r, inverse).dfa, eq.dfa),
             "surjective": fo.decide(struct, "A v (E u (F(u,v)))"),
             "growth_constant": consts.get(name.replace("left:", "")),
         }

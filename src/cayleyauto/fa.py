@@ -419,8 +419,9 @@ def difference(a, b):
     return dfa_difference(a, b).as_nfa()
 
 
-def language_equal(a, b):
-    """Exact language equality via synchronized pair search."""
+def _pair_search(a, b, bad):
+    """Synchronized search over the reachable state pairs of two automata:
+    False as soon as a pair has bad(accepted by a, accepted by b)."""
     d1 = _ensure_sink(to_dfa(a))
     d2 = _ensure_sink(to_dfa(b))
     if d1.alphabet != d2.alphabet:
@@ -430,7 +431,7 @@ def language_equal(a, b):
     queue = deque([start])
     while queue:
         q1, q2 = queue.popleft()
-        if (q1 in d1.accepting) != (q2 in d2.accepting):
+        if bad(q1 in d1.accepting, q2 in d2.accepting):
             return False
         out, default = _pair_steps(d1, q1, d2, q2)
         targets = set(out.values())
@@ -441,30 +442,16 @@ def language_equal(a, b):
                 seen.add(pair)
                 queue.append(pair)
     return True
+
+
+def language_equal(a, b):
+    """Exact language equality via synchronized pair search."""
+    return _pair_search(a, b, lambda x, y: x != y)
 
 
 def is_subset(a, b):
     """L(a) <= L(b), via synchronized pair search."""
-    d1 = _ensure_sink(to_dfa(a))
-    d2 = _ensure_sink(to_dfa(b))
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("alphabet mismatch")
-    start = (d1.initial, d2.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
-        if q1 in d1.accepting and q2 not in d2.accepting:
-            return False
-        out, default = _pair_steps(d1, q1, d2, q2)
-        targets = set(out.values())
-        if default is not None:
-            targets.add(default)
-        for pair in targets:
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    return _pair_search(a, b, lambda x, y: x and not y)
 
 
 def is_empty(a):

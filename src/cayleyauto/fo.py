@@ -250,7 +250,6 @@ class AutomaticStructure:
         self.domain = fa.minimize(fa.to_dfa(domain))
         self.base = self.domain.alphabet
         self.relations = {}
-        self._powers = {}
         for name, r in (relations or {}).items():
             self.add_relation(name, r)
 
@@ -258,11 +257,6 @@ class AutomaticStructure:
         if r.base != self.base:
             raise ValueError(f"relation {name!r} uses a different alphabet")
         self.relations[name] = r
-
-    def domain_power(self, n):
-        if n not in self._powers:
-            self._powers[n] = rel.domain_power(self.domain, n)
-        return self._powers[n]
 
     def domain_nonempty(self):
         empty, _ = fa.is_empty(self.domain)
@@ -339,7 +333,7 @@ def _compile(struct, node):
         if isinstance(body, bool):
             return not body
         vars_, r = body
-        return vars_, struct._relativize(rel.rel_complement(r))
+        return vars_, rel.rel_complement(r, struct.domain)
     if isinstance(node, (And, Or, Implies)):
         left = _compile(struct, node.left)
         right = _compile(struct, node.right)
@@ -348,7 +342,7 @@ def _compile(struct, node):
             if isinstance(left, bool):
                 return True if not left else right
             lv, lr = left
-            left = (lv, struct._relativize(rel.rel_complement(lr)))
+            left = (lv, rel.rel_complement(lr, struct.domain))
             node_op = Or
         else:
             node_op = type(node)

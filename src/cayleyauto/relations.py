@@ -167,65 +167,113 @@ def deconvolve(w):
     return tuple(Word(conv.base, tuple(tr)) for tr in tracks)
 
 
-def _valid_step(conv, mask, sym):
-    """Pad-persistence automaton step over end-of-track bitmasks; None = dead."""
-    cache = getattr(conv, "_valid_cache", None)
-    if cache is None:
-        cache = conv._valid_cache = {}
-    key = (mask, sym)
-    if key in cache:
-        return cache[key]
-    out = mask
-    for i, c in enumerate(conv.tuple_of(sym)):
-        if c == PAD:
-            out |= 1 << i
-        elif mask & (1 << i):
-            out = None
-            break
-    cache[key] = out
-    return out
+_ENDED = -1  # track state of a track that has padded
 
 
-def _restrict_valid(d, conv):
-    """Intersect a DFA over the column alphabet with the valid convolutions,
-    computing the pad-persistence side on the fly (never enumerating the full
-    alphabet)."""
-    d = fa._ensure_sink(fa.to_dfa(d))
-    dense = d.sink in d.accepting  # implicit default edges can still accept
-    start = (d.initial, 0)
+class _TrackMoves(dict):
+    """The per-track rule for L(domain): track state → {column digit: next
+    track state}, filled on first lookup.  A track state is a state of the
+    minimized domain DFA, or _ENDED once the track has padded.  A track reads
+    a base digit unless the domain rejects everything after it, pads (PAD)
+    only from an accepting state, and stays padded after.  So `PAD in
+    moves[s]` says whether a track may end in state s."""
+
+    def __init__(self, domain):
+        super().__init__({_ENDED: {PAD: _ENDED}})
+        self.dom = fa.minimize(fa.to_dfa(domain))
+        self.alive = fa._alive_states(self.dom)
+
+    def __missing__(self, ds):
+        dom = self.dom
+        row = dom.rows.get(ds, {})
+        out = {PAD: _ENDED} if ds in dom.accepting else {}
+        # missing edges lead to the sink, which matters only if it can accept
+        for v in range(dom.alphabet.size) if dom.sink in self.alive else row:
+            t = row.get(v, dom.sink)
+            if t in self.alive:
+                out[v] = t
+        self[ds] = out
+        return out
+
+
+def _restrict_tracks(d, conv, domain):
+    """L(d) ∩ L(domain)ⁿ over the column alphabet, as a minimized DFA; d None
+    stands for every column word.
+
+    Each track steps its own copy of the domain DFA (`_TrackMoves`); the
+    all-◇ column is not a symbol, so the result holds only valid
+    convolutions.  With Σ* as the domain this is the validity filter alone.
+    When d's missing edges reject, only d's own edges are tried; when they
+    accept (d None, or an accepting sink), the columns tried are the product
+    of what each track may read next."""
+    moves = _TrackMoves(domain)
+    d = Dfa(conv, 1, 0, {0}, {}, 0) if d is None else fa._ensure_sink(fa.to_dfa(d))
+    dense = d.sink in d.accepting
+    tuples = conv._tuples
+    radix = conv.radix
+    all_pad = radix ** conv.arity - 1
+    columns = {}
+
+    def product_columns(tracks):
+        """[(symbol, next tracks)] over every column the tracks may read."""
+        if tracks not in columns:
+            out = [(0, ())]
+            for i, ds in enumerate(tracks):
+                w = radix ** i
+                out = [
+                    (sym + (radix - 1 if c == PAD else c) * w, nxt + (t,))
+                    for sym, nxt in out
+                    for c, t in moves[ds].items()
+                ]
+            columns[tracks] = [(sym, nxt) for sym, nxt in out if sym != all_pad]
+        return columns[tracks]
+
+    start = (d.initial, (moves.dom.initial,) * conv.arity)
     ids = {start: 0}
     order = [start]
     rows = {}
     queue = deque([start])
     while queue:
-        pair = queue.popleft()
-        q, mask = pair
-        row = {}
+        state = queue.popleft()
+        q, tracks = state
         drow = d.rows.get(q, {})
+        row = {}
         if dense:
-            edges = ((sym, drow.get(sym, d.sink)) for sym in range(conv.size))
+            edges = [(sym, drow.get(sym, d.sink), nxt)
+                     for sym, nxt in product_columns(tracks)]
         else:
-            edges = drow.items()
-        for sym, t in edges:
-            if t == d.sink and not dense:
-                continue
-            m2 = _valid_step(conv, mask, sym)
-            if m2 is None:
-                continue
-            tgt = (t, m2)
+            ms = [moves[ds] for ds in tracks]
+            edges = []
+            for sym, t in drow.items():
+                if t == d.sink:
+                    continue
+                nxt = []
+                for c, m in zip(tuples[sym], ms):
+                    t2 = m.get(c)
+                    if t2 is None:
+                        break
+                    nxt.append(t2)
+                else:
+                    edges.append((sym, t, tuple(nxt)))
+        for sym, t, nxt in edges:
+            tgt = (t, nxt)
             if tgt not in ids:
                 ids[tgt] = len(order)
                 order.append(tgt)
                 queue.append(tgt)
             row[sym] = ids[tgt]
-        rows[ids[pair]] = row
-    sink = len(order)
-    accepting = frozenset(ids[p] for p in order if p[0] in d.accepting)
-    return fa.minimize(Dfa(conv, len(order) + 1, 0, accepting, rows, sink))
+        rows[ids[state]] = row
+    accepting = frozenset(
+        ids[s]
+        for s in order
+        if s[0] in d.accepting and all(PAD in moves[t] for t in s[1])
+    )
+    return fa.minimize(Dfa(conv, len(order) + 1, 0, accepting, rows, len(order)))
 
 
 def make_relation(base, arity, automaton):
-    """Canonicalize an automaton over the column alphabet into a relation."""
+    """Canonicalize an automaton over the column alphabet into a relation,
+    keeping only its valid convolutions."""
     conv = (
         automaton.alphabet
         if isinstance(automaton.alphabet, ConvolutionAlphabet)
@@ -236,7 +284,8 @@ def make_relation(base, arity, automaton):
     d = fa.to_dfa(automaton)
     if d.alphabet is not conv and not isinstance(d.alphabet, ConvolutionAlphabet):
         d = Dfa(conv, d.n_states, d.initial, d.accepting, d.rows, d.sink)
-    return RegularRelation(base, arity, _restrict_valid(d, conv))
+    sigma_star = Dfa(base, 1, 0, {0}, {}, 0)
+    return RegularRelation(base, arity, _restrict_tracks(d, conv, sigma_star))
 
 
 def _check_compatible(r, s):
@@ -259,39 +308,20 @@ def rel_difference(r, s):
     return RegularRelation(r.base, r.arity, fa.dfa_difference(r.dfa, s.dfa))
 
 
-def rel_complement(r):
-    """Complement relative to the valid convolutions of Σ*ⁿ."""
+def rel_complement(r, domain):
+    """Complement relative to L(domain)ⁿ."""
     comp = fa.complement(r.dfa)
-    return RegularRelation(r.base, r.arity, _restrict_valid(comp, r.conv))
+    return RegularRelation(r.base, r.arity, _restrict_tracks(comp, r.conv, domain))
 
 
-def cylindrify(r, position, domain=None):
-    """Insert a new track at the given position, ranging over Σ* or, when a
-    domain automaton is supplied, over L(domain)."""
+def cylindrify(r, position, domain):
+    """Insert a new track at the given position, ranging over L(domain)."""
     if not (0 <= position <= r.arity):
         raise ValueError("position out of range")
     conv_out = conv_alphabet(r.base, r.arity + 1)
     d = r.dfa
-    dom = None
-    if domain is not None:
-        dom = fa._ensure_sink(fa.minimize(fa.to_dfa(domain)))
-    ENDED = -1
-
-    def dom_steps(ds):
-        """(new value, next dom state) options for one column of the track."""
-        if dom is None:
-            yield PAD, ENDED
-            for v in range(r.base.size):
-                yield v, ENDED
-            return
-        if ds == ENDED or ds in dom.accepting:
-            yield PAD, ENDED
-        if ds != ENDED:
-            for v, t in dom.rows.get(ds, {}).items():
-                if t != dom.sink:
-                    yield v, t
-    start_ds = ENDED if dom is None else dom.initial
-    start = (d.initial, start_ds)
+    moves = _TrackMoves(domain)
+    start = (d.initial, moves.dom.initial)
     ids = {start: 0}
     order = [start]
     trans = {}
@@ -300,9 +330,7 @@ def cylindrify(r, position, domain=None):
     # inserting a digit at `position` in the mixed-radix symbol index
     radix = conv_out.radix
     low_mod = radix ** position
-    high_mul = low_mod * radix
     tail_sym = radix ** r.arity - 1  # all old tracks ◇
-    step_cache = {}
     while queue:
         state = queue.popleft()
         q, ds = state
@@ -315,13 +343,10 @@ def cylindrify(r, position, domain=None):
             ]
             if q in d.accepting:
                 edges.append((tail_sym, EXT))
-        if ds not in step_cache:
-            step_cache[ds] = list(dom_steps(ds))
-        steps = step_cache[ds]
         for sym, t in edges:
             low = sym % low_mod
             rest = low + (sym - low) * radix
-            for v, ds2 in steps:
+            for v, ds2 in moves[ds].items():
                 if t == EXT and v == PAD:
                     continue  # the column would be all-◇
                 digit = radix - 1 if v == PAD else v
@@ -331,33 +356,30 @@ def cylindrify(r, position, domain=None):
                     order.append(tgt)
                     queue.append(tgt)
                 trans.setdefault((src, rest + digit * low_mod), set()).add(ids[tgt])
-    accepting = set()
-    for state in order:
-        q, ds = state
-        if q == EXT or q in d.accepting:
-            if ds == ENDED or (dom is not None and ds in dom.accepting):
-                accepting.add(ids[state])
+    accepting = {
+        ids[state]
+        for state in order
+        if (state[0] == EXT or state[0] in d.accepting) and PAD in moves[state[1]]
+    }
     nfa = Nfa(conv_out, len(order), {0}, accepting, trans, validate=False)
-    return make_relation(r.base, r.arity + 1, fa.determinize(nfa))
+    # valid as built: old tracks follow r then pad, the new one obeys _TrackMoves
+    return RegularRelation(r.base, r.arity + 1, fa.minimize(fa.determinize(nfa)))
 
 
 def permute_tracks(r, perm):
     """Result tuple (w₀..w_{n−1}) is a member iff (w_{perm[0]}, ..) ∈ r."""
     if sorted(perm) != list(range(r.arity)):
         raise ValueError("not a permutation")
-    d = r.dfa
-    rows = {}
-    for q, row in d.rows.items():
-        out = {}
-        for sym, t in row.items():
-            tup = r.conv.tuple_of(sym)
-            big = [None] * r.arity
-            for i, c in enumerate(tup):
-                big[perm[i]] = c
-            out[r.conv.index_of(tuple(big))] = t
-        rows[q] = out
-    d2 = Dfa(r.conv, d.n_states, d.initial, d.accepting, rows, d.sink)
-    return RegularRelation(r.base, r.arity, fa.minimize(d2))
+    mapping = {}
+    for row in r.dfa.rows.values():
+        for sym in row:
+            if sym not in mapping:
+                big = [None] * r.arity
+                for i, c in enumerate(r.conv.tuple_of(sym)):
+                    big[perm[i]] = c
+                mapping[sym] = r.conv.index_of(tuple(big))
+    d = relabel_base(r.dfa, r.conv, mapping)
+    return RegularRelation(r.base, r.arity, fa.minimize(d))
 
 
 def transpose(r):
@@ -404,7 +426,8 @@ def project(r, track):
                 continue  # this column disappears entirely
             trans.setdefault((q, conv_out.index_of(small)), set()).add(t)
     nfa = Nfa(conv_out, d.n_states, {d.initial}, saturated, trans)
-    return make_relation(r.base, r.arity - 1, fa.determinize(nfa))
+    # valid as built: kept tracks still pad for good; their all-◇ tail is dropped
+    return RegularRelation(r.base, r.arity - 1, fa.minimize(fa.determinize(nfa)))
 
 
 def compose(r, s):
@@ -577,17 +600,10 @@ def equality_relation(domain):
     """{(w,w) : w ∈ L(domain)} as a binary relation."""
     d = fa.minimize(fa.to_dfa(domain))
     conv = conv_alphabet(d.alphabet, 2)
-    rows = {}
-    for q, row in d.rows.items():
-        out = {}
-        for s, t in row.items():
-            if t == d.sink:
-                continue
-            out[conv.index_of((s, s))] = t
-        rows[q] = out
-    sink = d.n_states
-    d2 = Dfa(conv, d.n_states + 1, d.initial, d.accepting, rows, sink)
-    return RegularRelation(d.alphabet, 2, fa.minimize(d2))
+    mapping = {s: conv.index_of((s, s)) for s in range(d.alphabet.size)}
+    return RegularRelation(
+        d.alphabet, 2, fa.minimize(relabel_base(d, conv, mapping))
+    )
 
 
 def prefix_order(base):
@@ -661,12 +677,10 @@ def group_tracks(r, chunk):
     k = r.arity // chunk
     inner = conv_alphabet(r.base, chunk)
     outer = conv_alphabet(inner, k)
-    d = r.dfa
-    rows = {}
-    for q, row in d.rows.items():
-        out = {}
-        for sym, t in row.items():
-            if t == d.sink:
+    mapping = {}
+    for row in r.dfa.rows.values():
+        for sym in row:
+            if sym in mapping:
                 continue
             tup = r.conv.tuple_of(sym)
             comps = []
@@ -676,48 +690,15 @@ def group_tracks(r, chunk):
                     comps.append(PAD)
                 else:
                     comps.append(inner.index_of(part))
-            out[outer.index_of(tuple(comps))] = t
-        rows[q] = out
-    sink = d.n_states if d.sink is None else d.sink
-    n = d.n_states if d.sink is not None else d.n_states + 1
-    d2 = Dfa(outer, n, d.initial, d.accepting, rows, sink)
-    return RegularRelation(inner, k, fa.minimize(d2))
+            mapping[sym] = outer.index_of(tuple(comps))
+    d = relabel_base(r.dfa, outer, mapping)
+    return RegularRelation(inner, k, fa.minimize(d))
 
 
 def relation_in_domain_power(r, domain):
-    """Check every member tuple has all components in L(domain), without
-    materializing the product domain automaton."""
-    dom = fa._ensure_sink(fa.minimize(fa.to_dfa(domain)))
-    d = fa._ensure_sink(r.dfa)
-    n = r.arity
-    BAD = -2  # this track's word is already known to be outside the domain
-    # track states: domain state, None once the track ended acceptably, or BAD
-    start = (d.initial, (dom.initial,) * n)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        q, tracks = queue.popleft()
-        if q in d.accepting:
-            if any(t is not None and (t == BAD or t not in dom.accepting) for t in tracks):
-                return False
-        for sym, t in d.rows.get(q, {}).items():
-            if t == d.sink and d.sink not in d.accepting:
-                continue
-            tup = r.conv.tuple_of(sym)
-            nxt = []
-            for i, c in enumerate(tup):
-                cur = tracks[i]
-                if c == PAD:
-                    nxt.append(None if (cur is None or cur in dom.accepting) else BAD)
-                elif cur is None or cur == BAD:
-                    nxt.append(BAD)
-                else:
-                    nxt.append(dom.rows.get(cur, {}).get(c, dom.sink))
-            state = (t, tuple(nxt))
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return True
+    """Check every member tuple has all components in L(domain): r equals its
+    own restriction to L(domain)ⁿ, which it contains."""
+    return fa.is_subset(r.dfa, _restrict_tracks(r.dfa, r.conv, domain))
 
 
 def join(parts, arity):
@@ -851,111 +832,16 @@ def join(parts, arity):
 
 
 def restrict_relation_to_domain(r, domain):
-    """Intersect a relation with domainⁿ without materializing the product
-    domain automaton: the per-track domain states are computed on the fly and
-    only the relation's own transitions are walked."""
-    dom = fa._ensure_sink(fa.minimize(fa.to_dfa(domain)))
-    d = fa._ensure_sink(r.dfa)
-    start = (d.initial, (dom.initial,) * r.arity)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        q, tracks = state
-        row = {}
-        for sym, t in d.rows.get(q, {}).items():
-            if t == d.sink and d.sink not in d.accepting:
-                continue
-            tup = r.conv.tuple_of(sym)
-            nxt = []
-            dead = False
-            for i, c in enumerate(tup):
-                cur = tracks[i]
-                if c == PAD:
-                    if cur is not None and cur not in dom.accepting:
-                        dead = True
-                        break
-                    nxt.append(None)
-                else:
-                    if cur is None:
-                        dead = True
-                        break
-                    t2 = dom.rows.get(cur, {}).get(c, dom.sink)
-                    if t2 == dom.sink:
-                        dead = True
-                        break
-                    nxt.append(t2)
-            if dead:
-                continue
-            tgt = (t, tuple(nxt))
-            if tgt not in ids:
-                ids[tgt] = len(order)
-                order.append(tgt)
-                queue.append(tgt)
-            row[sym] = ids[tgt]
-        rows[ids[state]] = row
-    accepting = frozenset(
-        ids[s]
-        for s in order
-        if s[0] in d.accepting
-        and all(t is None or t in dom.accepting for t in s[1])
-    )
-    sink = len(order)
-    out = Dfa(r.conv, len(order) + 1, 0, accepting, rows, sink)
-    return RegularRelation(r.base, r.arity, fa.minimize(out))
+    """Intersect a relation with L(domain)ⁿ, walking only the relation's own
+    transitions."""
+    return RegularRelation(r.base, r.arity, _restrict_tracks(r.dfa, r.conv, domain))
 
 
 def domain_power(domain, n):
     """DFA over the arity-n column alphabet accepting tuples with every
     component in L(domain).  Intended for small alphabets."""
-    dom = fa._ensure_sink(fa.minimize(fa.to_dfa(domain)))
-    conv = conv_alphabet(dom.alphabet, n)
-    start = (dom.initial,) * n
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    while queue:
-        tracks = queue.popleft()
-        row = {}
-        for sym in range(conv.size):
-            tup = conv.tuple_of(sym)
-            nxt = []
-            dead = False
-            for i, c in enumerate(tup):
-                cur = tracks[i]
-                if c == PAD:
-                    if cur is not None and cur not in dom.accepting:
-                        dead = True
-                        break
-                    nxt.append(None)
-                else:
-                    if cur is None:
-                        dead = True
-                        break
-                    t = dom.rows.get(cur, {}).get(c, dom.sink)
-                    if t == dom.sink:
-                        dead = True
-                        break
-                    nxt.append(t)
-            if dead:
-                continue
-            state = tuple(nxt)
-            if state not in ids:
-                ids[state] = len(order)
-                order.append(state)
-                queue.append(state)
-            row[sym] = ids[state]
-        rows[ids[tracks]] = row
-    sink = len(order)
-    accepting = frozenset(
-        ids[tr]
-        for tr in order
-        if all(t is None or t in dom.accepting for t in tr)
-    )
-    return Dfa(conv, len(order) + 1, 0, accepting, rows, sink)
+    conv = conv_alphabet(fa.to_dfa(domain).alphabet, n)
+    return _restrict_tracks(None, conv, domain)
 
 
 def language_relation(d):
@@ -1049,4 +935,4 @@ def rel_from_text(text):
     base = Alphabet(head[3:])
     conv = conv_alphabet(base, arity)
     nfa = fa.from_text("\n".join(lines[1:]), alphabet=conv)
-    return RegularRelation(base, arity, fa.minimize(fa.determinize(nfa)))
+    return make_relation(base, arity, nfa)

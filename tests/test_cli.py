@@ -101,6 +101,16 @@ def test_check_command(zn1_path, capsys):
     assert out.strip().endswith("ok")
 
 
+def test_check_ignores_invalid_convolutions_in_a_file(zn1_path, capsys):
+    # the appended edge lets a padded track resume; the tuples are unchanged
+    doc = json.load(open(zn1_path))
+    doc["generators"]["e1"]["relation"] += "5 0,0 5\n"
+    with open(zn1_path, "w") as f:
+        json.dump(doc, f)
+    assert cli.main(["check", zn1_path]) == 0
+    assert capsys.readouterr().out.strip().endswith("ok")
+
+
 def test_fo_decide_and_compile(zn1_path, tmp_path, capsys):
     assert cli.main(["fo", zn1_path, "A u (E v (Ee1(u,v)))"]) == 0
     assert capsys.readouterr().out.strip() == "true"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayleyauto import fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
-from cayleyauto.presentations import bs1n, heisenberg
+from cayleyauto.presentations import bs1n, heisenberg, zn
 
 from helpers import all_words
 
@@ -78,7 +78,8 @@ def test_boolean_relation_algebra(seed):
 def test_complement_within_valid_convolutions():
     rng = random.Random(3)
     r, sr = small_relation(rng, 2)
-    c = rel.rel_complement(r)
+    sigma_star = fa.Dfa(AB, 1, 0, frozenset({0}), {0: {0: 0, 1: 0}})
+    c = rel.rel_complement(r, sigma_star)
     universe = {
         (u.indices, v.indices)
         for u in all_words(AB, 2)
@@ -121,9 +122,9 @@ def test_compose_matches_definition(seed):
 
 
 def assert_valid_as_built(c):
-    # compose skips make_relation's validity filter; running it again must
-    # leave the minimal automaton exactly as it is
-    again = rel.make_relation(c.base, 2, c.dfa).dfa
+    # compose, project and cylindrify skip make_relation's validity filter;
+    # running it again must leave the minimal automaton exactly as it is
+    again = rel.make_relation(c.base, c.arity, c.dfa).dfa
     assert again.rows == c.dfa.rows
     assert again.accepting == c.dfa.accepting
     assert again.sink == c.dfa.sink
@@ -147,6 +148,62 @@ def test_compose_of_generators_needs_no_validity_pass(build):
     for r in signed:
         for s in signed:
             assert_valid_as_built(rel.compose(r, s))
+
+
+def random_domain(rng):
+    """A DFA over AB whose missing edges go to a sink that may accept."""
+    n = rng.randint(1, 3)
+    rows = {
+        q: {s: rng.randrange(n) for s in range(AB.size) if rng.random() < 0.7}
+        for q in range(n)
+    }
+    accepting = frozenset(q for q in range(n + 1) if rng.random() < 0.5)
+    return fa.Dfa(AB, n + 1, 0, accepting, rows, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_project_and_cylindrify_need_no_validity_pass(seed):
+    rng = random.Random(seed)
+    r, _ = small_relation(rng, 3, max_len=rng.randint(1, 2))
+    dom = random_domain(rng)
+    for track in range(3):
+        assert_valid_as_built(rel.project(r, track))
+    for position in range(4):
+        assert_valid_as_built(rel.cylindrify(r, position, dom))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_domain_restriction_matches_set_definitions(seed):
+    # restriction walks the relation's own edges; complement and domain
+    # powers walk every column the tracks allow
+    rng = random.Random(seed)
+    dom = random_domain(rng)
+    in_dom = {w.indices for w in all_words(AB, 3) if fa.accepts(dom, w)}
+    r, sr = small_relation(rng, 2, max_len=rng.randint(1, 3))
+    inside = {t for t in sr if all(w in in_dom for w in t)}
+    restricted = rel.restrict_relation_to_domain(r, dom)
+    assert members(restricted, 3) == inside
+    assert members(rel.rel_complement(r, dom), 3) == (
+        set(itertools.product(in_dom, repeat=2)) - sr
+    )
+    assert rel.relation_in_domain_power(r, dom) == (inside == sr)
+    assert rel.relation_in_domain_power(restricted, dom)
+    n = rng.randint(1, 3)
+    power = rel.RegularRelation(AB, n, rel.domain_power(dom, n))
+    assert members(power, 3) == set(itertools.product(in_dom, repeat=n))
+
+
+def test_rel_text_drops_invalid_convolutions():
+    # a padded track that resumes reads a word no tuple has: loading drops it
+    P = zn(1)
+    clean = rel.rel_to_text(P.relation("e1"))
+    dirty = clean + "5 0,0 5\n"
+    head = len(clean.split("\n", 1)[0]) + 1
+    assert not fa.language_equal(fa.from_text(dirty[head:]), fa.from_text(clean[head:]))
+    a, b = rel.rel_from_text(dirty).dfa, rel.rel_from_text(clean).dfa
+    assert (a.rows, a.accepting, a.sink) == (b.rows, b.accepting, b.sink)
 
 
 @settings(max_examples=15, deadline=None)
