@@ -214,6 +214,7 @@ def cmd_equal(args):
 
 def cmd_relator(args):
     P = _load_presentation(args.path)
+    _guard_states(P, args.max_states)
     holds = dec.relator_holds(P, GroupWord.parse(args.word))
     print("true" if holds else "false")
     return EXIT_TRUE if holds else EXIT_FALSE
@@ -231,6 +232,7 @@ def cmd_ball(args):
 
 def cmd_conj(args):
     P = _load_presentation(args.path)
+    _guard_states(P, args.max_states)
     ok, witness = dec.conjugate(
         P, GroupWord.parse(args.word1), GroupWord.parse(args.word2)
     )

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from . import fa, fo, relations as rel
 from .fa import Word
+from .presentations.core import GroupWord
 
 
 @dataclass
@@ -152,12 +153,20 @@ def is_identity(P, w):
 
 
 def relator_holds(P, w):
-    """Whether the group word is a relator globally: its composed edge
-    relation is the identity map on every representative."""
+    """Whether the group word is a relator globally: u·w̄ = u for every
+    representative u.
+
+    The chains meet in the middle: the freely reduced word is split as x·y
+    with |x| = ⌈n/2⌉, and the relations u -> u·x̄ and u -> u·ȳ⁻¹ are compared.
+    This is exact when every edge relation is a bijection of L inside L², as
+    `check_presentation` certifies."""
     if not len(w):
         raise ValueError("the word must be nonempty")
-    chain = P.right_chain(w)
-    return fa.language_equal(chain.dfa, P.equality_relation().dfa)
+    w = P.reduce_word(w)
+    half = (len(w) + 1) // 2
+    x = GroupWord(w.letters[:half])
+    y = GroupWord(w.letters[half:])
+    return fa.language_equal(P.right_chain(x).dfa, P.right_chain(y.inverse()).dfa)
 
 
 def _shells(P, radius):

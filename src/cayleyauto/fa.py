@@ -239,7 +239,14 @@ def _reachable(d):
 
 
 def minimize(d):
-    """Partition-refinement minimization with canonical BFS numbering."""
+    """Moore minimization with canonical BFS numbering.
+
+    Starting from the accepting/rejecting split, each round gives every
+    state the signature (its class, {(symbol, class of target)}), leaving out
+    edges into the sink's class, and splits classes by signature until a
+    round splits none.  States are then numbered breadth-first from the
+    initial class in symbol order, the sink last, so equal languages give
+    identical automata."""
     if not d.deterministic:
         d = determinize(d)
     reachable, sink_hit = _reachable(d)

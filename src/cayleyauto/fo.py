@@ -250,6 +250,7 @@ class AutomaticStructure:
         self.domain = fa.minimize(fa.to_dfa(domain))
         self.base = self.domain.alphabet
         self.relations = {}
+        self._restricted = {}
         for name, r in (relations or {}).items():
             self.add_relation(name, r)
 
@@ -258,12 +259,19 @@ class AutomaticStructure:
             raise ValueError(f"relation {name!r} uses a different alphabet")
         self.relations[name] = r
 
+    def restricted(self, name):
+        """The named relation intersected with Lⁿ, computed once for each
+        relation stored under the name (`relations` may be reassigned)."""
+        r = self.relations[name]
+        hit = self._restricted.get(name)
+        if hit is None or hit[0] is not r:
+            hit = (r, rel.restrict_relation_to_domain(r, self.domain))
+            self._restricted[name] = hit
+        return hit[1]
+
     def domain_nonempty(self):
         empty, _ = fa.is_empty(self.domain)
         return not empty
-
-    def _relativize(self, r):
-        return rel.restrict_relation_to_domain(r, self.domain)
 
     def domain_as_relation(self):
         return rel.language_relation(self.domain)
@@ -297,11 +305,13 @@ def _compile(struct, node):
     if isinstance(node, Atom):
         if node.name not in struct.relations:
             raise FormulaError(f"unknown relation {node.name!r}")
-        r = struct.relations[node.name]
-        if r.arity != len(node.args):
+        arity = struct.relations[node.name].arity
+        if arity != len(node.args):
             raise FormulaError(
-                f"{node.name} expects {r.arity} arguments, got {len(node.args)}"
+                f"{node.name} expects {arity} arguments, got {len(node.args)}"
             )
+        # restricted to Lⁿ first: collapsing and permuting tracks stay in it
+        r = struct.restricted(node.name)
         args = list(node.args)
         # collapse repeated variables: constrain the tracks equal, drop one
         while True:
@@ -322,7 +332,7 @@ def _compile(struct, node):
         order = sorted(args)
         if args != order:
             r = rel.permute_tracks(r, [order.index(v) for v in args])
-        return tuple(order), struct._relativize(r)
+        return tuple(order), r
     if isinstance(node, VarEqual):
         if node.left == node.right:
             return (node.left,), struct.domain_as_relation()

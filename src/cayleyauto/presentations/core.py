@@ -6,6 +6,7 @@ edge relations, which make conjugacy decidable).
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 from .. import fa, relations as rel
 from ..fa import Alphabet, Word
@@ -42,6 +43,17 @@ class GroupWord:
 
     def inverse(self):
         return GroupWord([(n, -s) for n, s in reversed(self.letters)])
+
+    def reduced(self):
+        """The free reduction: adjacent letters x^s x^-s cancelled until none
+        are left."""
+        out = []
+        for name, sign in self.letters:
+            if out and out[-1] == (name, -sign):
+                out.pop()
+            else:
+                out.append((name, sign))
+        return GroupWord(out)
 
     def __mul__(self, other):
         return GroupWord(self.letters + other.letters)
@@ -130,20 +142,40 @@ class GraphAutomaticPresentation:
             self._equality = rel.equality_relation(self.domain)
         return self._equality
 
+    def reduce_word(self, w):
+        """The free reduction of a group word.  Every letter must name a
+        generator, cancelled ones included (KeyError otherwise)."""
+        w = GroupWord(w)
+        for name, _ in w:
+            self.relation(name)
+        return w.reduced()
+
     def right_chain(self, w):
-        """Composition of the edge relations along a group word: u -> u·w̄."""
-        cur = self.equality_relation()
-        for name, sign in w:
-            cur = rel.compose(cur, self.relation(name, sign))
-        return cur
+        """Composition of the edge relations along a group word: u -> u·w̄.
+
+        The word is freely reduced (`reduce_word`), and the fold starts from
+        the first remaining letter's relation; the empty word gives the
+        cached equality relation.  Both shortcuts are exact when every edge
+        relation is a bijection of L inside L², which
+        `decision.check_presentation` certifies (in_domain, functional,
+        injective, total, surjective)."""
+        return self._fold([self.relation(n, s) for n, s in self.reduce_word(w)])
 
     def left_chain(self, w):
         """Composition of the left edge relations along a group word:
-        u -> w̄·u."""
-        cur = self.equality_relation()
-        for name, sign in reversed(list(w)):
-            cur = rel.compose(cur, self.left_relation(name, sign))
-        return cur
+        u -> w̄·u, folded from the last letter.  Names are checked, the word
+        reduced and the fold started as in `right_chain`, under the same
+        bijectivity assumption on the left relations."""
+        w = GroupWord(w)
+        for name, _ in w:
+            self.left_relation(name)
+        letters = reversed(w.reduced().letters)
+        return self._fold([self.left_relation(n, s) for n, s in letters])
+
+    def _fold(self, rels):
+        if not rels:
+            return self.equality_relation()
+        return reduce(rel.compose, rels[1:], rels[0])
 
     def is_biautomatic(self):
         return set(self.left) == set(self.generators) and bool(self.generators)

@@ -438,7 +438,10 @@ def compose(r, s):
     that outlast both outer tracks); extensionally equal to
     project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
     state tries only ◇ and the middle digits that both relations have
-    edges for.
+    edges for.  The product is determinized as it is explored: the subset
+    construction runs over sets of product states, each product state's
+    moves are built once, and acceptance is set from the tail closure
+    after exploring.
     """
     if r.arity != 2 or s.arity != 2:
         raise ValueError("compose needs binary relations")
@@ -450,8 +453,9 @@ def compose(r, s):
     # a 2-track column symbol is first + second·radix in digits, ◇ the top one
     radix = conv.radix
     pad = radix - 1
-    # index A rows by middle digit, B rows by first digit
-    a_by_mid = {}
+    # index A rows by middle digit, B rows by first digit; the tail columns
+    # (◇,b) of A and (b,◇) of B, b not ◇, also by b
+    a_by_mid, a_tail = {}, {}
     for q, row in A.rows.items():
         bucket = a_by_mid.setdefault(q, {})
         for sym, t in row.items():
@@ -459,7 +463,9 @@ def compose(r, s):
                 continue
             b, a = divmod(sym, radix)
             bucket.setdefault(b, []).append((a, t))
-    b_by_first = {}
+            if a == pad and b != pad:
+                a_tail.setdefault(q, {}).setdefault(b, []).append(t)
+    b_by_first, b_tail = {}, {}
     for q, row in B.rows.items():
         bucket = b_by_first.setdefault(q, {})
         for sym, t in row.items():
@@ -467,22 +473,20 @@ def compose(r, s):
                 continue
             c, b = divmod(sym, radix)
             bucket.setdefault(b, []).append((c, t))
+            if c == pad and b != pad:
+                b_tail.setdefault(q, {}).setdefault(b, []).append(t)
     # acceptance closure over middle-only tail columns (◇,b)/(b,◇),
     # computed lazily on the pairs the product construction reaches
     def tail_succ(qa, qb):
-        succ = []
-        brow = b_by_first.get(qb, {})
-        for b, alist in a_by_mid.get(qa, {}).items():
-            if b == pad:
-                continue
-            blist = brow.get(b, [])
-            for a, ta in alist:
-                if a != pad:
-                    continue
-                for c, tb in blist:
-                    if c == pad:
-                        succ.append((ta, tb))
-        return succ
+        at = a_tail.get(qa)
+        bt = b_tail.get(qb)
+        if not at or not bt:
+            return []
+        return [
+            (ta, tb)
+            for b, tas in at.items() if b in bt
+            for ta in tas for tb in bt[b]
+        ]
 
     def tail_closure(needed):
         graph = {}
@@ -515,15 +519,14 @@ def compose(r, s):
         return qb == DONE or qb in B.accepting
 
     no_row = {}
+    # product states (qa, qb, vdone) get dense ids; each one's moves,
+    # {output symbol: [target ids]}, are built the first time a subset holds it
     start = (A.initial, B.initial, False)
-    ids = {start: 0}
-    order = [start]
-    trans = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    pid = {start: 0}
+    pstates = [start]
+
+    def product_moves(state):
         qa, qb, vdone = state
-        src = ids[state]
         arow = no_row if qa == DONE else a_by_mid.get(qa, no_row)
         brow = no_row if qb == DONE else b_by_first.get(qb, no_row)
         # middle ◇: each side reads an (x,◇) edge, or its word ends here
@@ -540,35 +543,81 @@ def compose(r, s):
                 (arow[b], brow[b], False)
                 for b in small if b != pad and b in big
             )
+        out = {}
         for a_opts, c_opts, v2 in moves:
             for a, ta in a_opts:
                 for c, tb in c_opts:
                     if a == pad and c == pad:
                         continue  # all-◇ output column does not exist
                     tgt = (ta, tb, v2)
-                    if tgt not in ids:
-                        ids[tgt] = len(order)
-                        order.append(tgt)
-                        queue.append(tgt)
-                    trans.setdefault((src, a + c * radix), set()).add(ids[tgt])
+                    t = pid.get(tgt)
+                    if t is None:
+                        t = pid[tgt] = len(pstates)
+                        pstates.append(tgt)
+                    out.setdefault(a + c * radix, []).append(t)
+        return out
+
+    pmoves = {}
+
+    def moves_of(p):
+        m = pmoves.get(p)
+        if m is None:
+            m = pmoves[p] = product_moves(pstates[p])
+        return m
+
+    # subset construction straight over the product, reachable subsets only;
+    # a one-member subset is keyed by its member, larger ones by frozenset
+    ids = {0: 0}
+    order = [0]
+    rows = {}
+    queue = deque([0])
+    while queue:
+        sub = queue.popleft()
+        if type(sub) is int:
+            merged = moves_of(sub)
+        else:
+            merged = {}
+            for p in sub:
+                for sym, ts in moves_of(p).items():
+                    got = merged.get(sym)
+                    merged[sym] = ts if got is None else got + ts
+        row = {}
+        for sym, ts in merged.items():
+            tgt = ts[0]
+            if len(ts) > 1:
+                tgt = frozenset(ts)
+                if len(tgt) == 1:
+                    tgt = ts[0]
+            i = ids.get(tgt)
+            if i is None:
+                i = ids[tgt] = len(order)
+                order.append(tgt)
+                queue.append(tgt)
+            row[sym] = i
+        rows[ids[sub]] = row
     tail = tail_closure(
         {
             (qa, qb)
-            for qa, qb, vdone in order
+            for qa, qb, vdone in pstates
             if not vdone and qa != DONE and qb != DONE
         }
     )
-    accepting = set()
-    for state in order:
-        qa, qb, vdone = state
+    final = set()
+    for p, (qa, qb, vdone) in enumerate(pstates):
         if vdone or qa == DONE or qb == DONE:
             if r_ok(qa) and s_ok(qb):
-                accepting.add(ids[state])
+                final.add(p)
         elif (qa, qb) in tail:
-            accepting.add(ids[state])
-    nfa = Nfa(conv, len(order), {0}, accepting, trans)
-    # valid as built: outer tracks follow r/s until DONE, then ◇; no all-◇ column
-    return RegularRelation(r.base, 2, fa.minimize(fa.determinize(nfa)))
+            final.add(p)
+    accepting = [
+        i for i, sub in enumerate(order)
+        if (sub in final if type(sub) is int else not final.isdisjoint(sub))
+    ]
+    # the empty subset is the sink (minimize drops it if no row misses a
+    # symbol); valid as built: outer tracks follow r/s until DONE, then ◇,
+    # and there is no all-◇ column
+    d = Dfa(conv, len(order) + 1, 0, accepting, rows, len(order))
+    return RegularRelation(r.base, 2, fa.minimize(d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,24 @@
 """Shared test utilities: brute-force language oracles and ball BFS."""
 
+import functools
 import math
 import random
 
 from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.fa import Word
+from cayleyauto.presentations import (
+    FiniteGroupTable,
+    Nilpotent2Spec,
+    bs1n,
+    fg_abelian,
+    free_group,
+    heisenberg,
+    nilpotent2,
+    semidirect_zn_z,
+    ut,
+    wreath_finite_by_z,
+    zn,
+)
 from cayleyauto.presentations.core import GroupWord
 
 
@@ -65,6 +79,30 @@ def ball_sizes(P, radius):
         total += len(shell)
         out.append(total)
     return out
+
+
+# the nine roster presentations, one per CLI builder with the parameters of
+# the benchmark's roster (bench/oracles.py)
+_ROSTER = {
+    "zn": lambda: zn(2),
+    "heisenberg": heisenberg,
+    "ut": lambda: ut(3),
+    "abelian": lambda: fg_abelian(1, [2]),
+    "free": lambda: free_group(2),
+    "bs1n": lambda: bs1n(2),
+    "wreath": lambda: wreath_finite_by_z(FiniteGroupTable.cyclic(2)),
+    "nilpotent2": lambda: nilpotent2(
+        Nilpotent2Spec(3, 2, (2, 2, 2), {(0, 1): (0, 0, 1)})
+    ),
+    "semidirect-zn-z": lambda: semidirect_zn_z([[2, 1], [1, 1]]),
+}
+ROSTER_NAMES = tuple(_ROSTER)
+
+
+@functools.lru_cache(maxsize=None)
+def roster(name):
+    """A roster presentation by name, built once per session."""
+    return _ROSTER[name]()
 
 
 def random_group_word(rng, names, max_length):

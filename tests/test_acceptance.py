@@ -18,7 +18,6 @@ from cayleyauto.presentations import (
     FiniteExtensionData,
     FiniteGroupTable,
     GroupWord,
-    Nilpotent2Spec,
     bs1n,
     bs_decode,
     decode_vector,
@@ -29,19 +28,18 @@ from cayleyauto.presentations import (
     free_product,
     gamma_free,
     heisenberg,
-    nilpotent2,
-    semidirect_zn_z,
-    ut,
     wreath_finite_by_z,
     zn,
 )
 
 from helpers import (
+    ROSTER_NAMES,
     HeisenbergOracle,
     check_formula_soundness,
     finite_structure,
     label_isomorphic,
     random_group_word,
+    roster,
 )
 
 
@@ -211,26 +209,10 @@ def test_criterion_5_word_problem_scaling():
     )
 
 
-def roster():
-    return [
-        ("zn(2)", zn(2)),
-        ("heisenberg", heisenberg()),
-        ("ut(3)", ut(3)),
-        ("abelian Z+Z/2", fg_abelian(1, [2])),
-        ("free(2)", free_group(2)),
-        ("bs1n(2)", bs1n(2)),
-        ("wreath Z/2 wr Z", wreath_finite_by_z(FiniteGroupTable.cyclic(2))),
-        ("nilpotent2", nilpotent2(
-            Nilpotent2Spec(3, 2, (2, 2, 2), {(0, 1): (0, 0, 1)})
-        )),
-        ("semidirect", semidirect_zn_z([[2, 1], [1, 1]])),
-    ]
-
-
 def test_criterion_6_constant_growth():
     violations = 0
     pairs = 0
-    for label, P in roster():
+    for P in map(roster, ROSTER_NAMES):
         consts = dec.growth_constants(P)
         members = dec.ball(P, 5)
         for name in P.generators:
@@ -252,7 +234,7 @@ def test_criterion_6_constant_growth():
 
 def test_criterion_7_growth_bound():
     ok = True
-    for label, P in roster():
+    for P in map(roster, ROSTER_NAMES):
         rep = dec.growth_profile(P, 6)
         ok = ok and rep.ok
         ok = ok and all(s <= b for s, b in zip(rep.sizes, rep.bounds))

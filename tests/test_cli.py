@@ -58,6 +58,22 @@ def test_build_respects_max_states(tmp_path):
                      "--out", out]) == 2
 
 
+def test_relator_and_conj_respect_max_states(heis_path):
+    # own processes, so that an uncaught exception would show as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for args in (["relator", heis_path, "A C A^-1 C^-1 B^-1"],
+                 ["conj", heis_path, "A", "A B"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleyauto.cli", "--max-states", "2"] + args,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert "--max-states" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_eval_prints_representative(zn1_path, capsys):
     assert cli.main(["eval", zn1_path, "e1 e1 e1^-1"]) == 0
     got = capsys.readouterr().out.strip()

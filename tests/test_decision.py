@@ -18,7 +18,7 @@ from cayleyauto.presentations import (
     zn,
 )
 
-from helpers import HeisenbergOracle, random_group_word
+from helpers import ROSTER_NAMES, HeisenbergOracle, random_group_word, roster
 
 
 def test_eval_function_addition():
@@ -133,6 +133,59 @@ def test_relator_holds_agrees_with_identity_check():
         assert dec.relator_holds(P, w) == dec.is_identity(P, w)
 
 
+def _with_cancelling_pair(rng, w, names):
+    letters = list(w.letters)
+    x = (rng.choice(names), rng.choice((1, -1)))
+    at = rng.randint(0, len(letters))
+    return GroupWord(letters[:at] + [x, (x[0], -x[1])] + letters[at:])
+
+
+@pytest.mark.parametrize(
+    "name, relator",
+    [
+        ("heisenberg", "A C A^-1 C^-1 B^-1"),
+        ("bs1n", "a^-1 b a b^-2"),
+        ("wreath", "a1 t a1 t^-1 a1^-1 t a1^-1 t^-1"),
+    ],
+)
+def test_relator_holds_meets_in_the_middle(name, relator):
+    # the half-chains must agree with evaluation on words of both parities,
+    # relators (conjugated, with cancelling pairs) and non-relators alike
+    P = roster(name)
+    names = P.generator_names
+    rng = random.Random(name)
+
+    def word(length):
+        return GroupWord(
+            [(rng.choice(names), rng.choice((1, -1))) for _ in range(length)]
+        )
+
+    r = GroupWord.parse(relator)
+    words = []
+    for length in (3, 4):
+        x = word(1)
+        words.extend([x * r * x.inverse(), word(length)])
+    words += [_with_cancelling_pair(rng, w, names) for w in words]
+    assert {len(w) % 2 for w in words} == {0, 1}
+    verdicts = []
+    for w in words:
+        verdicts.append(dec.relator_holds(P, w))
+        assert verdicts[-1] == dec.is_identity(P, w), str(w)
+    assert True in verdicts and False in verdicts
+
+
+def test_relator_holds_reduces_after_checking_names():
+    P = heisenberg()
+    assert dec.relator_holds(P, GroupWord.parse("A A^-1"))
+    assert not dec.relator_holds(P, GroupWord.parse("A B A^-1"))
+    with pytest.raises(KeyError):
+        dec.relator_holds(P, GroupWord.parse("Z Z^-1"))
+    with pytest.raises(KeyError):
+        dec.relator_holds(P, GroupWord.parse("A Z Z^-1 A^-1"))
+    with pytest.raises(ValueError):
+        dec.relator_holds(P, GroupWord([]))
+
+
 def test_compose_on_large_alphabet_matches_right_multiply():
     # most of BS(1,2)'s middle digits have no edge in a given state, so the
     # composition must find the few that both relations share
@@ -169,7 +222,8 @@ def test_growth_constants_are_positive():
 
 
 def test_check_presentation_accepts_builders():
-    for P in (zn(2), fg_abelian(0, [3]), free_group(2), heisenberg()):
+    # every roster builder: the chain shortcuts rely on these bijections
+    for P in [fg_abelian(0, [3])] + [roster(n) for n in ROSTER_NAMES]:
         report = dec.check_presentation(P)
         assert report["ok"], report
         assert report["identity_in_domain"]

@@ -11,6 +11,8 @@ from cayleyauto.presentations import (
 )
 from cayleyauto.presentations.core import GraphAutomaticPresentation
 
+from helpers import ROSTER_NAMES, roster
+
 
 def test_group_word_parse_and_str():
     w = GroupWord.parse("A C A^-1 C^-1 B^-1")
@@ -135,6 +137,48 @@ def test_presentation_chains_multiply_on_each_side():
         u = [dec.canonical_rep(P, v)]
         assert dec.eval_function(right, u) == dec.canonical_rep(P, v * w)
         assert dec.eval_function(left, u) == dec.canonical_rep(P, w * v)
+
+
+def test_group_word_free_reduction():
+    w = GroupWord.parse("a b b^-1 a^-1 c a a^-1")
+    assert w.reduced() == GroupWord.parse("c")
+    assert GroupWord.parse("a b^-1 b a^-1").reduced() == GroupWord([])
+    assert GroupWord.parse("a a b").reduced() == GroupWord.parse("a a b")
+
+
+def _identity_first_fold(P, letters, edge):
+    cur = P.equality_relation()
+    for name, sign in letters:
+        cur = rel.compose(cur, edge(name, sign))
+    return cur
+
+
+@pytest.mark.parametrize("name", ROSTER_NAMES)
+def test_chains_of_reducible_words_match_the_identity_first_fold(name):
+    # valid presentations: every edge is a bijection of L inside L², so the
+    # reduced fold from the first letter gives the same relation
+    P = roster(name)
+    g, h = P.generator_names[:2]
+    w = GroupWord([(g, 1), (h, -1), (h, 1), (g, 1), (h, 1)])
+    assert len(w.reduced()) == 3
+    want = _identity_first_fold(P, w, P.relation)
+    assert rel.rel_to_text(P.right_chain(w)) == rel.rel_to_text(want)
+    if P.is_biautomatic():
+        want = _identity_first_fold(P, reversed(w.letters), P.left_relation)
+        assert rel.rel_to_text(P.left_chain(w)) == rel.rel_to_text(want)
+    assert P.right_chain(w * w.inverse()) is P.equality_relation()
+    assert P.right_chain([(h, -1), (h, 1)]) is P.equality_relation()
+
+
+def test_chains_check_names_before_cancelling():
+    P = heisenberg()
+    with pytest.raises(KeyError):
+        P.right_chain(GroupWord.parse("Z Z^-1"))
+    with pytest.raises(KeyError):
+        P.left_chain(GroupWord.parse("A Z^-1 Z"))
+    with pytest.raises(KeyError):
+        free_group(2).left_chain(GroupWord.parse("a a^-1"))
+    assert P.left_chain(GroupWord.parse("A A^-1")) is P.equality_relation()
 
 
 def test_presentation_json_round_trip():
