@@ -69,21 +69,22 @@ def _load_doc(path):
         return json.load(f)
 
 
-def _load_presentation(path):
+def _load_presentation(path, limit):
     doc = _load_doc(path)
     if "identity" not in doc:
         raise ValueError(f"{path} does not hold a presentation")
-    return GraphAutomaticPresentation.from_json(doc)
+    return _guard_states(GraphAutomaticPresentation.from_json(doc), limit)
 
 
-def _load_any(path):
+def _load_any(path, limit):
     doc = _load_doc(path)
     if doc.get("structure"):
-        return fo.structure_from_json(doc)
-    return GraphAutomaticPresentation.from_json(doc)
+        return _guard_states(fo.structure_from_json(doc), limit)
+    return _guard_states(GraphAutomaticPresentation.from_json(doc), limit)
 
 
 def _guard_states(obj, limit):
+    """obj itself, once none of its automata has more than limit states."""
     autos = []
     if isinstance(obj, GraphAutomaticPresentation):
         autos.append(obj.domain)
@@ -97,6 +98,7 @@ def _guard_states(obj, limit):
         raise ValueError(
             f"automaton has {worst} states, over the --max-states limit {limit}"
         )
+    return obj
 
 
 def _commutators(items):
@@ -135,11 +137,13 @@ def _build(args):
         return semidirect_zn_z(_matrix(args.matrix))
     if name == "direct-product":
         return direct_product(
-            _load_presentation(args.first), _load_presentation(args.second)
+            _load_presentation(args.first, args.max_states),
+            _load_presentation(args.second, args.max_states),
         )
     if name == "free-product":
         return free_product(
-            _load_presentation(args.first), _load_presentation(args.second)
+            _load_presentation(args.first, args.max_states),
+            _load_presentation(args.second, args.max_states),
         )
     if name == "semidirect":
         action = {}
@@ -148,11 +152,13 @@ def _build(args):
             with open(path) as f:
                 action[gen] = rel.rel_from_text(f.read())
         return semidirect(
-            _load_presentation(args.first), _load_presentation(args.second), action
+            _load_presentation(args.first, args.max_states),
+            _load_presentation(args.second, args.max_states),
+            action,
         )
     if name == "finite-extension":
         doc = _load_doc(args.data)
-        base = _load_presentation(doc["base"])
+        base = _load_presentation(doc["base"], args.max_states)
         correction = [
             [GroupWord.parse(w) for w in row] for row in doc["correction"]
         ]
@@ -163,12 +169,12 @@ def _build(args):
         data = FiniteExtensionData(base, doc["mult"], correction, conjugation)
         return finite_extension(data)
     if name == "restrict":
-        P = _load_presentation(args.pres)
+        P = _load_presentation(args.pres, args.max_states)
         with open(args.sub) as f:
             sub = fa.from_text(f.read(), alphabet=P.base)
         return restrict_to_regular_subgroup(P, sub, args.gens.split(","))
     if name == "extend-gen":
-        P = _load_presentation(args.pres)
+        P = _load_presentation(args.pres, args.max_states)
         return extend_generator(P, args.name, GroupWord.parse(args.word))
     if name == "fa-abelian":
         return fa_abelian_multiplication(args.n, _ints(args.torsion))
@@ -176,8 +182,7 @@ def _build(args):
 
 
 def cmd_build(args):
-    obj = _build(args)
-    _guard_states(obj, args.max_states)
+    obj = _guard_states(_build(args), args.max_states)
     if isinstance(obj, GraphAutomaticPresentation):
         if not args.no_check:
             report = dec.check_presentation(obj)
@@ -198,30 +203,28 @@ def cmd_build(args):
 
 
 def cmd_eval(args):
-    P = _load_presentation(args.path)
-    _guard_states(P, args.max_states)
+    P = _load_presentation(args.path, args.max_states)
     w = dec.canonical_rep(P, GroupWord.parse(args.word))
     print(" ".join(w.names()))
     return EXIT_TRUE
 
 
 def cmd_equal(args):
-    P = _load_presentation(args.path)
+    P = _load_presentation(args.path, args.max_states)
     same = dec.words_equal(P, GroupWord.parse(args.word1), GroupWord.parse(args.word2))
     print("true" if same else "false")
     return EXIT_TRUE if same else EXIT_FALSE
 
 
 def cmd_relator(args):
-    P = _load_presentation(args.path)
-    _guard_states(P, args.max_states)
+    P = _load_presentation(args.path, args.max_states)
     holds = dec.relator_holds(P, GroupWord.parse(args.word))
     print("true" if holds else "false")
     return EXIT_TRUE if holds else EXIT_FALSE
 
 
 def cmd_ball(args):
-    P = _load_presentation(args.path)
+    P = _load_presentation(args.path, args.max_states)
     report = dec.growth_profile(P, args.radius)
     print("sizes: " + " ".join(str(s) for s in report.sizes))
     if args.list:
@@ -231,8 +234,7 @@ def cmd_ball(args):
 
 
 def cmd_conj(args):
-    P = _load_presentation(args.path)
-    _guard_states(P, args.max_states)
+    P = _load_presentation(args.path, args.max_states)
     ok, witness = dec.conjugate(
         P, GroupWord.parse(args.word1), GroupWord.parse(args.word2)
     )
@@ -244,7 +246,7 @@ def cmd_conj(args):
 
 
 def cmd_check(args):
-    P = _load_presentation(args.path)
+    P = _load_presentation(args.path, args.max_states)
     report = dec.check_presentation(P)
     print(f"identity in domain: {report['identity_in_domain']}")
     for name, entry in report["relations"].items():
@@ -260,7 +262,7 @@ def cmd_check(args):
 
 
 def cmd_fo(args):
-    obj = _load_any(args.path)
+    obj = _load_any(args.path, args.max_states)
     if isinstance(obj, GraphAutomaticPresentation):
         struct = fo.AutomaticStructure(
             obj.domain, {f"E{n}": r for n, r in obj.generators.items()}
@@ -289,7 +291,7 @@ def cmd_fo(args):
 
 
 def cmd_export(args):
-    obj = _load_any(args.path)
+    obj = _load_any(args.path, args.max_states)
     os.makedirs(args.dot, exist_ok=True)
     written = []
 

@@ -418,14 +418,6 @@ def dfa_difference(a, b):
     return dfa_product(to_dfa(a), to_dfa(b), lambda x, y: x and not y)
 
 
-def intersect(a, b):
-    return dfa_intersect(a, b).as_nfa()
-
-
-def difference(a, b):
-    return dfa_difference(a, b).as_nfa()
-
-
 def _pair_search(a, b, bad):
     """Synchronized search over the reachable state pairs of two automata:
     False as soon as a pair has bad(accepted by a, accepted by b)."""

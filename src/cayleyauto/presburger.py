@@ -3,12 +3,16 @@
 Integers are written least-significant-digit first in two's complement over
 {0,1}: the word d₀..d_{k−1} has value Σ_{i<k−1} dᵢ2ⁱ − d_{k−1}2^{k−1}.  The
 canonical (shortest) form has length 1 or its last two digits differing.
-On top of the addition automaton, affine maps y = Ax + c are obtained by
-compiling their defining first-order formulas (scalar multiples built by
-repeated doubling).
-"""
+Each row y = Σ kᵢxᵢ + c of an affine map y = Ax + c is one synchronous carry
+automaton (Boudet & Comon 1996; Wolper & Boigelot 1995); addition is the row
+y = x₁ + x₂ and a constant the row with no inputs.  The rows of a map are
+joined on their shared tracks."""
 
 from __future__ import annotations
+
+import itertools
+import operator
+from collections import deque
 
 from . import fa, fo, relations as rel
 from .fa import Alphabet, Dfa, Word
@@ -57,79 +61,79 @@ def int_domain():
     return fa.minimize(Dfa(BITS, 8, 0, frozenset({1, 2, 5, 6}), rows, 7))
 
 
-def _value_for(track, last):
-    """Digit contributed by a track at a column: its own digit, or its sign
-    digit once exhausted."""
-    return last if track == rel.PAD else track
+def _affine_row(coeffs, const):
+    """Relation {(x₁..x_d, y) : y = Σ kᵢxᵢ + c} over canonical encodings, built
+    as one LSD carry automaton.
 
+    A state is (carry, last digit of each input, last digit of y), None before
+    a track's first digit; the carry starts at c.  A padded input contributes
+    its sign digit, y reads the bit of s = carry + Σ kᵢ·digitᵢ (or pads when
+    that bit is its sign digit) and the carry becomes s >> 1.  A state accepts
+    when every track has a digit and the sign digits, repeated forever, keep
+    matching: the carry is stepped until it repeats.  Persistent padding and
+    canonical digits are left to one pass of the domain walker."""
+    n = len(coeffs) + 1
+    conv = rel.conv_alphabet(BITS, n)
+    pad = conv.radix - 1
+    all_pad = conv.radix ** n - 1
+    weights = [conv.radix ** i for i in range(n)]
 
-_addition_cache = None
+    def reads(last, w):
+        """(symbol part, digit) pairs a track may read; a pad repeats the
+        sign digit."""
+        out = [(0, 0), (w, 1)]
+        if last is not None:
+            out.append((pad * w, last))
+        return out
 
-
-def addition_relation():
-    """Ternary relation {(u,v,w) : decode(u)+decode(v)=decode(w)}."""
-    global _addition_cache
-    if _addition_cache is not None:
-        return _addition_cache
-    conv = rel.conv_alphabet(BITS, 3)
-    # state: (carry, last digit seen per track); None = no digit yet
-    start = (0, None, None, None)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    from collections import deque
-
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        carry, lx, ly, lz = state
-        row = {}
-        for sym in range(conv.size):
-            a, b, c = conv.tuple_of(sym)
-            if (a == rel.PAD and lx is None) or (b == rel.PAD and ly is None) or (
-                c == rel.PAD and lz is None
-            ):
-                continue  # a track may not start with padding
-            da = _value_for(a, lx)
-            db = _value_for(b, ly)
-            dc = _value_for(c, lz)
-            s = da + db + carry
-            if (s & 1) != dc:
-                continue
-            nxt = (
-                s >> 1,
-                lx if a == rel.PAD else a,
-                ly if b == rel.PAD else b,
-                lz if c == rel.PAD else c,
-            )
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row[sym] = ids[nxt]
-        rows[ids[state]] = row
-
-    def sign_consistent(state):
-        carry, lx, ly, lz = state
-        if lx is None or ly is None or lz is None:
+    def settles(state):
+        carry, *lasts = state
+        if None in lasts:
             return False
-        # all further columns carry the sign digits; the carry settles within
-        # two steps, so checking three suffices
-        for _ in range(3):
-            s = lx + ly + carry
-            if (s & 1) != lz:
+        k = sum(map(operator.mul, coeffs, lasts))
+        seen = set()
+        while carry not in seen:
+            seen.add(carry)
+            s = carry + k
+            if s & 1 != lasts[-1]:
                 return False
             carry = s >> 1
         return True
 
-    accepting = frozenset(ids[s] for s in order if sign_consistent(s))
-    sink = len(order)
-    d = Dfa(conv, len(order) + 1, 0, accepting, rows, sink)
-    r = rel.make_relation(BITS, 3, d)
-    # keep only canonical encodings on every track
-    canon = rel.domain_power(int_domain(), 3)
-    _addition_cache = rel.RegularRelation(BITS, 3, fa.dfa_intersect(r.dfa, canon))
-    return _addition_cache
+    start = (const,) + (None,) * n
+    ids = {start: 0}
+    order = [start]
+    rows = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        carry, *lasts = state
+        row = {}
+        for col in itertools.product(*map(reads, lasts[:-1], weights)):
+            digits = tuple(d for _, d in col)
+            s = carry + sum(map(operator.mul, coeffs, digits))
+            bit = s & 1
+            sym = sum(part for part, _ in col)
+            tgt = (s >> 1,) + digits + (bit,)
+            for ypart, yd in reads(lasts[-1], weights[-1]):
+                if yd != bit or sym + ypart == all_pad:
+                    continue
+                if tgt not in ids:
+                    ids[tgt] = len(order)
+                    order.append(tgt)
+                    queue.append(tgt)
+                row[sym + ypart] = ids[tgt]
+        rows[ids[state]] = row
+    accepting = frozenset(ids[s] for s in order if settles(s))
+    d = Dfa(conv, len(order) + 1, 0, accepting, rows, len(order))
+    return rel.restrict_relation_to_domain(
+        rel.RegularRelation(BITS, n, d), int_domain()
+    )
+
+
+def addition_relation():
+    """Ternary relation {(u,v,w) : decode(u)+decode(v)=decode(w)}."""
+    return affine_relation([[1, 1]], [0])
 
 
 _congruence_cache = {}
@@ -145,8 +149,6 @@ def congruence_relation(omega):
     # state: (Σ x-digits·2^i, Σ y-digits·2^i, 2^k, last x digit, last y digit)
     # all mod omega; a track's value is its digit sum minus twice its last
     # digit's weighted contribution (two's complement sign digit)
-    from collections import deque
-
     start = (0, 0, 1 % omega, None, None)
     ids = {start: 0}
     order = [start]
@@ -181,11 +183,10 @@ def congruence_relation(omega):
         if s[3] is not None and s[4] is not None
         and (s[0] - 2 * s[3]) % omega == (s[1] - 2 * s[4]) % omega
     )
-    sink = len(order)
-    d = Dfa(conv, len(order) + 1, 0, accepting, rows, sink)
-    r = rel.make_relation(BITS, 2, d)
-    canon = rel.domain_power(int_domain(), 2)
-    out = rel.RegularRelation(BITS, 2, fa.dfa_intersect(r.dfa, canon))
+    d = Dfa(conv, len(order) + 1, 0, accepting, rows, len(order))
+    out = rel.restrict_relation_to_domain(
+        rel.RegularRelation(BITS, 2, d), int_domain()
+    )
     _congruence_cache[omega] = out
     return out
 
@@ -197,93 +198,9 @@ def presburger_structure():
 
 def constant_relation(value):
     """Arity-1 relation containing exactly encode(value)."""
-    conv = rel.conv_alphabet(BITS, 1)
-    w = encode_int(value)
-    rows = {}
-    for i, d in enumerate(w.indices):
-        rows[i] = {conv.index_of((d,)): i + 1}
-    rows[len(w)] = {}
-    d = Dfa(conv, len(w) + 2, 0, frozenset({len(w)}), rows, len(w) + 1)
-    return rel.RegularRelation(BITS, 1, fa.minimize(d))
+    return _affine_row((), value)
 
 
-class _AffineCompiler:
-    """Builds scalar-multiplication and affine-row relations by first-order
-    definitions over the addition structure."""
-
-    def __init__(self):
-        self.struct = fo.AutomaticStructure(int_domain(), {"Add": addition_relation()})
-        self.rels = self.struct.relations
-        self.scalars = {}
-        self.row_cache = {}
-
-    def _compile(self, text, order):
-        return fo.compile(self.struct, text, order)[1]
-
-    def scalar(self, k):
-        """Name of the installed relation {(x,y) : y = k·x}."""
-        if k in self.scalars:
-            return self.scalars[k]
-        name = f"Mul{k}".replace("-", "m")
-        if k == 0:
-            r = self._compile("Add(y,y,y) & x = x", ("x", "y"))
-        elif k == 1:
-            r = self._compile("x = y", ("x", "y"))
-        elif k < 0:
-            pos = self.scalar(-k)
-            r = self._compile(
-                f"E t ({pos}(x,t) & E z (Add(t,y,z) & Add(z,z,z)))", ("x", "y")
-            )
-        elif k % 2 == 0:
-            half = self.scalar(k // 2)
-            r = self._compile(f"E t ({half}(x,t) & Add(t,t,y))", ("x", "y"))
-        else:
-            even = self.scalar(k - 1)
-            r = self._compile(f"E t ({even}(x,t) & Add(t,x,y))", ("x", "y"))
-        self.rels[name] = r
-        self.scalars[k] = name
-        return name
-
-    def row(self, coeffs, const):
-        """Relation {(x for nonzero coeffs..., y) : y = Σ coeffs·x + const};
-        tracks are the nonzero-coefficient inputs in order, then y."""
-        key = (tuple(k for k in coeffs if k != 0), const)
-        if key in self.row_cache:
-            return self.row_cache[key]
-        r = self._row(key[0], const)
-        self.row_cache[key] = r
-        return r
-
-    def _row(self, coeffs, const):
-        d = len(coeffs)
-        xs = [f"x{i:02d}" for i in range(d)]
-        if not coeffs:
-            return constant_relation(const)
-        self.rels["Konst"] = constant_relation(const)
-        # sum left to right: s₀ = const, sᵢ = sᵢ₋₁ + kᵢ·xᵢ, y = s_last
-        parts = []
-        prev = "s00"
-        opened = 1
-        parts.append(f"E {prev} (Konst({prev})")
-        for i, (v, k) in enumerate(zip(xs, coeffs)):
-            mul = self.scalar(k)
-            p = f"p{i:02d}"
-            parts.append(f"& E {p} ({mul}({v},{p})")
-            opened += 1
-            if i + 1 < d:
-                s = f"s{i + 1:02d}"
-                parts.append(f"& E {s} (Add({prev},{p},{s})")
-                opened += 1
-                prev = s
-            else:
-                parts.append(f"& Add({prev},{p},y)")
-        body = " ".join(parts) + ")" * opened
-        r = self._compile(body, tuple(xs) + ("y",))
-        del self.rels["Konst"]
-        return r
-
-
-_affine_compiler = None
 _affine_cache = {}
 
 
@@ -302,16 +219,13 @@ def affine_relation(matrix, const):
     key = (tuple(tuple(row) for row in matrix), tuple(const))
     if key in _affine_cache:
         return _affine_cache[key]
-    global _affine_compiler
-    if _affine_compiler is None:
-        _affine_compiler = _AffineCompiler()
-    comp = _affine_compiler
     parts = []
     used = set()
     for j in range(dd):
         inputs = tuple(i for i in range(d) if matrix[j][i] != 0)
         used.update(inputs)
-        parts.append((comp.row(matrix[j], const[j]), inputs + (d + j,)))
+        coeffs = tuple(matrix[j][i] for i in inputs)
+        parts.append((_affine_row(coeffs, const[j]), inputs + (d + j,)))
     ints = rel.language_relation(int_domain())
     for i in range(d):
         if i not in used:

@@ -174,8 +174,8 @@ def free_product(P, Q):
     U, mp, mq = _tag_maps(P, Q, extra=["."])
     SEP = U.index["."]
     conv2 = rel.conv_alphabet(U, 2)
-    DP = fa.minimize(fa.difference(P.domain, _word_dfa(P.identity)))
-    DQ = fa.minimize(fa.difference(Q.domain, _word_dfa(Q.identity)))
+    DP = fa.dfa_difference(P.domain, _word_dfa(P.identity))
+    DQ = fa.dfa_difference(Q.domain, _word_dfa(Q.identity))
     for D, which in ((DP, "first"), (DQ, "second")):
         if fa.accepts(D, Word(D.alphabet, ())):
             raise ValueError(

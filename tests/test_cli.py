@@ -58,12 +58,18 @@ def test_build_respects_max_states(tmp_path):
                      "--out", out]) == 2
 
 
-def test_relator_and_conj_respect_max_states(heis_path):
-    # own processes, so that an uncaught exception would show as a traceback
+def test_relator_and_conj_respect_max_states(heis_path, tmp_path):
+    # every command that loads a file; own processes, so that an uncaught
+    # exception would show as a traceback
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     for args in (["relator", heis_path, "A C A^-1 C^-1 B^-1"],
-                 ["conj", heis_path, "A", "A B"]):
+                 ["conj", heis_path, "A", "A B"],
+                 ["equal", heis_path, "A", "A"],
+                 ["ball", heis_path, "-r", "1"],
+                 ["check", heis_path],
+                 ["fo", heis_path, "E u (u = u)"],
+                 ["export", heis_path, "--dot", str(tmp_path / "dot")]):
         proc = subprocess.run(
             [sys.executable, "-m", "cayleyauto.cli", "--max-states", "2"] + args,
             capture_output=True, text=True, env=env, timeout=120,

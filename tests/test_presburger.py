@@ -111,3 +111,37 @@ def test_presburger_structure_sentences():
     assert fo.decide(struct, "E z (A x (E y (Add(x,y,z))))")
     # commutativity
     assert fo.decide(struct, "A x (A y (A z (Add(x,y,z) -> Add(y,x,z))))")
+
+
+@pytest.mark.parametrize(
+    "matrix, formula, order",
+    [
+        ([[3]], "E t (Add(x,x,t) & Add(t,x,y))", ("x", "y")),
+        ([[-1]], "E z (Add(x,y,z) & Add(z,z,z))", ("x", "y")),
+        ([[0]], "Add(y,y,y) & x = x", ("x", "y")),
+        ([[2, -1]], "E t (Add(u,u,t) & Add(y,v,t))", ("u", "v", "y")),
+    ],
+)
+def test_affine_rows_equal_their_first_order_definitions(matrix, formula, order):
+    struct = pres.presburger_structure()
+    _, defined = fo.compile(struct, formula, order)
+    direct = pres.affine_relation(matrix, [0])
+    assert fa.language_equal(direct.dfa, defined.dfa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.integers(-pres.MAX_AFFINE_ENTRY, pres.MAX_AFFINE_ENTRY),
+        min_size=1,
+        max_size=2,
+    ),
+    st.integers(-6, 6),
+)
+def test_affine_row_matches_integer_arithmetic(coeffs, const):
+    r = pres.affine_relation([coeffs], [const])
+    for xs in itertools.product(range(-4, 5), repeat=len(coeffs)):
+        y = sum(k * x for k, x in zip(coeffs, xs)) + const
+        for guess in (y - 2, y - 1, y, y + 1):
+            words = tuple(pres.encode_int(v) for v in xs + (guess,))
+            assert r.contains(words) == (guess == y), (coeffs, const, xs, guess)
