@@ -24,15 +24,23 @@ class EvalTrace:
 
 @dataclass
 class GrowthReport:
-    """Ball sizes against the |Σ|^(C·n) bound, with the per-generator
+    """Ball sizes against the σ^(c·n) bound, with the per-generator
     constants C = C₁·C₂ (relation states × domain states), and the ball's
-    representatives in breadth-first order."""
+    representatives in breadth-first order.  σ is max(|Σ|, 2) and c is one
+    more than the largest constant or the identity's length."""
 
     sizes: list
     constants: dict
-    bounds: list
+    sigma: int
+    c: int
     ok: bool
     ball: list
+
+    @property
+    def bounds(self):
+        """σ^(c·n) for each radius n, computed on access: the integers grow
+        to millions of bits."""
+        return [self.sigma ** (self.c * n) for n in range(len(self.sizes))]
 
 
 def eval_function(r, inputs):
@@ -110,7 +118,7 @@ def _eval_search(r, inputs):
                 push(nrun, t, [w + (ydig,) for w in words])
         running = nrun
         record(running)
-        if len(found) > 1:
+        if len(found) > 1 or not running:
             break
     if len(found) > 1:
         raise ValueError("relation is not functional on these inputs")
@@ -220,10 +228,13 @@ def growth_profile(P, radius):
     for shell in _shells(P, radius):
         members.extend(shell)
         sizes.append(len(members))
-    bounds = [sigma ** (c * n) for n in range(radius + 1)]
-    ok = all(s <= b for s, b in zip(sizes, bounds))
+    # s < 2^(c·n) <= σ^(c·n) once c·n reaches s's bit length, as σ >= 2
+    ok = all(
+        c * n >= s.bit_length() or s <= sigma ** (c * n)
+        for n, s in enumerate(sizes)
+    )
     return GrowthReport(
-        sizes=sizes, constants=consts, bounds=bounds, ok=ok, ball=members
+        sizes=sizes, constants=consts, sigma=sigma, c=c, ok=ok, ball=members
     )
 
 
@@ -306,13 +317,7 @@ def conjugate(P, p, q):
     rp = P.right_chain(p)
     lq = P.left_chain(q)
     s = rel.project(rel.rel_intersect(rp, lq), 1)
-    words = fa.enumerate_words(s.dfa, max_length=s.dfa.n_states + 1, count=1)
-    if not words:
+    empty, w = fa.is_empty(s.dfa)
+    if empty:
         return False, None
-    w = words[0]
-    track = rel.deconvolve(w)[0] if isinstance(
-        w.alphabet, rel.ConvolutionAlphabet
-    ) else w
-    if track.alphabet.symbols != P.base.symbols:
-        track = Word(P.base, track.indices)
-    return True, track
+    return True, rel.deconvolve(w)[0]

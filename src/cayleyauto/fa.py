@@ -182,39 +182,58 @@ def to_dfa(a):
     return a if a.deterministic else determinize(a)
 
 
+def explore(alphabet, start, moves, accepts, sink=None):
+    """The reachable DFA from `start`, explored breadth-first.
+
+    moves(state) gives {symbol: next state}; states are numbered in
+    discovery order.  Moves into `sink` are dropped, and a missing symbol
+    leads to the sink, which is added last only when some row misses a
+    symbol (or is state 0 when it is the start).  accepts(state) is called
+    once per state after exploring, the sink included unless it is None."""
+    if start == sink:
+        return Dfa(alphabet, 1, 0, {0} if accepts(sink) else (), {0: {}}, 0)
+    ids = {start: 0}
+    order = [start]
+    rows = {}
+    size = alphabet.size
+    complete = True
+    for i, state in enumerate(order):  # order grows as states are found
+        row = {}
+        for sym, nxt in moves(state).items():
+            t = ids.get(nxt)
+            if t is None:
+                if nxt == sink:
+                    continue
+                t = ids[nxt] = len(order)
+                order.append(nxt)
+            row[sym] = t
+        rows[i] = row
+        if len(row) < size:
+            complete = False
+    accepting = {i for i, state in enumerate(order) if accepts(state)}
+    n = len(order)
+    if complete:
+        return Dfa(alphabet, n, 0, accepting, rows)
+    if sink is not None and accepts(sink):
+        accepting.add(n)
+    return Dfa(alphabet, n + 1, 0, accepting, rows, n)
+
+
 def determinize(a):
     """Subset construction; explores only reachable subsets."""
     if a.deterministic:
         return a
-    start = frozenset(a.initial)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    while queue:
-        sub = queue.popleft()
+
+    def moves(sub):
         merged = {}
         for q in sub:
             for s, ts in a.row(q).items():
                 merged.setdefault(s, set()).update(ts)
-        row = {}
-        for s, ts in merged.items():
-            tgt = frozenset(ts)
-            if not tgt:
-                continue
-            if tgt not in ids:
-                ids[tgt] = len(order)
-                order.append(tgt)
-                queue.append(tgt)
-            row[s] = ids[tgt]
-        rows[ids[sub]] = row
-    # the empty subset is the sink; add it only if some row is incomplete
-    sink = None
-    if any(len(rows[i]) < a.alphabet.size for i in range(len(order))):
-        sink = len(order)
-        order.append(frozenset())
-    accepting = frozenset(i for i, sub in enumerate(order) if sub & a.accepting)
-    return Dfa(a.alphabet, len(order), 0, accepting, rows, sink)
+        return {s: frozenset(ts) for s, ts in merged.items()}
+
+    # the empty subset is the sink
+    return explore(a.alphabet, frozenset(a.initial), moves,
+                   lambda sub: not a.accepting.isdisjoint(sub), frozenset())
 
 
 def _reachable(d):
@@ -365,45 +384,14 @@ def dfa_product(d1, d2, accept_rule):
         raise ValueError("alphabet mismatch")
     d1 = _ensure_sink(to_dfa(d1))
     d2 = _ensure_sink(to_dfa(d2))
-    sink_pair = (d1.sink, d2.sink)
-    start = (d1.initial, d2.initial)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    sink_needed = start == sink_pair
-    while queue:
-        pair = queue.popleft()
-        q1, q2 = pair
-        out, default = _pair_steps(d1, q1, d2, q2)
-        row = {}
-        for s, tgt in out.items():
-            if tgt == sink_pair:
-                sink_needed = True
-                continue
-            if tgt not in ids:
-                ids[tgt] = len(order)
-                order.append(tgt)
-                queue.append(tgt)
-            row[s] = ids[tgt]
-        if default is not None:
-            sink_needed = True
-        rows[ids[pair]] = row
-    sink = None
-    if sink_needed:
-        if sink_pair in ids:
-            sink = ids[sink_pair]
-        else:
-            sink = len(order)
-            ids[sink_pair] = sink
-            order.append(sink_pair)
-            rows[sink] = {}
-    accepting = frozenset(
-        ids[p]
-        for p in order
-        if accept_rule(p[0] in d1.accepting, p[1] in d2.accepting)
+    d = explore(
+        d1.alphabet,
+        (d1.initial, d2.initial),
+        lambda pair: _pair_steps(d1, pair[0], d2, pair[1])[0],
+        lambda pair: accept_rule(pair[0] in d1.accepting, pair[1] in d2.accepting),
+        (d1.sink, d2.sink),
     )
-    return minimize(Dfa(d1.alphabet, len(order), 0, accepting, rows, sink))
+    return minimize(d)
 
 
 def dfa_intersect(a, b):

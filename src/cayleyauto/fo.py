@@ -289,15 +289,14 @@ def _track_equal(base, arity, i, j):
 
 
 def _expand(struct, r, vars_, target):
-    """Cylindrify a compiled relation from its sorted variable tuple to a
-    sorted superset, relativizing the new tracks to the domain."""
-    cur = list(vars_)
-    for pos, v in enumerate(target):
-        if pos >= len(cur) or cur[pos] != v:
-            r = rel.cylindrify(r, pos, struct.domain)
-            cur.insert(pos, v)
-    assert tuple(cur) == tuple(target)
-    return r
+    """Widen a compiled relation from its sorted variable tuple to a sorted
+    superset, in one join that places each new variable on the domain."""
+    if vars_ == target:
+        return r
+    dom = struct.domain_as_relation()
+    parts = [(r, tuple(target.index(v) for v in vars_))]
+    parts += [(dom, (k,)) for k, v in enumerate(target) if v not in vars_]
+    return rel.join(parts, len(target))
 
 
 def _compile(struct, node):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
 
 from . import fa, fo, relations as rel
 from .fa import Alphabet, Dfa, Word
@@ -100,13 +99,7 @@ def _affine_row(coeffs, const):
             carry = s >> 1
         return True
 
-    start = (const,) + (None,) * n
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    def moves(state):
         carry, *lasts = state
         row = {}
         for col in itertools.product(*map(reads, lasts[:-1], weights)):
@@ -116,16 +109,11 @@ def _affine_row(coeffs, const):
             sym = sum(part for part, _ in col)
             tgt = (s >> 1,) + digits + (bit,)
             for ypart, yd in reads(lasts[-1], weights[-1]):
-                if yd != bit or sym + ypart == all_pad:
-                    continue
-                if tgt not in ids:
-                    ids[tgt] = len(order)
-                    order.append(tgt)
-                    queue.append(tgt)
-                row[sym + ypart] = ids[tgt]
-        rows[ids[state]] = row
-    accepting = frozenset(ids[s] for s in order if settles(s))
-    d = Dfa(conv, len(order) + 1, 0, accepting, rows, len(order))
+                if yd == bit and sym + ypart != all_pad:
+                    row[sym + ypart] = tgt
+        return row
+
+    d = fa.explore(conv, (const,) + (None,) * n, moves, settles)
     return rel.restrict_relation_to_domain(
         rel.RegularRelation(BITS, n, d), int_domain()
     )
@@ -149,41 +137,30 @@ def congruence_relation(omega):
     # state: (Σ x-digits·2^i, Σ y-digits·2^i, 2^k, last x digit, last y digit)
     # all mod omega; a track's value is its digit sum minus twice its last
     # digit's weighted contribution (two's complement sign digit)
-    start = (0, 0, 1 % omega, None, None)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    def moves(state):
         sx, sy, p, lx, ly = state
         row = {}
         for sym in range(conv.size):
             a, b = conv.tuple_of(sym)
             if (a == rel.PAD and lx is None) or (b == rel.PAD and ly is None):
                 continue
-            nsx = sx if a == rel.PAD else (sx + a * p) % omega
-            nsy = sy if b == rel.PAD else (sy + b * p) % omega
-            nxt = (
-                nsx,
-                nsy,
+            row[sym] = (
+                sx if a == rel.PAD else (sx + a * p) % omega,
+                sy if b == rel.PAD else (sy + b * p) % omega,
                 (p * 2) % omega,
                 lx if a == rel.PAD else (a * p) % omega,
                 ly if b == rel.PAD else (b * p) % omega,
             )
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row[sym] = ids[nxt]
-        rows[ids[state]] = row
-    accepting = frozenset(
-        ids[s]
-        for s in order
-        if s[3] is not None and s[4] is not None
-        and (s[0] - 2 * s[3]) % omega == (s[1] - 2 * s[4]) % omega
-    )
-    d = Dfa(conv, len(order) + 1, 0, accepting, rows, len(order))
+        return row
+
+    def accepts(state):
+        sx, sy, _, lx, ly = state
+        return (
+            lx is not None and ly is not None
+            and (sx - 2 * lx) % omega == (sy - 2 * ly) % omega
+        )
+
+    d = fa.explore(conv, (0, 0, 1 % omega, None, None), moves, accepts)
     out = rel.restrict_relation_to_domain(
         rel.RegularRelation(BITS, 2, d), int_domain()
     )

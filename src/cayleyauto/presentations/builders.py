@@ -619,28 +619,15 @@ def _bs_add_unit(p):
                 return False
         return state[1] == 0 and state[2] == "done"
 
-    from collections import deque
-
-    ids = {"start": 0}
-    order = ["start"]
-    rows = {}
-    queue = deque(["start"])
-    while queue:
-        st = queue.popleft()
+    def moves(state):
         row = {}
         for sym in range(conv.size):
-            nxt = step(st, conv.tuple_of(sym))
-            if nxt is None:
-                continue
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row[sym] = ids[nxt]
-        rows[ids[st]] = row
-    sink = len(order)
-    accepting = frozenset(ids[s] for s in order if accepts(s))
-    d = Dfa(conv, len(order) + 1, 0, accepting, rows, sink)
+            nxt = step(state, conv.tuple_of(sym))
+            if nxt is not None:
+                row[sym] = nxt
+        return row
+
+    d = fa.explore(conv, "start", moves, accepts)
     return rel.make_relation(U, 3, d)
 
 

@@ -10,6 +10,7 @@ minimized.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from . import fa
@@ -228,47 +229,33 @@ def _restrict_tracks(d, conv, domain):
             columns[tracks] = [(sym, nxt) for sym, nxt in out if sym != all_pad]
         return columns[tracks]
 
-    start = (d.initial, (moves.dom.initial,) * conv.arity)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    def edges(state):
         q, tracks = state
         drow = d.rows.get(q, {})
-        row = {}
         if dense:
-            edges = [(sym, drow.get(sym, d.sink), nxt)
-                     for sym, nxt in product_columns(tracks)]
-        else:
-            ms = [moves[ds] for ds in tracks]
-            edges = []
-            for sym, t in drow.items():
-                if t == d.sink:
-                    continue
-                nxt = []
-                for c, m in zip(tuples[sym], ms):
-                    t2 = m.get(c)
-                    if t2 is None:
-                        break
-                    nxt.append(t2)
-                else:
-                    edges.append((sym, t, tuple(nxt)))
-        for sym, t, nxt in edges:
-            tgt = (t, nxt)
-            if tgt not in ids:
-                ids[tgt] = len(order)
-                order.append(tgt)
-                queue.append(tgt)
-            row[sym] = ids[tgt]
-        rows[ids[state]] = row
-    accepting = frozenset(
-        ids[s]
-        for s in order
-        if s[0] in d.accepting and all(PAD in moves[t] for t in s[1])
-    )
-    return fa.minimize(Dfa(conv, len(order) + 1, 0, accepting, rows, len(order)))
+            return {sym: (drow.get(sym, d.sink), nxt)
+                    for sym, nxt in product_columns(tracks)}
+        ms = [moves[ds] for ds in tracks]
+        out = {}
+        for sym, t in drow.items():
+            if t == d.sink:
+                continue
+            nxt = []
+            for c, m in zip(tuples[sym], ms):
+                t2 = m.get(c)
+                if t2 is None:
+                    break
+                nxt.append(t2)
+            else:
+                out[sym] = (t, tuple(nxt))
+        return out
+
+    def accepts(state):
+        q, tracks = state
+        return q in d.accepting and all(PAD in moves[t] for t in tracks)
+
+    start = (d.initial, (moves.dom.initial,) * conv.arity)
+    return fa.minimize(fa.explore(conv, start, edges, accepts))
 
 
 def make_relation(base, arity, automaton):
@@ -318,52 +305,8 @@ def cylindrify(r, position, domain):
     """Insert a new track at the given position, ranging over L(domain)."""
     if not (0 <= position <= r.arity):
         raise ValueError("position out of range")
-    conv_out = conv_alphabet(r.base, r.arity + 1)
-    d = r.dfa
-    moves = _TrackMoves(domain)
-    start = (d.initial, moves.dom.initial)
-    ids = {start: 0}
-    order = [start]
-    trans = {}
-    queue = deque([start])
-    EXT = -1  # original tuple finished, the new track keeps running
-    # inserting a digit at `position` in the mixed-radix symbol index
-    radix = conv_out.radix
-    low_mod = radix ** position
-    tail_sym = radix ** r.arity - 1  # all old tracks ◇
-    while queue:
-        state = queue.popleft()
-        q, ds = state
-        src = ids[state]
-        if q == EXT:
-            edges = [(tail_sym, EXT)]
-        else:
-            edges = [
-                (sym, t) for sym, t in d.rows.get(q, {}).items() if t != d.sink
-            ]
-            if q in d.accepting:
-                edges.append((tail_sym, EXT))
-        for sym, t in edges:
-            low = sym % low_mod
-            rest = low + (sym - low) * radix
-            for v, ds2 in moves[ds].items():
-                if t == EXT and v == PAD:
-                    continue  # the column would be all-◇
-                digit = radix - 1 if v == PAD else v
-                tgt = (t, ds2)
-                if tgt not in ids:
-                    ids[tgt] = len(order)
-                    order.append(tgt)
-                    queue.append(tgt)
-                trans.setdefault((src, rest + digit * low_mod), set()).add(ids[tgt])
-    accepting = {
-        ids[state]
-        for state in order
-        if (state[0] == EXT or state[0] in d.accepting) and PAD in moves[state[1]]
-    }
-    nfa = Nfa(conv_out, len(order), {0}, accepting, trans, validate=False)
-    # valid as built: old tracks follow r then pad, the new one obeys _TrackMoves
-    return RegularRelation(r.base, r.arity + 1, fa.minimize(fa.determinize(nfa)))
+    tracks = tuple(k for k in range(r.arity + 1) if k != position)
+    return join([(r, tracks), (language_relation(domain), (position,))], r.arity + 1)
 
 
 def permute_tracks(r, perm):
@@ -565,14 +508,9 @@ def compose(r, s):
             m = pmoves[p] = product_moves(pstates[p])
         return m
 
-    # subset construction straight over the product, reachable subsets only;
-    # a one-member subset is keyed by its member, larger ones by frozenset
-    ids = {0: 0}
-    order = [0]
-    rows = {}
-    queue = deque([0])
-    while queue:
-        sub = queue.popleft()
+    def subset_moves(sub):
+        """Subset construction straight over the product; a one-member subset
+        is keyed by its member, larger ones by frozenset."""
         if type(sub) is int:
             merged = moves_of(sub)
         else:
@@ -588,35 +526,34 @@ def compose(r, s):
                 tgt = frozenset(ts)
                 if len(tgt) == 1:
                     tgt = ts[0]
-            i = ids.get(tgt)
-            if i is None:
-                i = ids[tgt] = len(order)
-                order.append(tgt)
-                queue.append(tgt)
-            row[sym] = i
-        rows[ids[sub]] = row
-    tail = tail_closure(
-        {
-            (qa, qb)
-            for qa, qb, vdone in pstates
-            if not vdone and qa != DONE and qb != DONE
-        }
-    )
-    final = set()
-    for p, (qa, qb, vdone) in enumerate(pstates):
-        if vdone or qa == DONE or qb == DONE:
-            if r_ok(qa) and s_ok(qb):
-                final.add(p)
-        elif (qa, qb) in tail:
-            final.add(p)
-    accepting = [
-        i for i, sub in enumerate(order)
-        if (sub in final if type(sub) is int else not final.isdisjoint(sub))
-    ]
-    # the empty subset is the sink (minimize drops it if no row misses a
-    # symbol); valid as built: outer tracks follow r/s until DONE, then ◇,
-    # and there is no all-◇ column
-    d = Dfa(conv, len(order) + 1, 0, accepting, rows, len(order))
+            row[sym] = tgt
+        return row
+
+    @functools.cache
+    def final():
+        """Accepting product states; the tail closure needs them all."""
+        tail = tail_closure(
+            {
+                (qa, qb)
+                for qa, qb, vdone in pstates
+                if not vdone and qa != DONE and qb != DONE
+            }
+        )
+        out = set()
+        for p, (qa, qb, vdone) in enumerate(pstates):
+            if vdone or qa == DONE or qb == DONE:
+                if r_ok(qa) and s_ok(qb):
+                    out.add(p)
+            elif (qa, qb) in tail:
+                out.add(p)
+        return out
+
+    def accepts(sub):
+        return sub in final() if type(sub) is int else not final().isdisjoint(sub)
+
+    # valid as built: outer tracks follow r/s until DONE, then ◇, and there
+    # is no all-◇ column
+    d = fa.explore(conv, 0, subset_moves, accepts)
     return RegularRelation(r.base, 2, fa.minimize(d))
 
 
@@ -646,13 +583,13 @@ def _column_dfa(base, states, initial, accepting, step, sink_name=None):
 
 
 def equality_relation(domain):
-    """{(w,w) : w ∈ L(domain)} as a binary relation."""
-    d = fa.minimize(fa.to_dfa(domain))
-    conv = conv_alphabet(d.alphabet, 2)
-    mapping = {s: conv.index_of((s, s)) for s in range(d.alphabet.size)}
-    return RegularRelation(
-        d.alphabet, 2, fa.minimize(relabel_base(d, conv, mapping))
-    )
+    """{(w,w) : w ∈ L(domain)} as a binary relation: the diagonal restricted
+    to L(domain)²."""
+    base = domain.alphabet
+    conv = conv_alphabet(base, 2)
+    diagonal = {conv.index_of((s, s)): 0 for s in range(base.size)}
+    d = Dfa(conv, 2, 0, {0}, {0: diagonal}, 1)
+    return RegularRelation(base, 2, _restrict_tracks(d, conv, domain))
 
 
 def prefix_order(base):
@@ -827,11 +764,6 @@ def join(parts, arity):
         option_cache[ckey] = out
         return out
 
-    start = tuple(d.initial for d, *_ in comps)
-    ids = {start: 0}
-    order = [start]
-    rows = {}
-    queue = deque([start])
     digits = [PAD] * arity
     targets = [None] * len(comps)
     n_comps = len(comps)
@@ -841,15 +773,8 @@ def join(parts, arity):
         column digit for the k-th assigned track and is always written by an
         earlier component than any that reads it."""
         if i == n_comps:
-            if acc == all_pad_total:
-                return  # every component finished: no column emitted
-            nxt = tuple(targets)
-            tgt = ids.get(nxt)
-            if tgt is None:
-                tgt = ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row[acc] = tgt
+            if acc != all_pad_total:  # every component finished: no column
+                row[acc] = tuple(targets)
             return
         old_res = comps[i][4]
         new_res = comps[i][5]
@@ -863,20 +788,18 @@ def join(parts, arity):
             targets[i] = t
             assemble(state, i1, acc + contrib, row)
 
-    while queue:
-        state = queue.popleft()
+    def moves(state):
         row = {}
         assemble(state, 0, 0, row)
-        rows[ids[state]] = row
-    accepting = frozenset(
-        ids[s]
-        for s in order
-        if all(q == DONE or q in c[0].accepting for c, q in zip(comps, s))
-    )
-    sink = len(order)
+        return row
+
+    def accepts(state):
+        return all(q == DONE or q in c[0].accepting for c, q in zip(comps, state))
+
     # components only accept valid convolutions of their own tracks and every
     # result track is covered, so the product is already pad-consistent
-    out = Dfa(conv, len(order) + 1, 0, accepting, rows, sink)
+    start = tuple(d.initial for d, *_ in comps)
+    out = fa.explore(conv, start, moves, accepts)
     return RegularRelation(base, arity, fa.minimize(out))
 
 
@@ -889,18 +812,12 @@ def restrict_relation_to_domain(r, domain):
 def domain_power(domain, n):
     """DFA over the arity-n column alphabet accepting tuples with every
     component in L(domain).  Intended for small alphabets."""
-    conv = conv_alphabet(fa.to_dfa(domain).alphabet, n)
-    return _restrict_tracks(None, conv, domain)
+    return _restrict_tracks(None, conv_alphabet(domain.alphabet, n), domain)
 
 
 def language_relation(d):
     """An automaton's language as an arity-1 relation."""
-    d = fa.minimize(fa.to_dfa(d))
-    conv = conv_alphabet(d.alphabet, 1)
-    mapping = {s: conv.index_of((s,)) for s in range(d.alphabet.size)}
-    return RegularRelation(
-        d.alphabet, 1, fa.minimize(relabel_base(d, conv, mapping))
-    )
+    return RegularRelation(d.alphabet, 1, domain_power(d, 1))
 
 
 def relation_language(r):

@@ -27,6 +27,35 @@ def test_accepts_on_simple_dfa():
     assert fa.accepts(d, Word.from_names(AB, ["a", "b", "a"]))
 
 
+def test_explore_numbers_states_and_adds_the_sink_when_needed():
+    seen = []
+
+    def accepts(state):
+        seen.append(state)
+        return state == "y"
+
+    # discovery order: x, then z (read on symbol 0), then y
+    loops = {"x": {0: "z", 1: "y"}, "y": {0: "y", 1: "y"}, "z": {0: "z", 1: "z"}}
+    d = fa.explore(AB, "x", loops.__getitem__, accepts)
+    assert (d.n_states, d.rows, d.accepting, d.sink) == (
+        3, {0: {0: 1, 1: 2}, 1: {0: 1, 1: 1}, 2: {0: 2, 1: 2}}, {2}, None
+    )
+    assert seen == ["x", "z", "y"]
+    # a row that misses a symbol adds a rejecting sink, last
+    partial = {**loops, "z": {0: "z"}}
+    d = fa.explore(AB, "x", partial.__getitem__, accepts)
+    assert (d.n_states, d.rows[1], d.accepting, d.sink) == (4, {0: 1}, {2}, 3)
+    # moves into a given sink are dropped; that sink may accept
+    d = fa.explore(AB, "x", loops.__getitem__, lambda s: s != "z", sink="y")
+    assert (d.n_states, d.rows, d.accepting, d.sink) == (
+        3, {0: {0: 1}, 1: {0: 1, 1: 1}}, {0, 2}, 2
+    )
+    # the sink may also be the start
+    d = fa.explore(AB, "y", loops.__getitem__, lambda s: True, sink="y")
+    assert (d.n_states, d.accepting, d.sink) == (1, {0}, 0)
+    assert fa.accepts(d, Word.from_names(AB, ["a", "b"]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_determinize_preserves_language(seed):
@@ -67,10 +96,13 @@ def test_complement_flips_membership(seed):
 def test_boolean_operations(s1, s2):
     d1 = fa.to_dfa(seeded_nfa(s1))
     d2 = fa.to_dfa(seeded_nfa(s2))
-    l1, l2 = language(d1, 3), language(d2, 3)
-    assert language(fa.dfa_intersect(d1, d2), 3) == l1 & l2
-    assert language(fa.dfa_union(d1, d2), 3) == l1 | l2
-    assert language(fa.dfa_difference(d1, d2), 3) == l1 - l2
+    # complements have accepting sinks, so the pair of sinks may accept
+    for a in (d1, fa.complement(d1)):
+        for b in (d2, fa.complement(d2)):
+            l1, l2 = language(a, 3), language(b, 3)
+            assert language(fa.dfa_intersect(a, b), 3) == l1 & l2
+            assert language(fa.dfa_union(a, b), 3) == l1 | l2
+            assert language(fa.dfa_difference(a, b), 3) == l1 - l2
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cayleyauto import fa, fo, relations as rel
 from cayleyauto.fa import Alphabet, Word
 
-from helpers import check_formula_soundness, finite_structure
+from helpers import all_words, check_formula_soundness, finite_structure
 
 AB = Alphabet(["a", "b"])
 
@@ -84,6 +84,22 @@ def test_quantifiers_relativize_to_domain():
     # true on the domain even though longer words are not in S
     assert fo.decide(struct, "A x (S(x))")
     assert fo.decide(struct, "E x (S(x))")
+
+
+def test_variable_equality_on_a_domain_whose_sink_accepts():
+    # every word but "b": the complement's sink accepts
+    b = Word(AB, (1,))
+    dom = fa.complement(rel.relation_language(rel.relation_from_tuples(AB, 1, [(b,)])))
+    assert dom.sink in dom.accepting
+    struct = fo.AutomaticStructure(dom)
+    _, same = fo.compile(struct, "u = u")
+    _, eq = fo.compile(struct, "u = v")
+    words = all_words(AB, 3)
+    for u in words:
+        inside = u.indices != (1,)
+        assert same.contains((u,)) == inside
+        for v in words:
+            assert eq.contains((u, v)) == (inside and u == v)
 
 
 @settings(max_examples=120, deadline=None)

@@ -193,6 +193,8 @@ def test_domain_restriction_matches_set_definitions(seed):
     n = rng.randint(1, 3)
     power = rel.RegularRelation(AB, n, rel.domain_power(dom, n))
     assert members(power, 3) == set(itertools.product(in_dom, repeat=n))
+    assert members(rel.language_relation(dom), 3) == {(w,) for w in in_dom}
+    assert members(rel.equality_relation(dom), 3) == {(w, w) for w in in_dom}
 
 
 def test_rel_text_drops_invalid_convolutions():
