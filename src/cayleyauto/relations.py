@@ -197,6 +197,18 @@ class _TrackMoves(dict):
         return out
 
 
+def _track_step(column, ms):
+    """The track states after reading a column, each track from its
+    `_TrackMoves` row in ms; None when some track may not read its digit."""
+    nxt = []
+    for c, m in zip(column, ms):
+        t = m.get(c)
+        if t is None:
+            return None
+        nxt.append(t)
+    return tuple(nxt)
+
+
 def _restrict_tracks(d, conv, domain):
     """L(d) ∩ L(domain)ⁿ over the column alphabet, as a minimized DFA; d None
     stands for every column word.
@@ -238,16 +250,10 @@ def _restrict_tracks(d, conv, domain):
         ms = [moves[ds] for ds in tracks]
         out = {}
         for sym, t in drow.items():
-            if t == d.sink:
-                continue
-            nxt = []
-            for c, m in zip(tuples[sym], ms):
-                t2 = m.get(c)
-                if t2 is None:
-                    break
-                nxt.append(t2)
-            else:
-                out[sym] = (t, tuple(nxt))
+            if t != d.sink:
+                nxt = _track_step(tuples[sym], ms)
+                if nxt is not None:
+                    out[sym] = (t, nxt)
         return out
 
     def accepts(state):
@@ -682,9 +688,36 @@ def group_tracks(r, chunk):
 
 
 def relation_in_domain_power(r, domain):
-    """Check every member tuple has all components in L(domain): r equals its
-    own restriction to L(domain)ⁿ, which it contains."""
-    return fa.is_subset(r.dfa, _restrict_tracks(r.dfa, r.conv, domain))
+    """Check every member tuple has all components in L(domain).
+
+    One search over (state of r, per-track domain states), along r's edges
+    into states that can still accept.  It fails at the first column some
+    track may not read, or at an accepting state where some track may not
+    end.  A relation's sink never accepts, so only r's explicit rows need
+    walking."""
+    moves = _TrackMoves(domain)
+    d = r.dfa
+    alive = fa._alive_states(d)
+    tuples = r.conv._tuples
+    start = (d.initial, (moves.dom.initial,) * r.arity)
+    seen = {start}
+    stack = [start]
+    while stack:
+        q, tracks = stack.pop()
+        if q in d.accepting and not all(PAD in moves[ds] for ds in tracks):
+            return False
+        ms = [moves[ds] for ds in tracks]
+        for sym, t in d.rows.get(q, {}).items():
+            if t not in alive:
+                continue
+            nxt = _track_step(tuples[sym], ms)
+            if nxt is None:
+                return False
+            state = (t, nxt)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return True
 
 
 def join(parts, arity):

@@ -4,10 +4,11 @@ import functools
 import math
 import random
 
-from cayleyauto import decision as dec, fa, relations as rel
+from cayleyauto import decision as dec, fa, presburger as pres, relations as rel
 from cayleyauto.fa import Word
 from cayleyauto.presentations import (
     FiniteGroupTable,
+    GraphAutomaticPresentation,
     Nilpotent2Spec,
     bs1n,
     fg_abelian,
@@ -103,6 +104,33 @@ ROSTER_NAMES = tuple(_ROSTER)
 def roster(name):
     """A roster presentation by name, built once per session."""
     return _ROSTER[name]()
+
+
+def broken_zn1():
+    """zn(1) with its e1 relation x -> x+1 damaged five ways, by name: a
+    missing pair, an extra pair, a pair redirected (not injective), a pair
+    leaving L², and a pair redirected out of L²."""
+    P = zn(1)
+    r = P.relation("e1")
+    zero, one, two = (pres.encode_int(k) for k in (0, 1, 2))
+    outside = Word(pres.BITS, (0, 0))
+    assert not fa.accepts(P.domain, outside)
+
+    def pair(v):
+        return rel.relation_from_tuples(pres.BITS, 2, [(zero, v)])
+
+    hole = rel.rel_difference(r, pair(one))
+    broken = {
+        "hole": hole,
+        "extra_pair": rel.rel_union(r, pair(two)),
+        "non_injective": rel.rel_union(hole, pair(two)),
+        "outside": rel.rel_union(r, pair(outside)),
+        "outside_and_hole": rel.rel_union(hole, pair(outside)),
+    }
+    return {
+        name: GraphAutomaticPresentation(P.base, P.domain, P.identity, {"e1": e1})
+        for name, e1 in broken.items()
+    }
 
 
 def random_group_word(rng, names, max_length):

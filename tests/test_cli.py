@@ -8,6 +8,8 @@ import pytest
 from cayleyauto import cli, decision as dec, fa
 from cayleyauto.presentations import GraphAutomaticPresentation, GroupWord, zn
 
+from helpers import broken_zn1
+
 
 @pytest.fixture
 def zn1_path(tmp_path):
@@ -121,6 +123,15 @@ def test_check_command(zn1_path, capsys):
     out = capsys.readouterr().out
     assert "identity in domain: True" in out
     assert out.strip().endswith("ok")
+
+
+def test_check_reports_a_hole(tmp_path, capsys):
+    path = str(tmp_path / "hole.json")
+    broken_zn1()["hole"].save(path)
+    assert cli.main(["check", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("e1: FAIL (in_domain functional injective)")
+    assert out[-1] == "FAILED"
 
 
 def test_check_ignores_invalid_convolutions_in_a_file(zn1_path, capsys):

@@ -18,7 +18,13 @@ from cayleyauto.presentations import (
     zn,
 )
 
-from helpers import ROSTER_NAMES, HeisenbergOracle, random_group_word, roster
+from helpers import (
+    ROSTER_NAMES,
+    HeisenbergOracle,
+    broken_zn1,
+    random_group_word,
+    roster,
+)
 
 
 def test_eval_function_addition():
@@ -246,6 +252,50 @@ def test_check_presentation_flags_non_total_relation():
     report = dec.check_presentation(broken)
     assert not report["ok"]
     assert not report["relations"]["e1"]["total"]
+
+
+# (in_domain, total, functional, injective, surjective) for each broken e1
+_BROKEN_FLAGS = {
+    "hole": (True, False, True, True, False),
+    "extra_pair": (True, True, False, False, True),
+    "non_injective": (True, True, True, False, False),
+    "outside": (False, True, False, True, True),
+    "outside_and_hole": (False, False, False, True, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_FLAGS))
+def test_check_presentation_flags_broken_relations(name):
+    # total and surjective quantify over L, as the first-order sentences do:
+    # a pair leaving L² does not make its source total
+    P = broken_zn1()[name]
+    entry = dec.check_presentation(P)["relations"]["e1"]
+    flags = ("in_domain", "total", "functional", "injective", "surjective")
+    assert tuple(entry[k] for k in flags) == _BROKEN_FLAGS[name]
+    assert not entry["ok"]
+    struct = fo.AutomaticStructure(P.domain, {"F": P.relation("e1")})
+    assert entry["total"] == fo.decide(struct, "A u (E v (F(u,v)))")
+    assert entry["surjective"] == fo.decide(struct, "A v (E u (F(u,v)))")
+
+
+def test_check_presentation_compiles_no_formula(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_presentation compiled a formula")
+
+    monkeypatch.setattr(fo, "compile", refuse)
+    for P in (roster("heisenberg"), roster("bs1n")):
+        assert dec.check_presentation(P)["ok"]
+
+
+def test_check_presentation_left_constants_are_their_own():
+    P = roster("heisenberg")
+    report = dec.check_presentation(P)["relations"]
+    dom = fa.minimize(P.domain).n_states
+    for name in P.left:
+        own = fa.minimize(P.left[name].dfa).n_states * dom
+        assert report[f"left:{name}"]["growth_constant"] == own
+        assert report[name]["growth_constant"] == dec.growth_constants(P)[name]
+    assert report["left:A"]["growth_constant"] != report["A"]["growth_constant"]
 
 
 def test_functionality_matches_three_variable_sentence():

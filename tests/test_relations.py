@@ -8,7 +8,7 @@ from cayleyauto import fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
 from cayleyauto.presentations import bs1n, heisenberg, zn
 
-from helpers import all_words
+from helpers import ROSTER_NAMES, all_words, roster
 
 AB = Alphabet(["a", "b"])
 
@@ -197,6 +197,39 @@ def test_domain_restriction_matches_set_definitions(seed):
     assert members(rel.equality_relation(dom), 3) == {(w, w) for w in in_dom}
 
 
+def _in_domain_power_by_restriction(r, dom):
+    return fa.is_subset(r.dfa, rel.restrict_relation_to_domain(r, dom).dfa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_in_domain_power_agrees_with_restriction_on_infinite_relations(seed):
+    rng = random.Random(seed)
+    dom = random_domain(rng)
+    sigma_star = fa.Dfa(AB, 1, 0, frozenset({0}), {0: {0: 0, 1: 0}})
+    r, _ = small_relation(rng, 2, max_len=rng.randint(1, 2))
+    s, _ = small_relation(rng, 2, max_len=rng.randint(1, 2))
+    c = rel.compose(r, s)
+    for x in (c, rel.rel_complement(c, sigma_star), rel.rel_complement(r, dom)):
+        want = _in_domain_power_by_restriction(x, dom)
+        assert rel.relation_in_domain_power(x, dom) == want
+        assert rel.relation_in_domain_power(rel.transpose(x), dom) == want
+
+
+@pytest.mark.parametrize("name", ROSTER_NAMES)
+def test_in_domain_power_agrees_with_restriction_on_roster(name):
+    # every edge touches the identity, so none stays within L minus it
+    P = roster(name)
+    identity = rel.relation_from_tuples(P.base, 1, [(P.identity,)])
+    punctured = fa.dfa_difference(P.domain, rel.relation_language(identity))
+    for x in P.generators:
+        for r in (P.relation(x), P.relation(x, -1)):
+            assert rel.relation_in_domain_power(r, P.domain)
+            assert _in_domain_power_by_restriction(r, P.domain)
+            assert not rel.relation_in_domain_power(r, punctured)
+            assert not _in_domain_power_by_restriction(r, punctured)
+
+
 def test_rel_text_drops_invalid_convolutions():
     # a padded track that resumes reads a word no tuple has: loading drops it
     P = zn(1)
@@ -301,6 +334,13 @@ def test_relation_in_domain_power():
     outside = rel.relation_from_tuples(AB, 2, [(Word(AB, (0,)), Word(AB, (1,)))])
     assert rel.relation_in_domain_power(inside, dom)
     assert not rel.relation_in_domain_power(outside, dom)
+    # a column leaving a+ into a state that never accepts is no member
+    conv = inside.conv
+    col = conv.index_of
+    rows = {0: {col((0, 0)): 1, col((1, 1)): 3}, 1: {col((fa.PAD, 0)): 2}}
+    dead_end = rel.RegularRelation(AB, 2, fa.Dfa(conv, 5, 0, {2}, rows, 4))
+    assert members(dead_end) == {((0,), (0, 0))}
+    assert rel.relation_in_domain_power(dead_end, dom)
 
 
 def test_restrict_relation_to_domain():
