@@ -179,7 +179,10 @@ def relator_holds(P, w):
 
 def _shells(P, radius):
     """Breadth-first shells of the Cayley graph around the identity: the
-    representatives at distance 1, .., radius, each shell sorted length-lex."""
+    representatives at distance 1, .., radius, each shell sorted length-lex.
+    Raises on a negative radius when first iterated."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     rels = [P.relation(n, s) for n in P.generators for s in (1, -1)]
     seen = {P.identity.indices}
     frontier = [P.identity]
@@ -199,8 +202,6 @@ def _shells(P, radius):
 def ball(P, radius):
     """Representatives within the given Cayley-graph distance of the
     identity, in breadth-first order, each shell sorted length-lex."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     out = [P.identity]
     for shell in _shells(P, radius):
         out.extend(shell)

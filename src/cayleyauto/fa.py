@@ -1,10 +1,11 @@
 """Finite automata over indexed alphabets.
 
 Symbols are dense integer indices; alphabets carry display names purely for
-I/O.  DFAs are semantically total: a state's missing transition entries all
-lead to the designated ``sink`` state (``sink is None`` means every reachable
-row is explicit).  This keeps automata over large product alphabets sparse
-while leaving complement safe.
+I/O, and a column alphabet (`relations.ConvolutionAlphabet`) builds its names
+on their first use by I/O.  DFAs are semantically total: a state's missing
+transition entries all lead to the designated ``sink`` state (``sink is
+None`` means every reachable row is explicit).  This keeps automata over
+large product alphabets sparse while leaving complement safe.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -20,7 +21,10 @@ PAD = -1  # virtual component index used by convolution alphabets
 
 
 class Alphabet:
-    """An ordered list of unique display names addressed by dense index."""
+    """An ordered list of unique display names addressed by dense index.
+
+    Two alphabets are equal when their names are.  Subclasses may build
+    `symbols` and `index` on first use; `size` is always at hand."""
 
     def __init__(self, symbols):
         symbols = tuple(symbols)
@@ -30,16 +34,19 @@ class Alphabet:
             raise ValueError("duplicate symbol names")
         self.symbols = symbols
         self.index = {name: i for i, name in enumerate(symbols)}
-
-    @property
-    def size(self):
-        return len(self.symbols)
+        self.size = len(symbols)
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
+        return self is other or (
+            isinstance(other, Alphabet)
+            and self.size == other.size
+            and self.symbols == other.symbols
+        )
 
     def __hash__(self):
-        return hash(self.symbols)
+        # the size, not the names: a column alphabet knows it without
+        # naming its columns, and it may equal a plain alphabet by name
+        return hash(self.size)
 
     def __repr__(self):
         return f"Alphabet({list(self.symbols)!r})"
@@ -116,6 +123,7 @@ class Dfa:
     """Deterministic automaton, total via the designated sink state."""
 
     deterministic = True
+    minimal = False  # set on the automata `minimize` returns
 
     def __init__(self, alphabet, n_states, initial, accepting, transitions, sink=None):
         self.alphabet = alphabet
@@ -265,9 +273,12 @@ def minimize(d):
     edges into the sink's class, and splits classes by signature until a
     round splits none.  States are then numbered breadth-first from the
     initial class in symbol order, the sink last, so equal languages give
-    identical automata."""
+    identical automata.  An automaton it returned comes back unchanged: its
+    numbering already depends only on its language."""
     if not d.deterministic:
         d = determinize(d)
+    if d.minimal:
+        return d
     reachable, sink_hit = _reachable(d)
     if sink_hit and d.sink is None:
         raise ValueError("incomplete DFA row without sink")
@@ -341,7 +352,9 @@ def minimize(d):
     accepting = frozenset(
         number[c] for c in order if rep[c] in d.accepting
     )
-    return Dfa(d.alphabet, len(number), 0, accepting, rows, new_sink)
+    out = Dfa(d.alphabet, len(number), 0, accepting, rows, new_sink)
+    out.minimal = True
+    return out
 
 
 def _ensure_sink(d):

@@ -11,6 +11,7 @@ minimized.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import deque
 
 from . import fa
@@ -21,8 +22,35 @@ _SEPARATORS = (",", ";", "|", "/", ":", "!")
 _PAD_NAMES = ("#", "~", "^", "%", "@")
 
 
+class _Columns(dict):
+    """Column symbol → its digits, track 0 first (PAD for ◇), filled on
+    first lookup.  Symbol i is i written in base radix, least significant
+    digit first, with digit radix − 1 standing for ◇."""
+
+    def __init__(self, radix, arity):
+        super().__init__()
+        self.radix = radix
+        self.arity = arity
+        self.size = radix ** arity - 1
+
+    def __missing__(self, sym):
+        if not 0 <= sym < self.size:
+            raise IndexError("column symbol out of range")
+        out = []
+        i = sym
+        for _ in range(self.arity):
+            i, d = divmod(i, self.radix)
+            out.append(PAD if d == self.radix - 1 else d)
+        out = self[sym] = tuple(out)
+        return out
+
+
 class ConvolutionAlphabet(Alphabet):
-    """Alphabet of padded columns: tuples over base symbols plus ◇ per track."""
+    """Alphabet of padded columns: tuples over base symbols plus ◇ per track.
+
+    There are radix**arity − 1 columns (radix = |base| + 1, the all-◇ column
+    left out).  A column's digits are computed on first lookup; its display
+    name, and the name → index map, are built on first use by text I/O."""
 
     def __init__(self, base, arity):
         if arity < 1:
@@ -30,24 +58,32 @@ class ConvolutionAlphabet(Alphabet):
         self.base = base
         self.arity = arity
         self.radix = base.size + 1  # pad is the extra digit
-        sep = next(s for s in _SEPARATORS if not any(s in n for n in base.symbols))
-        pad_name = next(p for p in _PAD_NAMES if p not in base.symbols)
-        names = []
-        tuples = []
-        for i in range(self.radix ** arity - 1):
-            t = self._digits(i)
-            tuples.append(t)
-            names.append(sep.join(pad_name if c == PAD else base.symbols[c] for c in t))
-        self._tuples = tuples
-        super().__init__(names)
+        self.size = self.radix ** arity - 1
+        self._tuples = _Columns(self.radix, arity)
 
-    def _digits(self, i):
-        out = []
-        for _ in range(self.arity):
-            d = i % self.radix
-            out.append(PAD if d == self.radix - 1 else d)
-            i //= self.radix
-        return tuple(out)
+    @functools.cached_property
+    def symbols(self):
+        names = self.base.symbols
+        sep = next(s for s in _SEPARATORS if not any(s in n for n in names))
+        pad_name = next(p for p in _PAD_NAMES if p not in names)
+        # product varies its last place fastest, and that place is track 0
+        columns = itertools.product(names + (pad_name,), repeat=self.arity)
+        return tuple(sep.join(reversed(c)) for c in columns)[:-1]
+
+    @functools.cached_property
+    def index(self):
+        return {name: i for i, name in enumerate(self.symbols)}
+
+    def __eq__(self, other):
+        if (isinstance(other, ConvolutionAlphabet) and self.arity == other.arity
+                and self.base == other.base):
+            return True
+        return super().__eq__(other)
+
+    __hash__ = Alphabet.__hash__
+
+    def __repr__(self):
+        return f"ConvolutionAlphabet({self.base!r}, {self.arity})"
 
     def tuple_of(self, sym):
         """Component indices of a column symbol; PAD for padded tracks."""
@@ -61,7 +97,7 @@ class ConvolutionAlphabet(Alphabet):
             if not (0 <= d < self.radix):
                 raise ValueError("component out of range")
             i = i * self.radix + d
-        if i == self.radix ** self.arity - 1:
+        if i == self.size:
             raise ValueError("the all-pad column is not a symbol")
         return i
 
@@ -69,9 +105,20 @@ class ConvolutionAlphabet(Alphabet):
 _conv_cache = {}
 
 
+def _build_key(alphabet):
+    """The column-alphabet cache key of a base: its names, or a column
+    alphabet's own base key and arity.  A plain alphabet named like a column
+    alphabet is equal to it, but the two get separate column alphabets, so
+    `conv_alphabet(base, n).base` is the base asked for: words deconvolved
+    over a built presentation keep their column-alphabet base."""
+    if isinstance(alphabet, ConvolutionAlphabet):
+        return (_build_key(alphabet.base), alphabet.arity)
+    return alphabet.symbols
+
+
 def conv_alphabet(base, arity):
     """Cached column alphabet for a base alphabet and arity."""
-    key = (base.symbols, arity)
+    key = (_build_key(base), arity)
     if key not in _conv_cache:
         _conv_cache[key] = ConvolutionAlphabet(base, arity)
     return _conv_cache[key]
@@ -265,18 +312,12 @@ def _restrict_tracks(d, conv, domain):
 
 
 def make_relation(base, arity, automaton):
-    """Canonicalize an automaton over the column alphabet into a relation,
-    keeping only its valid convolutions."""
-    conv = (
-        automaton.alphabet
-        if isinstance(automaton.alphabet, ConvolutionAlphabet)
-        else conv_alphabet(base, arity)
-    )
-    if automaton.alphabet.symbols != conv.symbols:
+    """Canonicalize an automaton over the column alphabet of base and arity
+    into a relation, keeping only its valid convolutions."""
+    conv = conv_alphabet(base, arity)
+    if automaton.alphabet != conv:
         raise ValueError("automaton alphabet does not match the column alphabet")
     d = fa.to_dfa(automaton)
-    if d.alphabet is not conv and not isinstance(d.alphabet, ConvolutionAlphabet):
-        d = Dfa(conv, d.n_states, d.initial, d.accepting, d.rows, d.sink)
     sigma_star = Dfa(base, 1, 0, {0}, {}, 0)
     return RegularRelation(base, arity, _restrict_tracks(d, conv, sigma_star))
 

@@ -111,6 +111,24 @@ def test_ball_sizes_and_listing(heis_path, zn1_path, capsys):
     assert len(lines) == 6  # header plus five representatives
 
 
+def test_ball_rejects_a_negative_radius(zn1_path, capsys):
+    assert cli.main(["ball", zn1_path, "-r", "-1"]) == 2
+    assert "radius must be nonnegative" in capsys.readouterr().err
+    for run in (dec.ball, dec.growth_profile):
+        with pytest.raises(ValueError):
+            run(zn(1), -1)
+
+
+def test_package_runs_as_a_module(zn1_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleyauto", "ball", zn1_path, "-r", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "sizes: 1 3\n"), proc.stderr
+
+
 def test_conj_exit_codes(heis_path, capsys):
     assert cli.main(["conj", heis_path, "A", "A B"]) == 0
     assert capsys.readouterr().out.startswith("conjugate, witness:")

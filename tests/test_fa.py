@@ -81,6 +81,19 @@ def test_minimize_is_minimal_fixed_point(seed):
     assert again.n_states == d.n_states
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_minimize_returns_its_own_output_unchanged(seed):
+    d = fa.minimize(fa.determinize(seeded_nfa(seed)))
+    assert fa.minimize(d) is d
+    # an unmarked copy is minimized again, to the very same automaton
+    copy = Dfa(d.alphabet, d.n_states, d.initial, d.accepting, d.rows, d.sink)
+    again = fa.minimize(copy)
+    assert again is not copy
+    assert (again.n_states, again.initial, again.accepting, again.rows,
+            again.sink) == (d.n_states, d.initial, d.accepting, d.rows, d.sink)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_complement_flips_membership(seed):

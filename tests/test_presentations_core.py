@@ -5,6 +5,7 @@ from cayleyauto.presentations import (
     FiniteGroupTable,
     GroupWord,
     Nilpotent2Spec,
+    bs1n,
     free_group,
     heisenberg,
     zn,
@@ -182,18 +183,19 @@ def test_chains_check_names_before_cancelling():
 
 
 def test_presentation_json_round_trip():
-    P = heisenberg()
-    Q = GraphAutomaticPresentation.from_json(P.to_json())
-    assert Q.generator_names == P.generator_names
-    assert fa.language_equal(P.domain, Q.domain)
-    assert Q.identity.indices == P.identity.indices
-    for name in P.generators:
-        assert fa.language_equal(
-            P.relation(name).dfa, Q.relation(name).dfa
-        )
-    assert Q.is_biautomatic() == P.is_biautomatic()
-    # serialization is stable
-    assert Q.to_json() == P.to_json()
+    # bs1n(2)'s edge relations run over 46 655 columns, named on demand
+    for P in (heisenberg(), bs1n(2)):
+        Q = GraphAutomaticPresentation.from_json(P.to_json())
+        assert Q.generator_names == P.generator_names
+        assert fa.language_equal(P.domain, Q.domain)
+        assert Q.identity.indices == P.identity.indices
+        for name in P.generators:
+            assert fa.language_equal(
+                P.relation(name).dfa, Q.relation(name).dfa
+            )
+        assert Q.is_biautomatic() == P.is_biautomatic()
+        # serialization is stable
+        assert Q.to_json() == P.to_json()
 
 
 def test_presentation_save_load(tmp_path):

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleyauto import fa, relations as rel
+from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
-from cayleyauto.presentations import bs1n, heisenberg, zn
+from cayleyauto.presentations import GroupWord, bs1n, heisenberg, zn
 
 from helpers import ROSTER_NAMES, all_words, roster
 
@@ -38,6 +38,60 @@ def test_convolution_alphabet_excludes_all_pad():
         conv.index_of((rel.PAD, rel.PAD))
     for sym in range(conv.size):
         assert conv.index_of(conv.tuple_of(sym)) == sym
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("n_base", [1, 2, 3])
+def test_column_alphabet_agrees_with_eager_oracle(n_base, arity):
+    base = Alphabet(["a", "b", "c"][:n_base])
+    conv = rel.ConvolutionAlphabet(base, arity)
+    # column i is i in base n_base + 1, track 0 least significant, with the
+    # top digit for ◇; the all-◇ column is left out
+    digits = list(range(n_base)) + [rel.PAD]
+    names = list(base.symbols) + ["#"]
+    columns = [
+        tuple(reversed(c))
+        for c in itertools.product(range(n_base + 1), repeat=arity)
+    ][:-1]
+    assert conv.size == len(columns)
+    for i, col in enumerate(columns):
+        t = tuple(digits[d] for d in col)
+        assert conv.tuple_of(i) == t
+        assert conv.index_of(t) == i
+        assert conv.symbols[i] == ",".join(names[d] for d in col)
+        assert conv.index[conv.symbols[i]] == i
+    with pytest.raises(IndexError):
+        conv.tuple_of(conv.size)
+    twin = rel.ConvolutionAlphabet(Alphabet(list(base.symbols)), arity)
+    assert twin == conv and hash(twin) == hash(conv)
+    assert twin != rel.ConvolutionAlphabet(base, arity + 1)
+
+
+def test_column_alphabet_equals_a_plain_alphabet_of_its_names():
+    conv = rel.conv_alphabet(AB, 1)
+    assert conv == AB and AB == conv and hash(conv) == hash(AB)
+    conv = rel.conv_alphabet(AB, 2)
+    assert conv == Alphabet(conv.symbols)
+    assert conv != Alphabet([f"x{i}" for i in range(conv.size)])
+
+
+def test_conv_alphabet_keeps_the_base_it_was_built_over():
+    # a loaded presentation's base is a plain alphabet named like a built
+    # one's column alphabet; the two must not share column alphabets
+    inner = rel.conv_alphabet(AB, 2)
+    look_alike = Alphabet(inner.symbols)
+    assert rel.conv_alphabet(look_alike, 2).base is look_alike
+    assert rel.conv_alphabet(inner, 2).base is inner
+
+
+def test_word_problem_names_no_columns():
+    # conv_alphabet is shared process-wide, and nothing in these tests
+    # writes BS(1,3) as text
+    P = bs1n(3)
+    dec.canonical_rep(P, GroupWord.parse("a b a^-1 b^-1"))
+    conv = P.relation("a").conv
+    assert conv.size == 343 ** 2 - 1
+    assert "symbols" not in vars(conv) and "index" not in vars(conv)
 
 
 def small_relation(rng, arity, max_len=2, density=0.25):
