@@ -12,31 +12,13 @@ import json
 import os
 import sys
 
-from . import decision as dec, fa, fo, relations as rel
+from . import decision as dec, fa, relations as rel
 from .presentations import (
     FiniteExtensionData,
     FiniteGroupTable,
     GraphAutomaticPresentation,
     GroupWord,
     Nilpotent2Spec,
-    bs1n,
-    direct_product,
-    extend_generator,
-    fa_abelian_multiplication,
-    fg_abelian,
-    finite_extension,
-    free_group,
-    free_product,
-    gamma_free,
-    heisenberg,
-    nilpotent2,
-    restrict_to_regular_subgroup,
-    semidirect,
-    semidirect_zn_z,
-    ut,
-    ut_m,
-    wreath_finite_by_z,
-    zn,
 )
 
 EXIT_TRUE = 0
@@ -79,6 +61,8 @@ def _load_presentation(path, limit):
 def _load_any(path, limit):
     doc = _load_doc(path)
     if doc.get("structure"):
+        from . import fo
+
         return _guard_states(fo.structure_from_json(doc), limit)
     return _guard_states(GraphAutomaticPresentation.from_json(doc), limit)
 
@@ -111,6 +95,28 @@ def _commutators(items):
 
 
 def _build(args):
+    # the builders are imported only by the command that builds
+    from .presentations import (
+        bs1n,
+        direct_product,
+        extend_generator,
+        fa_abelian_multiplication,
+        fg_abelian,
+        finite_extension,
+        free_group,
+        free_product,
+        gamma_free,
+        heisenberg,
+        nilpotent2,
+        restrict_to_regular_subgroup,
+        semidirect,
+        semidirect_zn_z,
+        ut,
+        ut_m,
+        wreath_finite_by_z,
+        zn,
+    )
+
     name = args.builder
     if name == "zn":
         return zn(args.n)
@@ -193,6 +199,8 @@ def cmd_build(args):
         doc = obj.to_json()
         kind = f"{len(obj.generators)} generators"
     else:
+        from . import fo
+
         doc = fo.structure_to_json(obj)
         kind = f"{len(obj.relations)} relations"
     with open(args.out, "w") as f:
@@ -262,6 +270,8 @@ def cmd_check(args):
 
 
 def cmd_fo(args):
+    from . import fo
+
     obj = _load_any(args.path, args.max_states)
     if isinstance(obj, GraphAutomaticPresentation):
         struct = fo.AutomaticStructure(
@@ -403,10 +413,14 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except fo.FormulaError as exc:
-        print(f"formula error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        # fo is imported only by the commands that use it; its FormulaError
+        # is a ValueError
+        from . import fo
+
+        if isinstance(exc, fo.FormulaError):
+            print(f"formula error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

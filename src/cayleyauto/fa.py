@@ -245,114 +245,128 @@ def determinize(a):
 
 
 def _reachable(d):
-    """Reachable states of a Dfa, treating missing entries as sink edges."""
+    """Reachable states of a Dfa, treating missing entries as sink edges,
+    whether some reachable row misses a symbol, and each reachable state's
+    predecessors along explicit edges."""
     seen = {d.initial}
-    queue = deque([d.initial])
+    order = [d.initial]
+    preds = [[] for _ in range(d.n_states)]
     sink_hit = False
     size = d.alphabet.size
-    while queue:
-        q = queue.popleft()
-        row = d.rows.get(q, {})
+    no_row = {}
+    for q in order:  # order grows as states are found
+        row = d.rows.get(q, no_row)
         if len(row) < size:
             sink_hit = True
         for t in row.values():
+            preds[t].append(q)
             if t not in seen:
                 seen.add(t)
-                queue.append(t)
+                order.append(t)
     if sink_hit and d.sink is not None and d.sink not in seen:
         seen.add(d.sink)
         # the sink only loops to itself
-    return seen, sink_hit
+    return seen, sink_hit, preds
 
 
 def minimize(d):
     """Moore minimization with canonical BFS numbering.
 
-    Starting from the accepting/rejecting split, each round gives every
-    state the signature (its class, {(symbol, class of target)}), leaving out
-    edges into the sink's class, and splits classes by signature until a
-    round splits none.  States are then numbered breadth-first from the
-    initial class in symbol order, the sink last, so equal languages give
-    identical automata.  An automaton it returned comes back unchanged: its
-    numbering already depends only on its language."""
+    A state is in the sink's class exactly when it cannot reach a state
+    whose acceptance differs from the sink's (the sink has no edges of its
+    own, and it may accept).  One backward search from the states whose
+    acceptance differs finds the others, the live states, and an edge into
+    a state that is not live counts as missing.  Without a reachable sink
+    every reachable state is live.  Only live states are refined: starting
+    from the accepting/rejecting split, each round gives every live state
+    the signature (its class, its live symbols in order, the classes of
+    their targets), with the live edges sorted once before the first
+    round, and splits classes by signature until a round splits none.
+    States are then numbered breadth-first from the initial class in
+    symbol order, the sink last, so equal languages give identical
+    automata.  An automaton it returned comes back unchanged: its numbering
+    already depends only on its language."""
     if not d.deterministic:
         d = determinize(d)
     if d.minimal:
         return d
-    reachable, sink_hit = _reachable(d)
+    reachable, sink_hit, preds = _reachable(d)
     if sink_hit and d.sink is None:
         raise ValueError("incomplete DFA row without sink")
-    states = sorted(reachable)
-    # initial partition by acceptance
-    cls = {q: (q in d.accepting) for q in states}
-    sink = d.sink if (sink_hit or (d.sink in reachable if d.sink is not None else False)) else None
+    rows, accepting = d.rows, d.accepting
+    sink = d.sink if d.sink in reachable else None
+    if sink is None:
+        live = reachable
+    else:
+        sink_acc = sink in accepting
+        live = {q for q in reachable if (q in accepting) != sink_acc}
+        stack = list(live)
+        while stack:
+            for p in preds[stack.pop()]:
+                if p not in live:
+                    live.add(p)
+                    stack.append(p)
+    if d.initial not in live:
+        out = Dfa(d.alphabet, 1, 0, {0} if sink in accepting else (), {}, 0)
+        out.minimal = True
+        return out
+    no_row = {}
+    states = sorted(live)
+    # each live state's live edges in symbol order: the symbols as one
+    # interned id, and the targets
+    shape_ids = {}
+    live_edges = {}
+    cls = [0] * d.n_states
+    for q in states:
+        edges = {s: t for s, t in rows.get(q, no_row).items() if t in live}
+        syms = tuple(sorted(edges))
+        shape = shape_ids.get(syms)
+        if shape is None:
+            shape = shape_ids[syms] = len(shape_ids)
+        live_edges[q] = shape, tuple(map(edges.__getitem__, syms))
+        if q in accepting:
+            cls[q] = 1
+    n_cls = len({cls[q] for q in states})
     while True:
-        sink_cls = cls[sink] if sink is not None else None
-        sigs = {}
-        for q in states:
-            row = d.rows.get(q, {})
-            sig = frozenset(
-                (s, cls[t]) for s, t in row.items() if t in reachable and cls[t] != sink_cls
-            )
-            sigs[q] = (cls[q], sig)
+        get = cls.__getitem__
         mapping = {}
-        new_cls = {}
-        for q in states:
-            key = sigs[q]
-            if key not in mapping:
-                mapping[key] = len(mapping)
-            new_cls[q] = mapping[key]
-        if len(set(new_cls.values())) == len(set(cls.values())):
-            cls = new_cls
-            break
+        new_cls = [0] * d.n_states
+        for q, (shape, targets) in live_edges.items():
+            key = (cls[q], shape, tuple(map(get, targets)))
+            c = mapping.get(key)
+            if c is None:
+                c = mapping[key] = len(mapping)
+            new_cls[q] = c
         cls = new_cls
-    n_cls = len(set(cls.values()))
-    sink_cls = cls[sink] if sink is not None else None
-    # representative per class
+        if len(mapping) == n_cls:
+            break
+        n_cls = len(mapping)
+    # representative per class: its smallest state
     rep = {}
     for q in states:
         rep.setdefault(cls[q], q)
     # canonical BFS numbering over classes, symbol-index order; sink last
     number = {cls[d.initial]: 0}
     order = [cls[d.initial]]
-    queue = deque(order)
-    while queue:
-        c = queue.popleft()
-        if c == sink_cls:
-            continue
-        row = d.rows.get(rep[c], {})
-        for s in sorted(row):
-            t = row[s]
+    for c in order:  # order grows as classes are found
+        for t in live_edges[rep[c]][1]:
             tc = cls[t]
-            if tc == sink_cls:
-                continue
             if tc not in number:
-                number[tc] = len(number)
+                number[tc] = len(order)
                 order.append(tc)
-                queue.append(tc)
-    new_sink = None
-    if sink_cls is not None and sink_cls not in number:
-        number[sink_cls] = len(number)
-        order.append(sink_cls)
-        new_sink = number[sink_cls]
-    elif sink_cls is not None:
-        new_sink = number[sink_cls]
-    # any class not BFS-visited is unreachable through non-sink paths; drop it
-    rows = {}
+    out_rows = {}
     for c in order:
-        if c == sink_cls:
-            continue
-        out = {}
-        for s, t in d.rows.get(rep[c], {}).items():
-            tc = cls[t]
-            if tc == sink_cls or tc not in number:
-                continue
-            out[s] = number[tc]
-        rows[number[c]] = out
-    accepting = frozenset(
-        number[c] for c in order if rep[c] in d.accepting
-    )
-    out = Dfa(d.alphabet, len(number), 0, accepting, rows, new_sink)
+        out_rows[number[c]] = {
+            s: number[cls[t]] for s, t in rows.get(rep[c], no_row).items() if t in live
+        }
+    out_acc = {number[c] for c in order if rep[c] in accepting}
+    n, new_sink = len(order), None
+    if sink is not None:
+        new_sink = n
+        if sink in accepting:
+            out_acc.add(n)
+        n += 1
+    out = Dfa(d.alphabet, n, 0, frozenset(out_acc), out_rows, new_sink)
     out.minimal = True
     return out
 

@@ -429,9 +429,12 @@ def compose(r, s):
     project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
     state tries only ◇ and the middle digits that both relations have
     edges for.  The product is determinized as it is explored: the subset
-    construction runs over sets of product states, each product state's
-    moves are built once, and acceptance is set from the tail closure
-    after exploring.
+    construction runs over sets of product states, and acceptance is set
+    from the tail closure after exploring.  Each product state's row is
+    built once, in the shape `fa.explore` takes: output symbol → one target
+    id, or a frozenset of ids where the guess of the middle branches.  A
+    one-member subset, the common case, is keyed by its member and returns
+    that row as it is.
     """
     if r.arity != 2 or s.arity != 2:
         raise ValueError("compose needs binary relations")
@@ -443,6 +446,8 @@ def compose(r, s):
     # a 2-track column symbol is first + second·radix in digits, ◇ the top one
     radix = conv.radix
     pad = radix - 1
+    DONE = -1
+    no_row = {}
     # index A rows by middle digit, B rows by first digit; the tail columns
     # (◇,b) of A and (b,◇) of B, b not ◇, also by b
     a_by_mid, a_tail = {}, {}
@@ -465,6 +470,19 @@ def compose(r, s):
             bucket.setdefault(b, []).append((c, t))
             if c == pad and b != pad:
                 b_tail.setdefault(q, {}).setdefault(b, []).append(t)
+
+    def pad_options(D, by_key):
+        """Each state's options under a middle ◇: an (x,◇) edge, or its word
+        ends here (it is DONE from then on)."""
+        out = {DONE: [(pad, DONE)]}
+        for q in range(D.n_states):
+            opts = by_key.get(q, no_row).get(pad, [])
+            out[q] = opts + [(pad, DONE)] if q in D.accepting else opts
+        return out
+
+    a_pad = pad_options(A, a_by_mid)
+    b_pad = pad_options(B, b_by_first)
+
     # acceptance closure over middle-only tail columns (◇,b)/(b,◇),
     # computed lazily on the pairs the product construction reaches
     def tail_succ(qa, qb):
@@ -479,28 +497,27 @@ def compose(r, s):
         ]
 
     def tail_closure(needed):
-        graph = {}
-        stack = list(needed)
+        """The pairs that reach a pair of accepting states by tail columns:
+        one forward search records predecessors, one backward search from
+        the accepting pairs collects them."""
+        seen = set(needed)
+        stack = list(seen)
+        preds = {}
         while stack:
             pair = stack.pop()
-            if pair in graph:
-                continue
-            graph[pair] = tail_succ(*pair)
-            stack.extend(graph[pair])
-        tail = {
-            p for p in graph
-            if p[0] in A.accepting and p[1] in B.accepting
-        }
-        changed = True
-        while changed:
-            changed = False
-            for p, succ in graph.items():
-                if p not in tail and any(q in tail for q in succ):
+            for nxt in tail_succ(*pair):
+                preds.setdefault(nxt, []).append(pair)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        tail = {p for p in seen if p[0] in A.accepting and p[1] in B.accepting}
+        stack = list(tail)
+        while stack:
+            for p in preds.get(stack.pop(), ()):
+                if p not in tail:
                     tail.add(p)
-                    changed = True
+                    stack.append(p)
         return tail
-
-    DONE = -1
 
     def r_ok(qa):
         return qa == DONE or qa in A.accepting
@@ -508,32 +525,34 @@ def compose(r, s):
     def s_ok(qb):
         return qb == DONE or qb in B.accepting
 
-    no_row = {}
-    # product states (qa, qb, vdone) get dense ids; each one's moves,
-    # {output symbol: [target ids]}, are built the first time a subset holds it
+    # product states (qa, qb, vdone) get dense ids; each one's row is built
+    # the first time a subset holds it.  Where a row branches, the targets
+    # are also kept as a list in the order they were found, and a subset's
+    # frozenset is built from those lists in its members' order: a
+    # frozenset iterates in an order that depends on how it was filled, and
+    # the numbering `fa.explore` gives depends on that order.
     start = (A.initial, B.initial, False)
     pid = {start: 0}
     pstates = [start]
+    prows = {}
+    branches = {}
 
-    def product_moves(state):
-        qa, qb, vdone = state
-        arow = no_row if qa == DONE else a_by_mid.get(qa, no_row)
-        brow = no_row if qb == DONE else b_by_first.get(qb, no_row)
-        # middle ◇: each side reads an (x,◇) edge, or its word ends here
-        a_pad = arow.get(pad, [])
-        if r_ok(qa):
-            a_pad = a_pad + [(pad, DONE)]
-        c_pad = brow.get(pad, [])
-        if s_ok(qb):
-            c_pad = c_pad + [(pad, DONE)]
-        moves = [(a_pad, c_pad, True)]
+    def product_row(p):
+        row = prows.get(p)
+        if row is not None:
+            return row
+        qa, qb, vdone = pstates[p]
+        moves = [(a_pad[qa], b_pad[qb], True)]
         if not vdone:
+            arow = a_by_mid.get(qa, no_row)
+            brow = b_by_first.get(qb, no_row)
             small, big = (arow, brow) if len(arow) <= len(brow) else (brow, arow)
             moves.extend(
                 (arow[b], brow[b], False)
                 for b in small if b != pad and b in big
             )
-        out = {}
+        row = prows[p] = {}
+        lists = None
         for a_opts, c_opts, v2 in moves:
             for a, ta in a_opts:
                 for c, tb in c_opts:
@@ -544,37 +563,41 @@ def compose(r, s):
                     if t is None:
                         t = pid[tgt] = len(pstates)
                         pstates.append(tgt)
-                    out.setdefault(a + c * radix, []).append(t)
-        return out
-
-    pmoves = {}
-
-    def moves_of(p):
-        m = pmoves.get(p)
-        if m is None:
-            m = pmoves[p] = product_moves(pstates[p])
-        return m
+                    sym = a + c * radix
+                    got = row.get(sym)
+                    if got is None:
+                        row[sym] = t
+                    elif got != t:
+                        if lists is None:
+                            lists = branches[p] = {}
+                        lists.setdefault(sym, [got]).append(t)
+        if lists:
+            for sym, ts in lists.items():
+                row[sym] = frozenset(ts)
+        return row
 
     def subset_moves(sub):
         """Subset construction straight over the product; a one-member subset
         is keyed by its member, larger ones by frozenset."""
         if type(sub) is int:
-            merged = moves_of(sub)
-        else:
-            merged = {}
-            for p in sub:
-                for sym, ts in moves_of(p).items():
-                    got = merged.get(sym)
-                    merged[sym] = ts if got is None else got + ts
-        row = {}
+            return product_row(sub)
+        merged = {}
+        for p in sub:
+            row = product_row(p)
+            lists = branches.get(p, no_row)
+            for sym, t in row.items():
+                ts = [t] if type(t) is int else lists[sym]
+                got = merged.get(sym)
+                merged[sym] = ts if got is None else got + ts
+        out = {}
         for sym, ts in merged.items():
             tgt = ts[0]
             if len(ts) > 1:
                 tgt = frozenset(ts)
                 if len(tgt) == 1:
                     tgt = ts[0]
-            row[sym] = tgt
-        return row
+            out[sym] = tgt
+        return out
 
     @functools.cache
     def final():

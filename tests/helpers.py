@@ -5,7 +5,7 @@ import math
 import random
 
 from cayleyauto import decision as dec, fa, presburger as pres, relations as rel
-from cayleyauto.fa import Word
+from cayleyauto.fa import Dfa, Word
 from cayleyauto.presentations import (
     FiniteGroupTable,
     GraphAutomaticPresentation,
@@ -53,6 +53,93 @@ def random_nfa(rng, alphabet, max_states=4):
     initial = {q for q in states if rng.random() < 0.5} or {0}
     accepting = frozenset(q for q in states if rng.random() < 0.4)
     return fa.Nfa(alphabet, n, initial, accepting, trans)
+
+
+def random_dfa(rng, alphabet, max_states=6):
+    """A random Dfa with a sink (state n, accepting or not) that exercises
+    `minimize`: some states are equivalent to the sink (dead, or universal
+    when the sink accepts), other states have explicit edges into them or
+    into the sink, rows miss symbols, and some states are unreachable.  One
+    time in five it is complete, with no sink."""
+    n = rng.randint(1, max_states)
+    if rng.random() < 0.2:
+        accepting = {q for q in range(n) if rng.random() < 0.5}
+        rows = {q: {s: rng.randrange(n) for s in range(alphabet.size)}
+                for q in range(n)}
+        return Dfa(alphabet, n, rng.randrange(n), accepting, rows)
+    sink = n
+    sink_acc = rng.random() < 0.5
+    like_sink = {q for q in range(n) if rng.random() < 0.3}
+    accepting = {sink} if sink_acc else set()
+    rows = {}
+    for q in range(n):
+        if q in like_sink:
+            if sink_acc:
+                accepting.add(q)
+            targets = sorted(like_sink) + [sink]
+        else:
+            if rng.random() < 0.5:
+                accepting.add(q)
+            targets = list(range(n + 1))
+        rows[q] = {s: rng.choice(targets) for s in range(alphabet.size)
+                   if rng.random() < 0.75}
+    return Dfa(alphabet, n + 1, rng.randrange(n), accepting, rows, sink)
+
+
+def residual_class_count(d):
+    """Brute force: the number of distinct residual languages among the
+    reachable states of a Dfa, each residual compared on every word up to
+    the number of reachable states."""
+    reachable = [d.initial]
+    for q in reachable:
+        for s in range(d.alphabet.size):
+            t = d.step(q, s)
+            if t not in reachable:
+                reachable.append(t)
+    words = [w.indices for w in all_words(d.alphabet, len(reachable))]
+
+    def residual(q):
+        out = []
+        for w in words:
+            p = q
+            for s in w:
+                p = d.step(p, s)
+            out.append(p in d.accepting)
+        return tuple(out)
+
+    return len({residual(q) for q in reachable})
+
+
+def renumbered(rng, d):
+    """The same Dfa with its states permuted and its rows and row entries
+    inserted in a random order."""
+    perm = list(range(d.n_states))
+    rng.shuffle(perm)
+    rows = {}
+    for q in rng.sample(sorted(d.rows), len(d.rows)):
+        row = d.rows[q]
+        rows[perm[q]] = {s: perm[row[s]] for s in rng.sample(sorted(row), len(row))}
+    sink = None if d.sink is None else perm[d.sink]
+    return Dfa(d.alphabet, d.n_states, perm[d.initial],
+               {perm[q] for q in d.accepting}, rows, sink)
+
+
+def with_duplicates(rng, d):
+    """The same language with every state doubled: state q + n copies q's
+    acceptance, and each edge goes to its target or to the target's copy at
+    random (edges into the sink stay as they are)."""
+    n = d.n_states
+
+    def pick(t):
+        return t if t == d.sink or rng.random() < 0.5 else t + n
+
+    rows = {}
+    for q, row in d.rows.items():
+        rows[q] = {s: pick(t) for s, t in row.items()}
+        rows[q + n] = {s: pick(t) for s, t in row.items()}
+    accepting = set(d.accepting) | {q + n for q in d.accepting}
+    initial = d.initial if rng.random() < 0.5 else d.initial + n
+    return Dfa(d.alphabet, 2 * n, initial, accepting, rows, d.sink)
 
 
 def ball_words(P, radius):

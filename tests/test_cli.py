@@ -129,6 +129,30 @@ def test_package_runs_as_a_module(zn1_path):
     assert (proc.returncode, proc.stdout) == (0, "sizes: 1 3\n"), proc.stderr
 
 
+def test_cold_start_imports_only_what_a_command_uses(zn1_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "import cayleyauto.cli as cli\n"
+        "lazy = ('cayleyauto.fo', 'cayleyauto.presentations.builders')\n"
+        "assert not [m for m in lazy if m in sys.modules], 'on import'\n"
+        f"status = cli.main(['ball', {zn1_path!r}, '-r', '2'])\n"
+        "assert not [m for m in lazy if m in sys.modules], 'after ball'\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "sizes: 1 3 5\n"), proc.stderr
+    # a formula error in a cold process still exits 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleyauto", "fo", zn1_path, "E u ("],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("formula error:")
+
+
 def test_conj_exit_codes(heis_path, capsys):
     assert cli.main(["conj", heis_path, "A", "A B"]) == 0
     assert capsys.readouterr().out.startswith("conjugate, witness:")

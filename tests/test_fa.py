@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 from cayleyauto import fa
 from cayleyauto.fa import Alphabet, Dfa, Nfa, Word
 
-from helpers import all_words, language, random_nfa
+from helpers import (
+    all_words,
+    language,
+    random_dfa,
+    random_nfa,
+    renumbered,
+    residual_class_count,
+    with_duplicates,
+)
 
 AB = Alphabet(["a", "b"])
 
@@ -92,6 +100,24 @@ def test_minimize_returns_its_own_output_unchanged(seed):
     assert again is not copy
     assert (again.n_states, again.initial, again.accepting, again.rows,
             again.sink) == (d.n_states, d.initial, d.accepting, d.rows, d.sink)
+
+
+def _fields(d):
+    return d.n_states, d.initial, d.accepting, d.rows, d.sink
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([AB, Alphabet(["a", "b", "c"])]))
+def test_minimize_against_residual_oracle(seed, alphabet):
+    rng = random.Random(seed)
+    d = random_dfa(rng, alphabet, max_states=6 if alphabet is AB else 4)
+    m = fa.minimize(d)
+    assert m.n_states == residual_class_count(d)
+    assert language(m, 4) == language(d, 4)
+    # the result depends only on the language: state names, insertion
+    # order and duplicated states do not show
+    assert _fields(fa.minimize(renumbered(rng, d))) == _fields(m)
+    assert _fields(fa.minimize(with_duplicates(rng, d))) == _fields(m)
 
 
 @settings(max_examples=40, deadline=None)
