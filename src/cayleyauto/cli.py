@@ -309,7 +309,7 @@ def cmd_export(args):
         stem = "".join(c if c.isalnum() or c in "-_" else "_" for c in stem)
         path = os.path.join(args.dot, stem + ".dot")
         with open(path, "w") as f:
-            f.write(fa.to_dot(fa.minimize(fa.to_dfa(automaton)), name=stem))
+            f.write(fa.to_dot(fa.minimize(automaton), name=stem))
         written.append(path)
 
     emit("domain", obj.domain)

@@ -215,7 +215,7 @@ def growth_constants(P):
 
 
 def _growth_constants(P, relations):
-    dom = fa.minimize(fa.to_dfa(P.domain)).n_states
+    dom = fa.minimize(P.domain).n_states
     return {
         name: fa.minimize(r.dfa).n_states * dom
         for name, r in relations.items()

@@ -7,6 +7,11 @@ transition entries all lead to the designated ``sink`` state (``sink is
 None`` means every reachable row is explicit).  This keeps automata over
 large product alphabets sparse while leaving complement safe.
 
+`Dfa` is the one automaton type.  Nondeterminism lives only inside
+`determinize`, which runs the subset construction over a row function, so
+the relational constructions that branch (projection, composition) and the
+text format's transition tables share one implementation.
+
 All values are immutable after construction and every operation is a pure
 function.
 """
@@ -14,7 +19,7 @@ function.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 PAD = -1  # virtual component index used by convolution alphabets
@@ -78,69 +83,21 @@ class Word:
         return " ".join(self.names()) if self.indices else "(empty)"
 
 
-class Nfa:
-    """Nondeterministic automaton: transitions map (state, symbol) to a set."""
-
-    deterministic = False
-
-    def __init__(self, alphabet, n_states, initial, accepting, transitions,
-                 validate=True):
-        self.alphabet = alphabet
-        self.n_states = n_states
-        self.initial = frozenset(initial)
-        self.accepting = frozenset(accepting)
-        # rows: state -> {symbol -> frozenset of targets}
-        rows = {}
-        for (q, s), ts in transitions.items():
-            rows.setdefault(q, {})[s] = frozenset(ts)
-        self.rows = rows
-        if validate:
-            self._check()
-
-    def _check(self):
-        n = self.n_states
-        refs = set(self.initial) | set(self.accepting)
-        for q, row in self.rows.items():
-            refs.add(q)
-            for s, ts in row.items():
-                if not (0 <= s < self.alphabet.size):
-                    raise ValueError("symbol out of range")
-                refs.update(ts)
-        if refs and (min(refs) < 0 or max(refs) >= n):
-            raise ValueError("state reference out of range")
-
-    def row(self, q):
-        return self.rows.get(q, {})
-
-    def transitions(self):
-        for q, row in self.rows.items():
-            for s, ts in row.items():
-                for t in ts:
-                    yield q, s, t
-
-
 class Dfa:
-    """Deterministic automaton, total via the designated sink state."""
+    """Deterministic automaton, total via the designated sink state.
 
-    deterministic = True
+    rows maps a state to its {symbol: target} row and is kept as given:
+    no one changes rows after building a Dfa."""
+
     minimal = False  # set on the automata `minimize` returns
 
-    def __init__(self, alphabet, n_states, initial, accepting, transitions, sink=None):
+    def __init__(self, alphabet, n_states, initial, accepting, rows, sink=None):
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
         self.accepting = frozenset(accepting)
-        rows = {}
-        if transitions and isinstance(next(iter(transitions)), tuple):
-            for (q, s), t in transitions.items():
-                rows.setdefault(q, {})[s] = t
-        else:
-            rows = {q: dict(r) for q, r in transitions.items()}
         self.rows = rows
         self.sink = sink
-
-    def row(self, q):
-        return self.rows.get(q, {})
 
     def step(self, q, s):
         t = self.rows.get(q, {}).get(s)
@@ -150,44 +107,15 @@ class Dfa:
             t = self.sink
         return t
 
-    def as_nfa(self):
-        trans = {}
-        for q, row in self.rows.items():
-            for s, t in row.items():
-                trans[(q, s)] = {t}
-        if self.sink is not None:
-            # materialize default edges only if the sink matters for acceptance
-            if self.sink in self.accepting:
-                for q in range(self.n_states):
-                    row = self.rows.get(q, {})
-                    for s in range(self.alphabet.size):
-                        if s not in row:
-                            trans[(q, s)] = {self.sink}
-        return Nfa(self.alphabet, self.n_states, {self.initial}, self.accepting, trans)
 
-
-def accepts(a, w):
-    """Membership test; works for both Nfa and Dfa."""
-    if w.alphabet != a.alphabet:
+def accepts(d, w):
+    """Membership test."""
+    if w.alphabet != d.alphabet:
         raise ValueError("word alphabet does not match automaton alphabet")
-    if a.deterministic:
-        q = a.initial
-        for s in w.indices:
-            q = a.step(q, s)
-        return q in a.accepting
-    current = set(a.initial)
+    q = d.initial
     for s in w.indices:
-        nxt = set()
-        for q in current:
-            nxt |= a.row(q).get(s, frozenset())
-        current = nxt
-        if not current:
-            return False
-    return bool(current & a.accepting)
-
-
-def to_dfa(a):
-    return a if a.deterministic else determinize(a)
+        q = d.step(q, s)
+    return q in d.accepting
 
 
 def explore(alphabet, start, moves, accepts, sink=None):
@@ -227,21 +155,74 @@ def explore(alphabet, start, moves, accepts, sink=None):
     return Dfa(alphabet, n + 1, 0, accepting, rows, n)
 
 
-def determinize(a):
-    """Subset construction; explores only reachable subsets."""
-    if a.deterministic:
-        return a
+def determinize(alphabet, start, row, accepts):
+    """Subset construction over a row function, explored by `explore`.
+
+    row(q) gives {symbol: target} for a state q of the NFA, the target a
+    frozenset of two or more states where the NFA branches; NFA states are
+    never frozensets.  start is one state or a frozenset of them.  A
+    one-state subset is keyed by its state, so its row is used as it is;
+    larger subsets are frozensets, and the empty subset is the sink.
+    accepts(q) is called on NFA states after exploring."""
+    if type(start) is frozenset and len(start) == 1:
+        (start,) = start
 
     def moves(sub):
-        merged = {}
-        for q in sub:
-            for s, ts in a.row(q).items():
-                merged.setdefault(s, set()).update(ts)
-        return {s: frozenset(ts) for s, ts in merged.items()}
+        if type(sub) is not frozenset:
+            return row(sub)
+        return nfa_row([pair for q in sub for pair in row(q).items()])
 
-    # the empty subset is the sink
-    return explore(a.alphabet, frozenset(a.initial), moves,
-                   lambda sub: not a.accepting.isdisjoint(sub), frozenset())
+    def subset_accepts(sub):
+        if type(sub) is not frozenset:
+            return accepts(sub)
+        return any(map(accepts, sub))
+
+    return explore(alphabet, start, moves, subset_accepts, frozenset())
+
+
+def nfa_row(pairs):
+    """The row `determinize` takes, from a list of (symbol, target) pairs
+    whose target is a state or a frozenset of states: one state per symbol,
+    or a frozenset where a symbol has several."""
+    row = dict(pairs)
+    if len(row) == len(pairs):
+        return row  # no symbol repeats, the common case
+    row = {}
+    branches = {}
+    for sym, t in pairs:
+        got = row.get(sym)
+        if got is None:
+            row[sym] = t
+        elif got != t:
+            ts = branches.get(sym)
+            if ts is None:
+                ts = branches[sym] = set(got) if type(got) is frozenset else {got}
+            if type(t) is frozenset:
+                ts.update(t)
+            else:
+                ts.add(t)
+    for sym, ts in branches.items():
+        row[sym] = frozenset(ts)
+    return row
+
+
+def nfa_to_dfa(alphabet, n_states, initial, accepting, transitions):
+    """The DFA of a transition table {(state, symbol): set of targets} over
+    states 0..n_states-1, by `determinize`.  Symbols and state references
+    are checked against their ranges: the table may come from a file."""
+    refs = set(initial) | set(accepting)
+    pairs = {}
+    for (q, s), ts in transitions.items():
+        if not 0 <= s < alphabet.size:
+            raise ValueError("symbol out of range")
+        refs.add(q)
+        refs.update(ts)
+        pairs.setdefault(q, []).extend((s, t) for t in ts)
+    if refs and (min(refs) < 0 or max(refs) >= n_states):
+        raise ValueError("state reference out of range")
+    rows = {q: nfa_row(row) for q, row in pairs.items()}
+    return determinize(alphabet, frozenset(initial), lambda q: rows.get(q, {}),
+                       frozenset(accepting).__contains__)
 
 
 def _reachable(d):
@@ -286,8 +267,6 @@ def minimize(d):
     symbol order, the sink last, so equal languages give identical
     automata.  An automaton it returned comes back unchanged: its numbering
     already depends only on its language."""
-    if not d.deterministic:
-        d = determinize(d)
     if d.minimal:
         return d
     reachable, sink_hit, preds = _reachable(d)
@@ -375,13 +354,12 @@ def _ensure_sink(d):
     """Return an equivalent Dfa that definitely has a sink state."""
     if d.sink is not None:
         return d
-    rows = dict(d.rows)
-    return Dfa(d.alphabet, d.n_states + 1, d.initial, d.accepting, rows, d.n_states)
+    return Dfa(d.alphabet, d.n_states + 1, d.initial, d.accepting, d.rows, d.n_states)
 
 
 def complement(d):
     """Complement of a total DFA; result minimized."""
-    d = _ensure_sink(to_dfa(d))
+    d = _ensure_sink(d)
     accepting = frozenset(range(d.n_states)) - d.accepting
     return minimize(Dfa(d.alphabet, d.n_states, d.initial, accepting, d.rows, d.sink))
 
@@ -409,8 +387,8 @@ def dfa_product(d1, d2, accept_rule):
     """
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
-    d1 = _ensure_sink(to_dfa(d1))
-    d2 = _ensure_sink(to_dfa(d2))
+    d1 = _ensure_sink(d1)
+    d2 = _ensure_sink(d2)
     d = explore(
         d1.alphabet,
         (d1.initial, d2.initial),
@@ -422,22 +400,22 @@ def dfa_product(d1, d2, accept_rule):
 
 
 def dfa_intersect(a, b):
-    return dfa_product(to_dfa(a), to_dfa(b), lambda x, y: x and y)
+    return dfa_product(a, b, lambda x, y: x and y)
 
 
 def dfa_union(a, b):
-    return dfa_product(to_dfa(a), to_dfa(b), lambda x, y: x or y)
+    return dfa_product(a, b, lambda x, y: x or y)
 
 
 def dfa_difference(a, b):
-    return dfa_product(to_dfa(a), to_dfa(b), lambda x, y: x and not y)
+    return dfa_product(a, b, lambda x, y: x and not y)
 
 
 def _pair_search(a, b, bad):
     """Synchronized search over the reachable state pairs of two automata:
     False as soon as a pair has bad(accepted by a, accepted by b)."""
-    d1 = _ensure_sink(to_dfa(a))
-    d2 = _ensure_sink(to_dfa(b))
+    d1 = _ensure_sink(a)
+    d2 = _ensure_sink(b)
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
     start = (d1.initial, d2.initial)
@@ -468,33 +446,34 @@ def is_subset(a, b):
     return _pair_search(a, b, lambda x, y: x and not y)
 
 
-def is_empty(a):
+def _symbol_edges(d, q):
+    """(symbol, target) pairs out of q in symbol order; the missing
+    symbols' edges into the sink only when the sink accepts."""
+    row = d.rows.get(q, {})
+    if d.sink in d.accepting:
+        return [(s, row.get(s, d.sink)) for s in range(d.alphabet.size)]
+    return sorted(row.items())
+
+
+def is_empty(d):
     """(emptiness, witness): witness is a shortest accepted word, ties broken
     length-lexicographically; None when the language is empty."""
-    if a.deterministic:
-        a = a.as_nfa()  # materializes default edges when the sink accepts
-    accepting = a.accepting
-    # BFS over state sets in level + symbol order
-    start = frozenset(a.initial)
-    if start & accepting:
-        return (False, Word(a.alphabet, ()))
-    seen = {start}
-    frontier = [((), start)]
+    accepting = d.accepting
+    if d.initial in accepting:
+        return (False, Word(d.alphabet, ()))
+    # BFS over states in level + symbol order
+    seen = {d.initial}
+    frontier = [((), d.initial)]
     while frontier:
         nxt = []
-        for word, sub in frontier:
-            merged = {}
-            for q in sub:
-                for s, t in a.row(q).items():
-                    merged.setdefault(s, set()).update(t)
-            for s in sorted(merged):
-                tgt = frozenset(merged[s])
+        for word, q in frontier:
+            for s, t in _symbol_edges(d, q):
                 w2 = word + (s,)
-                if tgt & accepting:
-                    return (False, Word(a.alphabet, w2))
-                if tgt not in seen:
-                    seen.add(tgt)
-                    nxt.append((w2, tgt))
+                if t in accepting:
+                    return (False, Word(d.alphabet, w2))
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append((w2, t))
         frontier = nxt
     return (True, None)
 
@@ -524,7 +503,8 @@ def enumerate_words(a, max_length=None, count=None):
     """Accepted words in length-lexicographic order, up to a length or count."""
     if max_length is None and count is None:
         raise ValueError("a limit is required")
-    d = minimize(to_dfa(a))
+    d = minimize(a)
+    # d is minimal, so its sink is alive exactly when it accepts
     alive = _alive_states(d)
     out = []
     frontier = [((), d.initial)]
@@ -540,54 +520,44 @@ def enumerate_words(a, max_length=None, count=None):
             break
         nxt = []
         for word, q in frontier:
-            row = d.rows.get(q, {})
-            symbols = sorted(row)
-            if d.sink is not None and d.sink in alive and len(row) < d.alphabet.size:
-                symbols = range(d.alphabet.size)
-            for s in symbols:
-                t = row.get(s, d.sink)
+            for s, t in _symbol_edges(d, q):
                 if t in alive:
                     nxt.append((word + (s,), t))
         frontier = nxt
     return out
 
 
-def reverse(a):
-    """Automaton for the reversed language."""
-    if a.deterministic:
-        a = a.as_nfa()
-    trans = {}
-    for q, s, t in a.transitions():
-        trans.setdefault((t, s), set()).add(q)
-    return Nfa(a.alphabet, a.n_states, a.accepting, a.initial, trans)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def to_text(a):
+def _edges(d):
+    """(state, symbol, target) of a Dfa in state and symbol order, as
+    `_symbol_edges` gives them."""
+    states = range(d.n_states) if d.sink in d.accepting else sorted(d.rows)
+    return [(q, s, t) for q in states for s, t in _symbol_edges(d, q)]
+
+
+def to_text(d):
     """Text form: header, initial/accepting lines, one line per transition.
 
-    Deterministic automata are written in canonical (minimized, BFS-numbered)
-    form so that equal languages produce identical bytes.
+    The automaton is written in canonical (minimized, BFS-numbered) form so
+    that equal languages produce identical bytes.  The format itself may
+    branch: `from_text` reads several initial states and several targets
+    per state and symbol.
     """
-    if a.deterministic:
-        a = minimize(a).as_nfa()  # canonical numbering; defaults materialized
-        # only when the sink accepts
-    lines = [f"nfa {' '.join(a.alphabet.symbols)} {a.n_states}"]
-    lines.append("initial: " + " ".join(str(q) for q in sorted(a.initial)))
-    lines.append("accepting: " + " ".join(str(q) for q in sorted(a.accepting)))
-    for q in sorted(a.rows):
-        row = a.rows[q]
-        for s in sorted(row):
-            for t in sorted(row[s]):
-                lines.append(f"{q} {a.alphabet.symbols[s]} {t}")
+    d = minimize(d)
+    names = d.alphabet.symbols
+    lines = [f"nfa {' '.join(names)} {d.n_states}"]
+    lines.append(f"initial: {d.initial}")
+    lines.append("accepting: " + " ".join(str(q) for q in sorted(d.accepting)))
+    for q, s, t in _edges(d):
+        lines.append(f"{q} {names[s]} {t}")
     return "\n".join(lines) + "\n"
 
 
 def from_text(text, alphabet=None):
-    """Parse the text automaton format; returns an Nfa."""
+    """Parse the text automaton format into a Dfa."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3:
         raise ValueError(
@@ -613,22 +583,19 @@ def from_text(text, alphabet=None):
             raise ValueError(f"bad transition line {ln!r}")
         q, sym, t = fields
         trans.setdefault((int(q), alphabet.index[sym]), set()).add(int(t))
-    return Nfa(alphabet, n_states, initial, accepting, trans)
+    return nfa_to_dfa(alphabet, n_states, initial, accepting, trans)
 
 
-def to_dot(a, name="automaton"):
+def to_dot(d, name="automaton"):
     """DOT export: states as nodes, labeled edges, double circles accepting."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    if a.deterministic:
-        a = a.as_nfa()
-    for q in sorted(a.accepting):
+    for q in sorted(d.accepting):
         lines.append(f'  {q} [shape=doublecircle];')
     lines.append("  node [shape=circle];")
-    for i, q in enumerate(sorted(a.initial)):
-        lines.append(f'  __start{i} [shape=point];')
-        lines.append(f'  __start{i} -> {q};')
-    for q, s, t in sorted(a.transitions()):
-        label = a.alphabet.symbols[s].replace('"', '\\"')
+    lines.append('  __start0 [shape=point];')
+    lines.append(f'  __start0 -> {d.initial};')
+    for q, s, t in _edges(d):
+        label = d.alphabet.symbols[s].replace('"', '\\"')
         lines.append(f'  {q} -> {t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -247,7 +247,7 @@ class AutomaticStructure:
     """A regular domain with named regular relations over the same alphabet."""
 
     def __init__(self, domain, relations=None):
-        self.domain = fa.minimize(fa.to_dfa(domain))
+        self.domain = fa.minimize(domain)
         self.base = self.domain.alphabet
         self.relations = {}
         self._restricted = {}
@@ -467,7 +467,7 @@ def structure_to_json(struct):
 
 def structure_from_json(doc):
     base = Alphabet(doc["alphabet"])
-    domain = fa.to_dfa(fa.from_text(doc["domain"], alphabet=base))
+    domain = fa.from_text(doc["domain"], alphabet=base)
     relations = {
         name: rel.rel_from_text(text) for name, text in doc["relations"].items()
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .. import fa, fo, presburger as pres, relations as rel
-from ..fa import Alphabet, Dfa, Nfa, Word
+from ..fa import Alphabet, Dfa, Word
 from .core import GraphAutomaticPresentation
 
 # the binary digits sit at indices 0/1 in every extended alphabet below
@@ -471,8 +471,8 @@ def free_group(rank):
                 trans.setdefault((q, conv.index_of((rel.PAD, s))), set()).add(final)
             if last != s:
                 trans.setdefault((q, conv.index_of((s ^ 1, rel.PAD))), set()).add(final)
-        nfa = Nfa(conv, U.size + 2, {0}, {final}, trans)
-        gens[U.symbols[s]] = rel.make_relation(U, 2, nfa)
+        d = fa.nfa_to_dfa(conv, U.size + 2, {0}, {final}, trans)
+        gens[U.symbols[s]] = rel.make_relation(U, 2, d)
     meta = {"description": f"free group of rank {rank}", "builder": "free_group",
             "rank": rank}
     return GraphAutomaticPresentation(U, domain, Word(U, ()), gens, None, meta)
@@ -868,8 +868,8 @@ def wreath_finite_by_z(table):
             add(PRE, (mk(i), unm(i)), MOVED)
             add(MOVED, (unm(i), mk(i)), POST)
         add(MOVED, (rel.PAD, mk(table.identity)), F2)
-        nfa = Nfa(conv2, nstates, {START}, {SINGLE, F, F2, POST}, trans)
-        return rel.make_relation(U, 2, nfa)
+        d = fa.nfa_to_dfa(conv2, nstates, {START}, {SINGLE, F, F2, POST}, trans)
+        return rel.make_relation(U, 2, d)
 
     gens = {}
     for g in range(r):

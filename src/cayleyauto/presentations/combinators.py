@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .. import fa, relations as rel
-from ..fa import Alphabet, Dfa, Nfa, Word
+from ..fa import Alphabet, Dfa, Word
 from .core import GraphAutomaticPresentation, GroupWord
 
 
@@ -184,7 +184,7 @@ def free_product(P, Q):
     DPu = rel.relabel_base(DP, U, mp)
     DQu = rel.relabel_base(DQ, U, mq)
 
-    # deterministic automaton for the alternating normal forms, with its
+    # the automaton of the alternating normal forms, with its
     # state table kept around for building the edge relations
     ids = {}
     rows = {}
@@ -304,9 +304,10 @@ def free_product(P, Q):
             for i, c in enumerate(sxu.indices):
                 add(oC + i, (rel.PAD, c), oC + i + 1)
             accept.add(oC + len(sxu))
-            nfa = Nfa(conv2, total, {START}, frozenset(accept), trans)
+            d = fa.nfa_to_dfa(conv2, total, {START}, accept, trans)
+            # one walk keeps the valid convolutions over the domain
             return rel.restrict_relation_to_domain(
-                rel.make_relation(U, 2, nfa), domain
+                rel.RegularRelation(U, 2, d), domain
             )
 
         return build
@@ -404,7 +405,7 @@ def restrict_to_regular_subgroup(P, subdomain, names):
     """The subgroup with representatives L(subdomain), generated by the given
     subset of P's generators; every retained edge must map the subgroup
     language into itself."""
-    sub = fa.minimize(fa.to_dfa(subdomain))
+    sub = fa.minimize(subdomain)
     if sub.alphabet != P.base:
         raise ValueError("subgroup domain uses a different alphabet")
     if not fa.is_subset(sub, P.domain):

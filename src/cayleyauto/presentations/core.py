@@ -90,7 +90,7 @@ class GraphAutomaticPresentation:
 
     def __init__(self, base, domain, identity, generators, left=None, meta=None):
         self.base = base
-        self.domain = fa.minimize(fa.to_dfa(domain))
+        self.domain = fa.minimize(domain)
         self.identity = identity
         self.generators = dict(generators)
         self.left = dict(left or {})
@@ -209,7 +209,7 @@ class GraphAutomaticPresentation:
     @classmethod
     def from_json(cls, doc):
         base = Alphabet(doc["alphabet"])
-        domain = fa.to_dfa(fa.from_text(doc["domain"], alphabet=base))
+        domain = fa.from_text(doc["domain"], alphabet=base)
         identity = Word.from_names(base, doc["identity"])
         generators = {}
         left = {}

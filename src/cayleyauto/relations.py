@@ -5,17 +5,17 @@ alphabet: all tuples in (Σ∪{◇})ⁿ except the all-◇ tuple, which is exclu
 the symbol level so malformed words are unrepresentable.  Every operation
 returns a relation whose language is a subset of the valid convolutions
 (padding persists per track, final column not all-◇), determinized and
-minimized.
+minimized.  The constructions that guess a track, `project` and `compose`,
+hand their branching rows to `fa.determinize`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 
 from . import fa
-from .fa import PAD, Alphabet, Dfa, Nfa, Word
+from .fa import PAD, Alphabet, Dfa, Word
 
 
 _SEPARATORS = (",", ";", "|", "/", ":", "!")
@@ -228,7 +228,7 @@ class _TrackMoves(dict):
 
     def __init__(self, domain):
         super().__init__({_ENDED: {PAD: _ENDED}})
-        self.dom = fa.minimize(fa.to_dfa(domain))
+        self.dom = fa.minimize(domain)
         self.alive = fa._alive_states(self.dom)
 
     def __missing__(self, ds):
@@ -267,7 +267,7 @@ def _restrict_tracks(d, conv, domain):
     accept (d None, or an accepting sink), the columns tried are the product
     of what each track may read next."""
     moves = _TrackMoves(domain)
-    d = Dfa(conv, 1, 0, {0}, {}, 0) if d is None else fa._ensure_sink(fa.to_dfa(d))
+    d = Dfa(conv, 1, 0, {0}, {}, 0) if d is None else fa._ensure_sink(d)
     dense = d.sink in d.accepting
     tuples = conv._tuples
     radix = conv.radix
@@ -317,9 +317,8 @@ def make_relation(base, arity, automaton):
     conv = conv_alphabet(base, arity)
     if automaton.alphabet != conv:
         raise ValueError("automaton alphabet does not match the column alphabet")
-    d = fa.to_dfa(automaton)
     sigma_star = Dfa(base, 1, 0, {0}, {}, 0)
-    return RegularRelation(base, arity, _restrict_tracks(d, conv, sigma_star))
+    return RegularRelation(base, arity, _restrict_tracks(automaton, conv, sigma_star))
 
 
 def _check_compatible(r, s):
@@ -386,38 +385,42 @@ def project(r, track):
     if not (0 <= track < r.arity):
         raise ValueError("track out of range")
     d = r.dfa
+    tuple_of = r.conv.tuple_of
     conv_out = conv_alphabet(r.base, r.arity - 1)
+
+    @functools.cache
+    def small(sym):
+        """The column without the track; None when only ◇ is left."""
+        tup = tuple_of(sym)
+        rest = tup[:track] + tup[track + 1:]
+        return None if all(c == PAD for c in rest) else conv_out.index_of(rest)
+
     # states from which acceptance is reachable via columns that are ◇ on
     # every remaining track
     tail_edges = {}
-    for q, row in d.rows.items():
-        for sym, t in row.items():
-            if t == d.sink:
-                continue
-            tup = r.conv.tuple_of(sym)
-            if all(c == PAD for i, c in enumerate(tup) if i != track):
+    for q, edges in d.rows.items():
+        for sym, t in edges.items():
+            if t != d.sink and small(sym) is None:
                 tail_edges.setdefault(t, set()).add(q)
     saturated = set(d.accepting)
-    queue = deque(saturated)
-    while queue:
-        q = queue.popleft()
-        for p in tail_edges.get(q, ()):
+    stack = list(saturated)
+    while stack:
+        for p in tail_edges.get(stack.pop(), ()):
             if p not in saturated:
                 saturated.add(p)
-                queue.append(p)
-    trans = {}
-    for q, row in d.rows.items():
-        for sym, t in row.items():
-            if t == d.sink:
-                continue
-            tup = r.conv.tuple_of(sym)
-            small = tup[:track] + tup[track + 1:]
-            if all(c == PAD for c in small):
-                continue  # this column disappears entirely
-            trans.setdefault((q, conv_out.index_of(small)), set()).add(t)
-    nfa = Nfa(conv_out, d.n_states, {d.initial}, saturated, trans)
+                stack.append(p)
+
+    @functools.cache
+    def row(q):
+        # a column that is ◇ on every kept track disappears entirely
+        return fa.nfa_row([
+            (small(sym), t) for sym, t in d.rows.get(q, {}).items()
+            if t != d.sink and small(sym) is not None
+        ])
+
     # valid as built: kept tracks still pad for good; their all-◇ tail is dropped
-    return RegularRelation(r.base, r.arity - 1, fa.minimize(fa.determinize(nfa)))
+    out = fa.determinize(conv_out, d.initial, row, saturated.__contains__)
+    return RegularRelation(r.base, r.arity - 1, fa.minimize(out))
 
 
 def compose(r, s):
@@ -428,13 +431,11 @@ def compose(r, s):
     that outlast both outer tracks); extensionally equal to
     project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
     state tries only ◇ and the middle digits that both relations have
-    edges for.  The product is determinized as it is explored: the subset
-    construction runs over sets of product states, and acceptance is set
-    from the tail closure after exploring.  Each product state's row is
-    built once, in the shape `fa.explore` takes: output symbol → one target
-    id, or a frozenset of ids where the guess of the middle branches.  A
-    one-member subset, the common case, is keyed by its member and returns
-    that row as it is.
+    edges for.  The product is determinized as it is explored, by
+    `fa.determinize` over the product states' rows: each row is built once,
+    output symbol → one product state id, or a frozenset of ids where the
+    guess of the middle branches.  Acceptance comes from the tail closure,
+    which `fa.determinize` asks for only after exploring.
     """
     if r.arity != 2 or s.arity != 2:
         raise ValueError("compose needs binary relations")
@@ -526,21 +527,13 @@ def compose(r, s):
         return qb == DONE or qb in B.accepting
 
     # product states (qa, qb, vdone) get dense ids; each one's row is built
-    # the first time a subset holds it.  Where a row branches, the targets
-    # are also kept as a list in the order they were found, and a subset's
-    # frozenset is built from those lists in its members' order: a
-    # frozenset iterates in an order that depends on how it was filled, and
-    # the numbering `fa.explore` gives depends on that order.
+    # the first time a subset holds it
     start = (A.initial, B.initial, False)
     pid = {start: 0}
     pstates = [start]
-    prows = {}
-    branches = {}
 
+    @functools.cache
     def product_row(p):
-        row = prows.get(p)
-        if row is not None:
-            return row
         qa, qb, vdone = pstates[p]
         moves = [(a_pad[qa], b_pad[qb], True)]
         if not vdone:
@@ -551,8 +544,7 @@ def compose(r, s):
                 (arow[b], brow[b], False)
                 for b in small if b != pad and b in big
             )
-        row = prows[p] = {}
-        lists = None
+        pairs = []
         for a_opts, c_opts, v2 in moves:
             for a, ta in a_opts:
                 for c, tb in c_opts:
@@ -563,41 +555,8 @@ def compose(r, s):
                     if t is None:
                         t = pid[tgt] = len(pstates)
                         pstates.append(tgt)
-                    sym = a + c * radix
-                    got = row.get(sym)
-                    if got is None:
-                        row[sym] = t
-                    elif got != t:
-                        if lists is None:
-                            lists = branches[p] = {}
-                        lists.setdefault(sym, [got]).append(t)
-        if lists:
-            for sym, ts in lists.items():
-                row[sym] = frozenset(ts)
-        return row
-
-    def subset_moves(sub):
-        """Subset construction straight over the product; a one-member subset
-        is keyed by its member, larger ones by frozenset."""
-        if type(sub) is int:
-            return product_row(sub)
-        merged = {}
-        for p in sub:
-            row = product_row(p)
-            lists = branches.get(p, no_row)
-            for sym, t in row.items():
-                ts = [t] if type(t) is int else lists[sym]
-                got = merged.get(sym)
-                merged[sym] = ts if got is None else got + ts
-        out = {}
-        for sym, ts in merged.items():
-            tgt = ts[0]
-            if len(ts) > 1:
-                tgt = frozenset(ts)
-                if len(tgt) == 1:
-                    tgt = ts[0]
-            out[sym] = tgt
-        return out
+                    pairs.append((a + c * radix, t))
+        return fa.nfa_row(pairs)
 
     @functools.cache
     def final():
@@ -618,12 +577,9 @@ def compose(r, s):
                 out.add(p)
         return out
 
-    def accepts(sub):
-        return sub in final() if type(sub) is int else not final().isdisjoint(sub)
-
     # valid as built: outer tracks follow r/s until DONE, then ◇, and there
     # is no all-◇ column
-    d = fa.explore(conv, 0, subset_moves, accepts)
+    d = fa.determinize(conv, 0, product_row, lambda p: p in final())
     return RegularRelation(r.base, 2, fa.minimize(d))
 
 
@@ -963,21 +919,14 @@ def embed_relation(r, new_base, symbol_map):
     return RegularRelation(new_base, r.arity, fa.minimize(d))
 
 
-def relabel_base(r_or_dfa, new_base, mapping):
+def relabel_base(d, new_base, mapping):
     """Reinterpret an automaton over a new base alphabet via an injective
     symbol-index mapping (old index -> new index)."""
-    d = fa.to_dfa(r_or_dfa)
+    d = fa._ensure_sink(d)
     rows = {}
     for q, row in d.rows.items():
-        out = {}
-        for s, t in row.items():
-            if d.sink is not None and t == d.sink:
-                continue
-            out[mapping[s]] = t
-        rows[q] = out
-    sink = d.sink if d.sink is not None else d.n_states
-    n = d.n_states if d.sink is not None else d.n_states + 1
-    return Dfa(new_base, n, d.initial, d.accepting, rows, sink)
+        rows[q] = {mapping[s]: t for s, t in row.items() if t != d.sink}
+    return Dfa(new_base, d.n_states, d.initial, d.accepting, rows, d.sink)
 
 
 # ---------------------------------------------------------------------------
@@ -997,5 +946,5 @@ def rel_from_text(text):
     arity = int(head[1])
     base = Alphabet(head[3:])
     conv = conv_alphabet(base, arity)
-    nfa = fa.from_text("\n".join(lines[1:]), alphabet=conv)
-    return make_relation(base, arity, nfa)
+    d = fa.from_text("\n".join(lines[1:]), alphabet=conv)
+    return make_relation(base, arity, d)

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from typing import NamedTuple
 
 from cayleyauto import decision as dec, fa, presburger as pres, relations as rel
 from cayleyauto.fa import Dfa, Word
@@ -41,6 +42,43 @@ def language(automaton, max_length):
     }
 
 
+class NfaData(NamedTuple):
+    """A nondeterministic transition table, the arguments of
+    `fa.nfa_to_dfa`: transitions map (state, symbol) to a set of targets."""
+
+    alphabet: object
+    n_states: int
+    initial: frozenset
+    accepting: frozenset
+    transitions: dict
+
+
+def nfa_accepts(n, w):
+    """Reference membership: simulate the NFA on the set of current states."""
+    current = set(n.initial)
+    for s in w.indices:
+        current = {t for q in current for t in n.transitions.get((q, s), ())}
+    return not current.isdisjoint(n.accepting)
+
+
+def nfa_language(n, max_length):
+    """Accepted index tuples up to a length, by NFA simulation."""
+    return {
+        w.indices for w in all_words(n.alphabet, max_length) if nfa_accepts(n, w)
+    }
+
+
+def nfa_text(n):
+    """An NFA in the text format `fa.from_text` reads, one line per target."""
+    names = n.alphabet.symbols
+    lines = [f"nfa {' '.join(names)} {n.n_states}",
+             "initial: " + " ".join(map(str, sorted(n.initial))),
+             "accepting: " + " ".join(map(str, sorted(n.accepting)))]
+    for (q, s), ts in sorted(n.transitions.items()):
+        lines.extend(f"{q} {names[s]} {t}" for t in sorted(ts))
+    return "\n".join(lines) + "\n"
+
+
 def random_nfa(rng, alphabet, max_states=4):
     n = rng.randint(1, max_states)
     states = range(n)
@@ -50,9 +88,9 @@ def random_nfa(rng, alphabet, max_states=4):
             targets = {t for t in states if rng.random() < 0.3}
             if targets:
                 trans[(q, s)] = targets
-    initial = {q for q in states if rng.random() < 0.5} or {0}
+    initial = frozenset(q for q in states if rng.random() < 0.5) or frozenset({0})
     accepting = frozenset(q for q in states if rng.random() < 0.4)
-    return fa.Nfa(alphabet, n, initial, accepting, trans)
+    return NfaData(alphabet, n, initial, accepting, trans)
 
 
 def random_dfa(rng, alphabet, max_states=6):

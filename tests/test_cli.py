@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from cayleyauto import cli, decision as dec, fa
+from cayleyauto.relations import equality_relation, rel_to_text
 from cayleyauto.presentations import GraphAutomaticPresentation, GroupWord, zn
 
 from helpers import broken_zn1
@@ -264,6 +265,21 @@ def test_cut_automaton_text_exits_invalid(tmp_path):
         assert proc.returncode == 2, (name, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+def test_relation_file_with_bad_references_exits_invalid(zn1_path, tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text(rel_to_text(equality_relation(zn(1).domain)))
+    out = str(tmp_path / "semi.json")
+    args = ["build", "semidirect", "--first", zn1_path, "--second", zn1_path,
+            "--no-check", "--out", out]
+    assert cli.main(args + ["--action", f"e1={good}"]) == 0
+    text = good.read_text()
+    n_states = int(text.splitlines()[1].split()[-1])
+    for line in (f"0 0,0 {n_states}", "0 z,0 1"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text + line + "\n")
+        assert cli.main(args + ["--action", f"e1={bad}"]) == 2
 
 
 def test_usage_errors(capsys):

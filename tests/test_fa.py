@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleyauto import fa
-from cayleyauto.fa import Alphabet, Dfa, Nfa, Word
+from cayleyauto.fa import Alphabet, Dfa, Word
 
 from helpers import (
     all_words,
     language,
+    nfa_language,
+    nfa_text,
     random_dfa,
     random_nfa,
     renumbered,
@@ -21,6 +23,10 @@ AB = Alphabet(["a", "b"])
 
 def seeded_nfa(seed):
     return random_nfa(random.Random(seed), AB)
+
+
+def seeded_dfa(seed):
+    return fa.nfa_to_dfa(*seeded_nfa(seed))
 
 
 def even_as():
@@ -68,23 +74,51 @@ def test_explore_numbers_states_and_adds_the_sink_when_needed():
 @given(st.integers(0, 10**6))
 def test_determinize_preserves_language(seed):
     n = seeded_nfa(seed)
-    d = fa.determinize(n)
-    assert language(n, 4) == language(d, 4)
+    d = fa.nfa_to_dfa(*n)
+    assert nfa_language(n, 4) == language(d, 4)
+
+
+def test_determinize_over_a_row_function():
+    log = []
+    # x branches to {y, z} on a; the subset {y, z} reads a to itself and b
+    # to z alone
+    rows = {"x": {0: frozenset({"y", "z"}), 1: "x"}, "y": {0: "y"},
+            "z": {0: "z", 1: "z"}}
+
+    def row(q):
+        log.append(("row", q))
+        return rows[q]
+
+    def accepts(q):
+        log.append(("accepts", q))
+        return q == "y"
+
+    d = fa.determinize(AB, frozenset({"x"}), row, accepts)
+    assert (d.n_states, d.rows, d.accepting, d.sink) == (
+        3, {0: {0: 1, 1: 0}, 1: {0: 1, 1: 2}, 2: {0: 2, 1: 2}}, {1}, None
+    )
+    # acceptance is asked of NFA states, after exploring
+    kinds = [kind for kind, _ in log]
+    assert "row" not in kinds[kinds.index("accepts"):]
+    assert {q for kind, q in log if kind == "accepts"} == {"x", "y", "z"}
+    # the empty subset is the sink, and it rejects
+    d = fa.determinize(AB, frozenset(), row, accepts)
+    assert (d.n_states, d.accepting, d.sink) == (1, frozenset(), 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_minimize_preserves_language(seed):
     n = seeded_nfa(seed)
-    d = fa.minimize(fa.determinize(n))
-    assert language(n, 4) == language(d, 4)
-    assert fa.language_equal(n, d)
+    d = fa.minimize(fa.nfa_to_dfa(*n))
+    assert nfa_language(n, 4) == language(d, 4)
+    assert fa.language_equal(fa.nfa_to_dfa(*n), d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_minimize_is_minimal_fixed_point(seed):
-    d = fa.minimize(fa.determinize(seeded_nfa(seed)))
+    d = fa.minimize(seeded_dfa(seed))
     again = fa.minimize(d)
     assert again.n_states == d.n_states
 
@@ -92,7 +126,7 @@ def test_minimize_is_minimal_fixed_point(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_minimize_returns_its_own_output_unchanged(seed):
-    d = fa.minimize(fa.determinize(seeded_nfa(seed)))
+    d = fa.minimize(seeded_dfa(seed))
     assert fa.minimize(d) is d
     # an unmarked copy is minimized again, to the very same automaton
     copy = Dfa(d.alphabet, d.n_states, d.initial, d.accepting, d.rows, d.sink)
@@ -123,7 +157,7 @@ def test_minimize_against_residual_oracle(seed, alphabet):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_complement_flips_membership(seed):
-    d = fa.to_dfa(seeded_nfa(seed))
+    d = seeded_dfa(seed)
     c = fa.complement(d)
     lang = language(d, 3)
     for w in all_words(AB, 3):
@@ -133,8 +167,8 @@ def test_complement_flips_membership(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_boolean_operations(s1, s2):
-    d1 = fa.to_dfa(seeded_nfa(s1))
-    d2 = fa.to_dfa(seeded_nfa(s2))
+    d1 = seeded_dfa(s1)
+    d2 = seeded_dfa(s2)
     # complements have accepting sinks, so the pair of sinks may accept
     for a in (d1, fa.complement(d1)):
         for b in (d2, fa.complement(d2)):
@@ -147,8 +181,8 @@ def test_boolean_operations(s1, s2):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_subset_and_equality_agree_with_booleans(s1, s2):
-    d1 = fa.to_dfa(seeded_nfa(s1))
-    d2 = fa.to_dfa(seeded_nfa(s2))
+    d1 = seeded_dfa(s1)
+    d2 = seeded_dfa(s2)
     empty, _ = fa.is_empty(fa.dfa_difference(d1, d2))
     assert fa.is_subset(d1, d2) == empty
     assert fa.language_equal(d1, d2) == (
@@ -158,8 +192,8 @@ def test_subset_and_equality_agree_with_booleans(s1, s2):
 
 def test_is_empty_witness_is_shortest():
     n = seeded_nfa(5)
-    empty, witness = fa.is_empty(n)
-    lang = language(n, 6)
+    empty, witness = fa.is_empty(fa.nfa_to_dfa(*n))
+    lang = nfa_language(n, 6)
     if empty:
         assert witness is None
         assert not lang
@@ -183,26 +217,48 @@ def test_enumerate_words_count_limit():
     assert words[0].indices == ()
 
 
-@settings(max_examples=30, deadline=None)
+def branching_nfa(seed):
+    """A random NFA with an extra state that is initial and branches to
+    itself and state 0, so it has two initial states and a branching line."""
+    rng = random.Random(seed)
+    n = random_nfa(rng, AB)
+    extra = n.n_states
+    trans = {k: set(v) for k, v in n.transitions.items()}
+    trans.setdefault((extra, rng.randrange(AB.size)), set()).update({0, extra})
+    return n._replace(n_states=extra + 1, initial=n.initial | {extra},
+                      transitions=trans)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
-def test_reverse_language(seed):
-    n = seeded_nfa(seed)
-    r = fa.reverse(n)
-    lang = language(n, 3)
-    for w in all_words(AB, 3):
-        assert (tuple(reversed(w.indices)) in lang) == fa.accepts(r, w)
+def test_text_format_reads_nfas(seed):
+    n = branching_nfa(seed)
+    text = nfa_text(n)
+    assert len(text.splitlines()[1].split()) > 2  # several initial states
+    d = fa.from_text(text, alphabet=AB)
+    assert language(d, 4) == nfa_language(n, 4)
+
+
+def test_text_format_rejects_bad_references():
+    head = "nfa a b 2\ninitial: 0\naccepting: 1\n"
+    fa.from_text(head + "0 a 1\n0 a 0\n")
+    for line in ("0 a 2", "2 a 0", "0 c 1", "-1 b 0"):
+        with pytest.raises(ValueError):
+            fa.from_text(head + line + "\n")
+    with pytest.raises(ValueError):
+        fa.from_text("nfa a b 2\ninitial: 5\naccepting:\n")
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_text_round_trip(seed):
-    d = fa.to_dfa(seeded_nfa(seed))
+    d = seeded_dfa(seed)
     back = fa.from_text(fa.to_text(d), alphabet=AB)
     assert fa.language_equal(d, back)
 
 
 def test_text_canonical_bytes():
-    d1 = fa.to_dfa(seeded_nfa(17))
+    d1 = seeded_dfa(17)
     d2 = fa.minimize(d1)
     assert fa.to_text(d1) == fa.to_text(d2)
 
@@ -233,4 +289,4 @@ def test_dfa_without_sink_rejects_missing_row():
 
 def test_nfa_rejects_bad_initial():
     with pytest.raises(ValueError):
-        Nfa(AB, 2, {7}, frozenset(), {})
+        fa.nfa_to_dfa(AB, 2, {7}, frozenset(), {})

@@ -301,10 +301,6 @@ def test_compose_equals_cylindrify_route(seed):
     # the one-shot composition must agree with the textbook
     # project(intersect(cylindrify r, cylindrify s)) construction
     rng = random.Random(seed)
-    dom = fa.minimize(fa.determinize(
-        rel.relation_from_tuples(AB, 1, [(w,) for w in all_words(AB, 2)]).dfa
-    ))
-    # arity-1 relation dfa is over conv(AB,1); build a plain domain instead
     dom = fa.minimize(
         fa.Dfa(AB, 4, 0, frozenset({0, 1, 2}), {0: {0: 1, 1: 1}, 1: {0: 2, 1: 2}, 2: {}}, 3)
     )
@@ -410,7 +406,7 @@ def test_restrict_relation_to_domain():
 def test_domain_power_language():
     dom = fa.Dfa(AB, 3, 0, frozenset({1}), {0: {0: 1}, 1: {0: 1}}, 2)  # a+
     d2 = rel.domain_power(dom, 2)
-    r = rel.RegularRelation(AB, 2, fa.minimize(fa.to_dfa(d2)))
+    r = rel.RegularRelation(AB, 2, fa.minimize(d2))
     got = members(r, max_len=2)
     assert got == {
         ((0,), (0,)), ((0,), (0, 0)), ((0, 0), (0,)), ((0, 0), (0, 0))
