@@ -1,10 +1,12 @@
 """Concrete families of graph-automatic groups.
 
 Elements are words over convolution alphabets: integer coordinates are
-signed binary (least-significant digit first), finite-order coordinates are
-single fixed-width symbols, and multi-coordinate elements convolve their
-coordinate tracks.  Each builder also has encode/decode helpers mapping
-abstract group elements to representative words and back.
+signed binary (least-significant digit first), and multi-coordinate elements
+convolve their coordinate tracks.  A finite-order coordinate of `fg_abelian`
+is a single symbol; one of `nilpotent2`, whose torsion outputs depend on
+integer inputs taken mod ω, is a binary word for a value in 0..ω−1.  Each
+builder also has encode/decode helpers mapping abstract group elements to
+representative words and back.
 """
 
 from __future__ import annotations
@@ -47,23 +49,16 @@ def _unit(m, i):
     return c
 
 
-def _affine_presentation(m, right, left, meta):
-    """Presentation on canonical m-vectors whose edges are affine maps;
-    right/left map generator names to (matrix, const) pairs."""
-    base = rel.conv_alphabet(pres.BITS, m)
-    domain = rel.domain_power(pres.int_domain(), m)
-    gens = {
-        name: rel.group_tracks(pres.affine_relation(M, c), m)
-        for name, (M, c) in right.items()
-    }
-    lefts = None
-    if left is not None:
-        lefts = {
-            name: rel.group_tracks(pres.affine_relation(M, c), m)
-            for name, (M, c) in left.items()
-        }
-    return GraphAutomaticPresentation(
-        base, domain, encode_vector([0] * m), gens, lefts, meta
+def _int_parts(U):
+    """The integer coordinate's language, equality and successor relations,
+    embedded in an alphabet U whose first two symbols are the binary digits."""
+    return tuple(
+        rel.embed_relation(r, U, BIT_MAP)
+        for r in (
+            rel.language_relation(pres.int_domain()),
+            rel.equality_relation(pres.int_domain()),
+            pres.affine_relation([[1]], [1]),
+        )
     )
 
 
@@ -86,6 +81,45 @@ def _mod_relation(omega):
     )
 
 
+def _affine_presentation(orders, right, left, meta):
+    """Presentation on coordinate vectors whose edges are affine maps
+    y = Mx + c; right/left map generator names to (M, c) pairs.
+
+    orders[t] is None for an integer coordinate and ω for a coordinate kept
+    in 0..ω−1.  Each edge is one join: the affine map, with every finite
+    coordinate's input range-checked and its output reduced mod ω through an
+    auxiliary track that is then projected away."""
+    m = len(orders)
+    finite = [t for t in range(m) if orders[t] is not None]
+    ints = rel.language_relation(pres.int_domain())
+    langs = {t: rel.language_relation(_range_language(orders[t])) for t in finite}
+    mods = {t: _mod_relation(orders[t]) for t in finite}
+    domain = rel.join([(langs.get(t, ints), (t,)) for t in range(m)], m).dfa
+    width = 2 * m + len(finite)
+    aux = dict(zip(finite, range(2 * m, width)))
+    outputs = tuple(aux.get(t, m + t) for t in range(m))
+
+    def edge(M, c):
+        e = pres.affine_relation(M, c)
+        if finite:
+            parts = [(e, tuple(range(m)) + outputs)]
+            for t in finite:
+                parts += [(langs[t], (t,)), (mods[t], (aux[t], m + t))]
+            e = rel.join(parts, width)
+            for pos in reversed(range(2 * m, width)):
+                e = rel.project(e, pos)
+        return rel.group_tracks(e, m)
+
+    gens = {name: edge(M, c) for name, (M, c) in right.items()}
+    lefts = None
+    if left is not None:
+        lefts = {name: edge(M, c) for name, (M, c) in left.items()}
+    base = rel.conv_alphabet(pres.BITS, m)
+    return GraphAutomaticPresentation(
+        base, domain, encode_vector([0] * m), gens, lefts, meta
+    )
+
+
 # ---------------------------------------------------------------------------
 # free abelian and nilpotent families
 
@@ -96,7 +130,7 @@ def zn(n):
         raise ValueError("need n >= 1")
     right = {f"e{i + 1}": (_identity_matrix(n), _unit(n, i)) for i in range(n)}
     meta = {"description": f"Z^{n}", "builder": "zn", "n": n}
-    return _affine_presentation(n, right, dict(right), meta)
+    return _affine_presentation((None,) * n, right, dict(right), meta)
 
 
 def heisenberg(n=3):
@@ -134,7 +168,7 @@ def heisenberg(n=3):
         right[cname(i)] = (M, _unit(m, c_(i)))
         left[cname(i)] = (_identity_matrix(m), _unit(m, c_(i)))
     meta = {"description": f"Heisenberg group H_{n}", "builder": "heisenberg", "n": n}
-    return _affine_presentation(m, right, left, meta)
+    return _affine_presentation((None,) * m, right, left, meta)
 
 
 def ut(n):
@@ -179,7 +213,7 @@ def ut_m(n, step):
         "step": step,
         "entries": [list(p) for p in pairs],
     }
-    return _affine_presentation(m, right, left, meta)
+    return _affine_presentation((None,) * m, right, left, meta)
 
 
 def nilpotent2(spec):
@@ -210,48 +244,7 @@ def nilpotent2(spec):
         "split": spec.split,
         "orders": [o for o in spec.orders],
     }
-    finite = [t for t in range(m) if spec.orders[t] is not None]
-    if not finite:
-        return _affine_presentation(m, right, left, meta)
-
-    base = rel.conv_alphabet(pres.BITS, m)
-    ints = rel.language_relation(pres.int_domain())
-    ranges = {t: _range_language(spec.orders[t]) for t in finite}
-    domain = rel.join(
-        [
-            (ints if spec.orders[t] is None else rel.language_relation(ranges[t]), (t,))
-            for t in range(m)
-        ],
-        m,
-    ).dfa
-
-    def build(M, c):
-        # run the affine map into auxiliary tracks for the finite
-        # coordinates, then reduce each modulo its order and project
-        r = pres.affine_relation(M, c)
-        positions = []
-        aux = []
-        nxt = 2 * m
-        for t in range(m):
-            if spec.orders[t] is None:
-                positions.append(m + t)
-            else:
-                positions.append(nxt)
-                aux.append((nxt, t))
-                nxt += 1
-        parts = [(r, tuple(range(m)) + tuple(positions))]
-        for pos, t in aux:
-            parts.append((_mod_relation(spec.orders[t]), (pos, m + t)))
-        e = rel.join(parts, nxt)
-        for pos in range(nxt - 1, 2 * m - 1, -1):
-            e = rel.project(e, pos)
-        return rel.restrict_relation_to_domain(rel.group_tracks(e, m), domain)
-
-    gens = {name: build(M, c) for name, (M, c) in right.items()}
-    lefts = {name: build(M, c) for name, (M, c) in left.items()}
-    return GraphAutomaticPresentation(
-        base, domain, encode_vector([0] * m), gens, lefts, meta
-    )
+    return _affine_presentation(spec.orders, right, left, meta)
 
 
 def semidirect_zn_z(matrix):
@@ -274,7 +267,7 @@ def semidirect_zn_z(matrix):
         "builder": "semidirect_zn_z",
         "matrix": [list(row) for row in matrix],
     }
-    return _affine_presentation(m, right, None, meta)
+    return _affine_presentation((None,) * m, right, None, meta)
 
 
 def _int_det(matrix):
@@ -338,9 +331,7 @@ def _abelian_parts(n, torsion):
     langs = []
     eqs = []
     ops = []
-    int_lang = rel.embed_relation(rel.language_relation(pres.int_domain()), U, BIT_MAP)
-    int_eq = rel.embed_relation(rel.equality_relation(pres.int_domain()), U, BIT_MAP)
-    succ = rel.embed_relation(pres.affine_relation([[1]], [1]), U, BIT_MAP)
+    int_lang, int_eq, succ = _int_parts(U)
     for _ in range(n):
         langs.append(int_lang)
         eqs.append(int_eq)
@@ -641,9 +632,7 @@ def bs1n(p):
     PLUS, MINUS, BAR = p, p + 1, p + 2
     conv2 = rel.conv_alphabet(U, 2)
 
-    int_lang = rel.embed_relation(rel.language_relation(pres.int_domain()), U, BIT_MAP)
-    int_eq = rel.embed_relation(rel.equality_relation(pres.int_domain()), U, BIT_MAP)
-    succ = rel.embed_relation(pres.affine_relation([[1]], [1]), U, BIT_MAP)
+    int_lang, int_eq, succ = _int_parts(U)
     full = Dfa(U, 1, 0, frozenset({0}), {0: {s: 0 for s in range(U.size)}}, None)
     any_eq = rel.equality_relation(full)
 
@@ -804,20 +793,10 @@ def wreath_finite_by_z(table):
     conv2 = rel.conv_alphabet(U, 2)
     unm = lambda i: 2 + i
     mk = lambda i: 2 + r + i
-    int_eq = rel.embed_relation(rel.equality_relation(pres.int_domain()), U, BIT_MAP)
-    succ = rel.embed_relation(pres.affine_relation([[1]], [1]), U, BIT_MAP)
+    int_lang, int_eq, succ = _int_parts(U)
     tape_dom = _wreath_tape_domain(table)
     domain = rel.join(
-        [
-            (
-                rel.embed_relation(
-                    rel.language_relation(pres.int_domain()), U, BIT_MAP
-                ),
-                (0,),
-            ),
-            (rel.language_relation(tape_dom), (1,)),
-        ],
-        2,
+        [(int_lang, (0,)), (rel.language_relation(tape_dom), (1,))], 2
     ).dfa
 
     def lamp_edge(g):

@@ -359,16 +359,10 @@ def permute_tracks(r, perm):
     """Result tuple (w₀..w_{n−1}) is a member iff (w_{perm[0]}, ..) ∈ r."""
     if sorted(perm) != list(range(r.arity)):
         raise ValueError("not a permutation")
-    mapping = {}
-    for row in r.dfa.rows.values():
-        for sym in row:
-            if sym not in mapping:
-                big = [None] * r.arity
-                for i, c in enumerate(r.conv.tuple_of(sym)):
-                    big[perm[i]] = c
-                mapping[sym] = r.conv.index_of(tuple(big))
-    d = relabel_base(r.dfa, r.conv, mapping)
-    return RegularRelation(r.base, r.arity, fa.minimize(d))
+    source = [0] * r.arity
+    for i, j in enumerate(perm):
+        source[j] = i
+    return _map_columns(r, r.base, r.arity, lambda tup: tuple(tup[i] for i in source))
 
 
 def transpose(r):
@@ -587,7 +581,7 @@ def compose(r, s):
 # canonical relations
 
 
-def _column_dfa(base, states, initial, accepting, step, sink_name=None):
+def _column_dfa(base, states, initial, accepting, step):
     """Build a small DFA over the 2-track column alphabet from a step function
     mapping (state, a, b) -> state or None (dead)."""
     conv = conv_alphabet(base, 2)
@@ -688,23 +682,15 @@ def group_tracks(r, chunk):
         raise ValueError("arity not divisible by chunk size")
     k = r.arity // chunk
     inner = conv_alphabet(r.base, chunk)
-    outer = conv_alphabet(inner, k)
-    mapping = {}
-    for row in r.dfa.rows.values():
-        for sym in row:
-            if sym in mapping:
-                continue
-            tup = r.conv.tuple_of(sym)
-            comps = []
-            for j in range(k):
-                part = tup[j * chunk:(j + 1) * chunk]
-                if all(c == PAD for c in part):
-                    comps.append(PAD)
-                else:
-                    comps.append(inner.index_of(part))
-            mapping[sym] = outer.index_of(tuple(comps))
-    d = relabel_base(r.dfa, outer, mapping)
-    return RegularRelation(inner, k, fa.minimize(d))
+
+    def column(tup):
+        parts = (tup[j * chunk:(j + 1) * chunk] for j in range(k))
+        return tuple(
+            PAD if all(c == PAD for c in part) else inner.index_of(part)
+            for part in parts
+        )
+
+    return _map_columns(r, inner, k, column)
 
 
 def relation_in_domain_power(r, domain):
@@ -904,19 +890,23 @@ def relation_from_tuples(base, arity, tuples):
 def embed_relation(r, new_base, symbol_map):
     """Reinterpret a relation over a larger base alphabet via an injective
     mapping of base symbol indices."""
-    new_conv = conv_alphabet(new_base, r.arity)
+    return _map_columns(
+        r, new_base, r.arity,
+        lambda tup: tuple(c if c == PAD else symbol_map[c] for c in tup),
+    )
 
-    def col(sym):
-        t = r.conv.tuple_of(sym)
-        return new_conv.index_of(tuple(c if c == PAD else symbol_map[c] for c in t))
 
+def _map_columns(r, base, arity, column):
+    """The relation over conv_alphabet(base, arity) read by relabelling each
+    of r's columns: column maps a component tuple of r to one of the new
+    alphabet, injectively."""
+    conv = conv_alphabet(base, arity)
     mapping = {}
-    for q, row in r.dfa.rows.items():
+    for row in r.dfa.rows.values():
         for sym in row:
             if sym not in mapping:
-                mapping[sym] = col(sym)
-    d = relabel_base(r.dfa, new_conv, mapping)
-    return RegularRelation(new_base, r.arity, fa.minimize(d))
+                mapping[sym] = conv.index_of(column(r.conv.tuple_of(sym)))
+    return RegularRelation(base, arity, fa.minimize(relabel_base(r.dfa, conv, mapping)))
 
 
 def relabel_base(d, new_base, mapping):

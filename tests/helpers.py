@@ -346,6 +346,38 @@ class HeisenbergOracle:
         return (b1 - b2) % d == 0 if d else b1 == b2
 
 
+class Nilpotent2Oracle:
+    """A `Nilpotent2Spec` group by polycyclic collection.  An element
+    a_1^x_1 .. a_n^x_n is its exponent tuple, each finite coordinate reduced
+    into 0..ω−1.  Multiplying on the right by a_i^±1 moves the letter left
+    past each a_j^x_j with i < j < split: a_j a_i = a_i a_j [a_j, a_i], and
+    the commutator is central, so the letter leaves [a_j, a_i]^(±x_j) behind.
+    The tail generators (index >= split) are central."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def reduce(self, z):
+        return tuple(
+            v if o is None else v % o for v, o in zip(z, self.spec.orders)
+        )
+
+    def apply(self, g, name, sign):
+        i = int(name[1:]) - 1
+        z = list(g)
+        for j in range(i + 1, self.spec.split):
+            for k, c in enumerate(self.spec.commutator(i, j)):
+                z[k] += sign * g[j] * c
+        z[i] += sign
+        return self.reduce(z)
+
+    def evaluate(self, w):
+        g = (0,) * self.spec.n
+        for name, sign in w:
+            g = self.apply(g, name, sign)
+        return g
+
+
 # ---------------------------------------------------------------------------
 # random first-order formulas over finite structures, with a naive evaluator
 

@@ -29,7 +29,12 @@ from cayleyauto.presentations import (
     zn,
 )
 
-from helpers import HeisenbergOracle, ball_sizes, random_group_word
+from helpers import (
+    HeisenbergOracle,
+    Nilpotent2Oracle,
+    ball_sizes,
+    random_group_word,
+)
 
 
 def test_zn_ball_sizes():
@@ -122,6 +127,30 @@ def test_nilpotent2_torsion_group_of_order_eight():
 def test_nilpotent2_infinite_matches_heisenberg_growth():
     spec = Nilpotent2Spec(3, 2, (None, None, None), {(0, 1): (0, 0, 1)})
     assert ball_sizes(nilpotent2(spec), 3) == [1, 7, 29, 83]
+
+
+@pytest.mark.parametrize(
+    "orders", [(2, 2, 2), (None, None, None), (None, None, 3), (4, 4, 4)]
+)
+def test_nilpotent2_matches_collection_oracle(orders):
+    spec = Nilpotent2Spec(3, 2, orders, {(0, 1): (0, 0, 1)})
+    P = nilpotent2(spec)
+    oracle = Nilpotent2Oracle(spec)
+    rng = random.Random(7)
+    for _ in range(40):
+        w = random_group_word(rng, ["a1", "a2", "a3"], 8)
+        assert decode_vector(dec.canonical_rep(P, w)) == oracle.evaluate(w)
+
+
+def test_nilpotent2_edges_are_not_filtered_twice(monkeypatch):
+    # each edge's one join already range-checks the finite coordinates, so
+    # no pass over the domain is needed after it
+    def refuse(*args, **kwargs):
+        raise AssertionError("an edge was restricted to the domain again")
+
+    monkeypatch.setattr(rel, "restrict_relation_to_domain", refuse)
+    P = nilpotent2(Nilpotent2Spec(3, 2, (2, 2, 2), {(0, 1): (0, 0, 1)}))
+    assert dec.check_presentation(P)["ok"]
 
 
 def test_semidirect_zn_z_pointwise():
