@@ -93,14 +93,14 @@ def _eval_search(r, inputs):
         col = tuple(u.indices[pos] if pos < len(u) else rel.PAD for u in inputs)
         nrun, nend = {}, {}
         for q, words in running.items():
-            for ydig, t in index.get(q, {}).get(col, ()):
+            for ydig, t in index[q].get(col, ()):
                 steps += 1
                 if ydig == rel.PAD:
                     push(nend, t, words)
                 else:
                     push(nrun, t, [w + (ydig,) for w in words])
         for q, words in ended.items():
-            entries = index.get(q, {}).get(col)
+            entries = index[q].get(col)
             if entries and entries[0][0] == rel.PAD:
                 steps += 1
                 push(nend, entries[0][1], words)
@@ -113,7 +113,7 @@ def _eval_search(r, inputs):
     for _ in range(d.n_states + 1):
         nrun = {}
         for q, words in running.items():
-            for ydig, t in index.get(q, {}).get(tail, ()):
+            for ydig, t in index[q].get(tail, ()):
                 steps += 1
                 push(nrun, t, [w + (ydig,) for w in words])
         running = nrun
@@ -157,6 +157,8 @@ def words_equal(P, w1, w2):
 
 
 def is_identity(P, w):
+    """Whether the group word names the identity: its representative, found
+    by the transducer search from the identity, is the identity's own."""
     return canonical_rep(P, w).indices == P.identity.indices
 
 
@@ -164,13 +166,31 @@ def relator_holds(P, w):
     """Whether the group word is a relator globally: u·w̄ = u for every
     representative u.
 
-    The chains meet in the middle: the freely reduced word is split as x·y
-    with |x| = ⌈n/2⌉, and the relations u -> u·x̄ and u -> u·ȳ⁻¹ are compared.
-    This is exact when every edge relation is a bijection of L inside L², as
-    `check_presentation` certifies."""
+    The word is freely reduced, then decided in two steps:
+
+    - Refute: evaluate it at the identity by the transducer search
+      (`is_identity`).  A global relator fixes the identity, so any other
+      result means False.  When the search raises (an edge is not
+      functional where it is evaluated, or the identity leaves a relation's
+      domain) it tells nothing and the chains decide.
+    - Confirm on the cyclic core: strip matching ends x^s … x^-s
+      (`GroupWord.cyclically_reduced`), split the core as x·y with
+      |x| = ⌈n/2⌉, and compare the relations u -> u·x̄ and u -> u·ȳ⁻¹.
+
+    The chain of a·w·a⁻¹ is the chain of w conjugated by the chain of a, so
+    the two are the identity together when every edge relation is a
+    bijection of L inside L², as `check_presentation` certifies.  The free
+    and the cyclic reduction, and the half-chain comparison, are exact
+    under that assumption; the refutation needs only the search."""
     if not len(w):
         raise ValueError("the word must be nonempty")
     w = P.reduce_word(w)
+    try:
+        if not is_identity(P, w):
+            return False
+    except ValueError:
+        pass
+    w = w.cyclically_reduced()
     half = (len(w) + 1) // 2
     x = GroupWord(w.letters[:half])
     y = GroupWord(w.letters[half:])

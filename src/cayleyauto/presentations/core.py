@@ -55,6 +55,17 @@ class GroupWord:
                 out.append((name, sign))
         return GroupWord(out)
 
+    def cyclically_reduced(self):
+        """The cyclic reduction: the free reduction with matching ends
+        x^s … x^-s stripped until the first and last letters do not cancel,
+        so `reduced()` is u·core·u⁻¹ for the stripped prefix u."""
+        letters = self.reduced().letters
+        i, j = 0, len(letters)
+        while j - i > 1 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
+            i += 1
+            j -= 1
+        return GroupWord(letters[i:j])
+
     def __mul__(self, other):
         return GroupWord(self.letters + other.letters)
 

@@ -124,6 +124,28 @@ def conv_alphabet(base, arity):
     return _conv_cache[key]
 
 
+class _InputRows(dict):
+    """State → {column of the input tracks: [(last-track digit, target)]},
+    filled on first lookup from the state's row of the DFA; see
+    `RegularRelation.input_rows`."""
+
+    def __init__(self, dfa):
+        super().__init__()
+        self.dfa = dfa
+
+    def __missing__(self, q):
+        d, tuple_of = self.dfa, self.dfa.alphabet.tuple_of
+        cols = {}
+        for sym, t in d.rows.get(q, {}).items():
+            if t != d.sink:
+                col = tuple_of(sym)
+                cols.setdefault(col[:-1], []).append((col[-1], t))
+        for entries in cols.values():
+            entries.sort()
+        self[q] = cols
+        return cols
+
+
 class RegularRelation:
     """An arity-n regular relation stored as a DFA over the column alphabet."""
 
@@ -145,21 +167,12 @@ class RegularRelation:
         the other tracks (PAD included) → [(last-track digit, target)], sorted
         by digit so a PAD digit comes first.  Edges into the sink are left out.
 
-        Built on the first call and cached; intermediate relations of the
-        constructions are never searched, so they never pay for it."""
+        The map is made on the first call and cached; each state's entry is
+        built on its first lookup (`_InputRows`), so a search pays only for
+        the states it visits and intermediate relations of the constructions,
+        never searched, pay nothing."""
         if self._input_rows is None:
-            d, tuple_of = self.dfa, self.conv.tuple_of
-            index = {}
-            for q, row in d.rows.items():
-                cols = {}
-                for sym, t in row.items():
-                    if t != d.sink:
-                        col = tuple_of(sym)
-                        cols.setdefault(col[:-1], []).append((col[-1], t))
-                for entries in cols.values():
-                    entries.sort()
-                index[q] = cols
-            self._input_rows = index
+            self._input_rows = _InputRows(self.dfa)
         return self._input_rows
 
     def contains(self, words):

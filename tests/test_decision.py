@@ -5,6 +5,7 @@ import pytest
 from cayleyauto import decision as dec, fa, fo, presburger as pres, relations as rel
 from cayleyauto.fa import Word
 from cayleyauto.presentations import (
+    FiniteGroupTable,
     GraphAutomaticPresentation,
     GroupWord,
     abelian_encode,
@@ -15,6 +16,7 @@ from cayleyauto.presentations import (
     free_group,
     gamma_free,
     heisenberg,
+    wreath_finite_by_z,
     zn,
 )
 
@@ -95,6 +97,46 @@ def test_search_index_is_built_once_per_relation():
     inverse = P.relation("e1", -1)
     assert inverse.input_rows() is not index
     assert inverse.input_rows() is inverse.input_rows()
+
+
+def test_search_index_fills_only_the_states_visited():
+    P = bs1n(3)
+    r = P.relation("a")
+    dec.canonical_rep(P, GroupWord.parse("a"))
+    assert 0 < len(r.input_rows()) < len(r.dfa.rows)
+
+
+def _eager_rows(r):
+    d = r.dfa
+    index = {}
+    for q in range(d.n_states):
+        cols = {}
+        for sym, t in d.rows.get(q, {}).items():
+            if t != d.sink:
+                col = r.conv.tuple_of(sym)
+                cols.setdefault(col[:-1], []).append((col[-1], t))
+        index[q] = {col: sorted(entries) for col, entries in cols.items()}
+    return index
+
+
+@pytest.mark.parametrize("make", [lambda: bs1n(2), heisenberg])
+def test_lazy_search_index_matches_a_full_one(make):
+    # a relation whose index is filled state by state while searching gives
+    # the same outputs and step counts as one with every state indexed first
+    P = make()
+    balls = dec.ball(P, 3)
+    for name in P.generator_names:
+        for sign in (1, -1):
+            r = P.relation(name, sign)
+            lazy = rel.RegularRelation(r.base, r.arity, r.dfa)
+            full = rel.RegularRelation(r.base, r.arity, r.dfa)
+            index = full.input_rows()
+            for q in range(r.dfa.n_states):
+                index[q]
+            assert index == _eager_rows(r)
+            for u in balls:
+                assert dec._eval_search(lazy, [u]) == dec._eval_search(full, [u])
+            assert len(lazy.input_rows()) <= len(index)
 
 
 def test_eval_trace_records_each_step():
@@ -192,6 +234,69 @@ def test_relator_holds_reduces_after_checking_names():
         dec.relator_holds(P, GroupWord([]))
 
 
+def test_relator_holds_is_not_evaluation_at_the_identity():
+    # b: x -> -x fixes 0 but is no relator; the search alone would say
+    # it is, so the automaton comparison is still needed
+    Z = zn(1)
+    b = rel.group_tracks(pres.affine_relation([[-1]], [0]), 1)
+    P = GraphAutomaticPresentation(
+        Z.base, Z.domain, Z.identity, {"a": Z.relation("e1"), "b": b}
+    )
+    assert dec.check_presentation(P)["ok"]
+    assert dec.is_identity(P, GroupWord.parse("b"))
+    assert not dec.relator_holds(P, GroupWord.parse("b"))
+    for text in ("b b", "b a b a", "a b a b"):
+        assert dec.relator_holds(P, GroupWord.parse(text)), text
+    for text in ("b a", "a b a^-1 b"):
+        assert not dec.relator_holds(P, GroupWord.parse(text)), text
+
+
+_REFUTED = [
+    (heisenberg, "A C A^-1 C^-1 B^-1"),
+    (lambda: bs1n(2), "a^-1 b a b^-2"),
+    (lambda: bs1n(3), "a^-1 b a b^-3"),
+    (
+        lambda: wreath_finite_by_z(FiniteGroupTable.cyclic(2)),
+        "a1 t a1 t^-1 a1^-1 t a1^-1 t^-1",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, relator", _REFUTED)
+def test_refuted_words_build_no_chain(monkeypatch, make, relator):
+    P = make()
+    r = GroupWord.parse(relator)
+    g = GroupWord(r.letters[1:2])
+    words = [GroupWord(r.letters[:k] + r.letters[k + 1:]) for k in range(len(r))]
+    words += [g * w * g.inverse() for w in words] + [g, r * g]
+    words = [w for w in words if len(w) and not dec.is_identity(P, w)]
+    assert len(words) > len(r)
+
+    calls = []
+    compose = rel.compose
+
+    def counted(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    def refuse(a, b):
+        raise AssertionError("a refuted word built a chain")
+
+    monkeypatch.setattr(rel, "compose", refuse)
+    for w in words:
+        assert not dec.relator_holds(P, w), str(w)
+    monkeypatch.setattr(rel, "compose", counted)
+    assert dec.relator_holds(P, r)
+    direct = len(calls)
+    assert direct == len(r) - 2
+    for name in P.generator_names:
+        for sign in (1, -1):
+            a = GroupWord([(name, sign)])
+            del calls[:]
+            assert dec.relator_holds(P, a * r * a.inverse())
+            assert len(calls) == direct, str(a)
+
+
 def test_compose_on_large_alphabet_matches_right_multiply():
     # most of BS(1,2)'s middle digits have no edge in a given state, so the
     # composition must find the few that both relations share
@@ -276,6 +381,14 @@ def test_check_presentation_flags_broken_relations(name):
     struct = fo.AutomaticStructure(P.domain, {"F": P.relation("e1")})
     assert entry["total"] == fo.decide(struct, "A u (E v (F(u,v)))")
     assert entry["surjective"] == fo.decide(struct, "A v (E u (F(u,v)))")
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_FLAGS))
+def test_relator_holds_on_broken_presentations(name):
+    # where the search raises, the chains decide, as they always did
+    P = broken_zn1()[name]
+    for text in ("e1", "e1^-1", "e1 e1", "e1 e1 e1^-1"):
+        assert dec.relator_holds(P, GroupWord.parse(text)) is False, text
 
 
 def test_check_presentation_compiles_no_formula(monkeypatch):

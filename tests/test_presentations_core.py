@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.presentations import (
@@ -145,6 +146,33 @@ def test_group_word_free_reduction():
     assert w.reduced() == GroupWord.parse("c")
     assert GroupWord.parse("a b^-1 b a^-1").reduced() == GroupWord([])
     assert GroupWord.parse("a a b").reduced() == GroupWord.parse("a a b")
+
+
+def test_group_word_cyclic_reduction():
+    assert GroupWord.parse("A B A^-1").cyclically_reduced() == GroupWord.parse("B")
+    assert GroupWord.parse("A A^-1").cyclically_reduced() == GroupWord([])
+    assert GroupWord.parse("A B A").cyclically_reduced() == GroupWord.parse("A B A")
+    w = GroupWord.parse("b a^-1 c a b^-1 a b^-1")
+    assert w.cyclically_reduced() == GroupWord.parse("c a b^-1")
+    assert GroupWord.parse("a b c b^-1 a^-1").cyclically_reduced() == GroupWord.parse("c")
+
+
+_LETTERS = st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LETTERS, max_size=12))
+def test_cyclic_reduction_is_a_cyclic_conjugate_of_the_free_one(letters):
+    w = GroupWord(letters)
+    free, core = w.reduced().letters, w.cyclically_reduced().letters
+    assert GroupWord(core).reduced().letters == core
+    # the free reduction is u·core·u⁻¹ for its stripped ends u
+    k = (len(free) - len(core)) // 2
+    u = GroupWord(free[:k])
+    assert (u * GroupWord(core) * u.inverse()).letters == free
+    if len(core) > 1:
+        (n, s), last = core[0], core[-1]
+        assert last != (n, -s)
 
 
 def _identity_first_fold(P, letters, edge):
