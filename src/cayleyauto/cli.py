@@ -421,6 +421,9 @@ def main(argv=None):
         if isinstance(exc, fo.FormulaError):
             print(f"formula error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # str() of a KeyError is the repr of its message
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -174,7 +174,7 @@ def relator_holds(P, w):
       functional where it is evaluated, or the identity leaves a relation's
       domain) it tells nothing and the chains decide.
     - Confirm on the cyclic core: strip matching ends x^s … x^-s
-      (`GroupWord.cyclically_reduced`), split the core as x·y with
+      (`GroupWord.cyclic_split`), split the core as x·y with
       |x| = ⌈n/2⌉, and compare the relations u -> u·x̄ and u -> u·ȳ⁻¹.
 
     The chain of a·w·a⁻¹ is the chain of w conjugated by the chain of a, so
@@ -190,7 +190,7 @@ def relator_holds(P, w):
             return False
     except ValueError:
         pass
-    w = w.cyclically_reduced()
+    _, w = w.cyclic_split()
     half = (len(w) + 1) // 2
     x = GroupWord(w.letters[:half])
     y = GroupWord(w.letters[half:])
@@ -357,13 +357,32 @@ def monoid_growth_bound_check(struct, elements, n):
 
 def conjugate(P, p, q):
     """(conjugate?, witness): whether p̄ and q̄ are conjugate, via the regular
-    set S = {u : u·p̄ = q̄·u}; the witness is its length-lex-least member."""
+    set S = {u : u·p̄ = q̄·u}; the witness is its length-lex-least member.
+
+    p's names are checked against the generators and q's against the left
+    relations, cancelled letters included (KeyError otherwise).  Both words
+    are split by `GroupWord.cyclic_split` as p = a·p′·a⁻¹ and q = c·q′·c⁻¹,
+    and S′ = {v : v·p̄′ = q̄′·v} is built from `right_chain(p′)` and
+    `left_chain(q′)`.  As u·p̄ = q̄·u exactly when v = c̄⁻¹·u·ā has
+    v·p̄′ = q̄′·v, S = c̄·S′·ā⁻¹.  S′ is carried there through the left
+    relations of c's letters, last letter first, then through the right
+    relations of a⁻¹'s letters, one image {y : (x, y) ∈ r, x in the set}
+    per edge.  The images are exactly S, and S′ is empty exactly when S
+    is, when every edge relation is a bijection of L, as
+    `check_presentation` certifies and the chains' free reduction already
+    assumes.  With nothing to strip, S is S′."""
     if not P.is_biautomatic():
         raise ValueError("conjugacy needs a presentation with left relations")
-    rp = P.right_chain(p)
-    lq = P.left_chain(q)
-    s = rel.project(rel.rel_intersect(rp, lq), 1)
+    a, p = P.reduce_word(p).cyclic_split()
+    c, q = P.reduce_left_word(q).cyclic_split()
+    s = rel.project(rel.rel_intersect(P.right_chain(p), P.left_chain(q)), 1)
     empty, w = fa.is_empty(s.dfa)
     if empty:
         return False, None
+    edges = [P.left_relation(n, e) for n, e in reversed(c.letters)]
+    edges += [P.relation(n, e) for n, e in a.inverse()]
+    if edges:
+        for r in edges:
+            s = rel.project(rel.join([(s, (0,)), (r, (0, 1))], 2), 0)
+        _, w = fa.is_empty(s.dfa)
     return True, rel.deconvolve(w)[0]

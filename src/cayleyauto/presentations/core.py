@@ -55,16 +55,16 @@ class GroupWord:
                 out.append((name, sign))
         return GroupWord(out)
 
-    def cyclically_reduced(self):
-        """The cyclic reduction: the free reduction with matching ends
-        x^s … x^-s stripped until the first and last letters do not cancel,
-        so `reduced()` is u·core·u⁻¹ for the stripped prefix u."""
+    def cyclic_split(self):
+        """(u, core) with `reduced()` = u·core·u⁻¹: matching ends x^s … x^-s
+        of the free reduction are stripped into u until the core's first and
+        last letters do not cancel.  The core is the cyclic reduction."""
         letters = self.reduced().letters
         i, j = 0, len(letters)
         while j - i > 1 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
             i += 1
             j -= 1
-        return GroupWord(letters[i:j])
+        return GroupWord(letters[:i]), GroupWord(letters[i:j])
 
     def __mul__(self, other):
         return GroupWord(self.letters + other.letters)
@@ -172,15 +172,21 @@ class GraphAutomaticPresentation:
         injective, total, surjective)."""
         return self._fold([self.relation(n, s) for n, s in self.reduce_word(w)])
 
-    def left_chain(self, w):
-        """Composition of the left edge relations along a group word:
-        u -> w̄·u, folded from the last letter.  Names are checked, the word
-        reduced and the fold started as in `right_chain`, under the same
-        bijectivity assumption on the left relations."""
+    def reduce_left_word(self, w):
+        """The free reduction of a group word whose letters must all have
+        left relations, cancelled ones included (KeyError otherwise)."""
         w = GroupWord(w)
         for name, _ in w:
             self.left_relation(name)
-        letters = reversed(w.reduced().letters)
+        return w.reduced()
+
+    def left_chain(self, w):
+        """Composition of the left edge relations along a group word:
+        u -> w̄·u, folded from the last letter.  Names are checked, the word
+        reduced (`reduce_left_word`) and the fold started as in
+        `right_chain`, under the same bijectivity assumption on the left
+        relations."""
+        letters = reversed(self.reduce_left_word(w).letters)
         return self._fold([self.left_relation(n, s) for n, s in letters])
 
     def _fold(self, rels):
@@ -219,12 +225,17 @@ class GraphAutomaticPresentation:
 
     @classmethod
     def from_json(cls, doc):
+        for key in ("alphabet", "domain", "identity", "generators"):
+            if key not in doc:
+                raise ValueError(f"presentation has no {key!r} field")
         base = Alphabet(doc["alphabet"])
         domain = fa.from_text(doc["domain"], alphabet=base)
         identity = Word.from_names(base, doc["identity"])
         generators = {}
         left = {}
         for name, entry in doc["generators"].items():
+            if "relation" not in entry:
+                raise ValueError(f"generator {name!r} has no 'relation' field")
             generators[name] = rel.rel_from_text(entry["relation"])
             if "left" in entry:
                 left[name] = rel.rel_from_text(entry["left"])

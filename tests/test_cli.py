@@ -161,6 +161,42 @@ def test_conj_exit_codes(heis_path, capsys):
     assert capsys.readouterr().out.strip() == "not conjugate"
 
 
+def test_conj_matches_the_readme_example(heis_path, capsys):
+    assert cli.main(["conj", heis_path, "A", "A B"]) == 0
+    assert capsys.readouterr().out == "conjugate, witness: 0,0,1\n"
+
+
+def test_conj_with_an_unknown_name_in_stripped_letters_exits_invalid(heis_path):
+    # own process, so that an uncaught exception would show as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for words, message in (
+        (["A", "A Z Z^-1 A^-1"], "no left relation for generator 'Z'"),
+        (["A", "Z"], "no left relation for generator 'Z'"),
+        (["Z A Z^-1", "A"], "unknown generator 'Z'"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleyauto", "conj", heis_path] + words,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, (words, proc.stderr)
+        assert proc.stderr == f"error: {message}\n", words
+
+
+def test_presentation_without_generators_names_the_field(heis_path, tmp_path, capsys):
+    doc = json.load(open(heis_path))
+    del doc["generators"]
+    bad = tmp_path / "nogen.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["conj", str(bad), "A", "A"]) == 2
+    assert capsys.readouterr().err == "error: presentation has no 'generators' field\n"
+    doc = json.load(open(heis_path))
+    del doc["generators"]["B"]["relation"]
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["eval", str(bad), "A"]) == 2
+    assert capsys.readouterr().err == "error: generator 'B' has no 'relation' field\n"
+
+
 def test_check_command(zn1_path, capsys):
     assert cli.main(["check", zn1_path]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from cayleyauto.presentations import (
     FiniteGroupTable,
     GraphAutomaticPresentation,
     GroupWord,
+    Nilpotent2Spec,
     abelian_encode,
     bs1n,
     decode_vector,
@@ -23,6 +25,7 @@ from cayleyauto.presentations import (
 from helpers import (
     ROSTER_NAMES,
     HeisenbergOracle,
+    Nilpotent2Oracle,
     broken_zn1,
     random_group_word,
     roster,
@@ -449,6 +452,97 @@ def test_conjugate_in_heisenberg():
 def test_conjugate_requires_left_relations():
     with pytest.raises(ValueError):
         dec.conjugate(free_group(2), GroupWord.parse("a"), GroupWord.parse("b"))
+
+
+def _conjugate_by_full_chains(P, p, q):
+    # S = {u : u·p̄ = q̄·u} from the chains of the whole words
+    s = rel.project(rel.rel_intersect(P.right_chain(p), P.left_chain(q)), 1)
+    empty, w = fa.is_empty(s.dfa)
+    return (False, None) if empty else (True, rel.deconvolve(w)[0])
+
+
+def _nilpotent2_conjugate_truth(oracle, p, q):
+    # the roster's nilpotent2 group is finite: try every element
+    def mul(g, h):
+        for i, k in enumerate(h):
+            for _ in range(k):
+                g = oracle.apply(g, f"a{i + 1}", 1)
+        return g
+
+    g, h = oracle.evaluate(p), oracle.evaluate(q)
+    elements = itertools.product(*(range(o) for o in oracle.spec.orders))
+    return any(mul(x, g) == mul(h, x) for x in elements)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "ut", "nilpotent2", "zn", "abelian"])
+def test_conjugate_on_cyclic_cores_matches_the_full_chains(name):
+    P = roster(name)
+    names = P.generator_names
+    rng = random.Random(f"conjugate:{name}")
+    oracle = None
+    if name == "nilpotent2":
+        oracle = Nilpotent2Oracle(Nilpotent2Spec(3, 2, (2, 2, 2), {(0, 1): (0, 0, 1)}))
+    pairs = []
+    for _ in range(2):
+        p = random_group_word(rng, names, 2) * GroupWord.parse(names[0])
+        w = random_group_word(rng, names, 2)
+        v = GroupWord([(rng.choice(names), 1)])
+        pairs += [
+            (p, w * p * w.inverse()),
+            (w * p * w.inverse(), p),
+            (v * p * v.inverse(), w * p * w.inverse()),
+            (p, w * random_group_word(rng, names, 2) * w.inverse()),
+            # cores that reduce to empty
+            (w * w.inverse(), v * w * w.inverse() * v.inverse()),
+            (v * v.inverse(), p),
+        ]
+    verdicts = set()
+    for p, q in pairs:
+        got = dec.conjugate(P, p, q)
+        assert got == _conjugate_by_full_chains(P, p, q), (str(p), str(q))
+        verdicts.add(got[0])
+        if name == "heisenberg":
+            truth = HeisenbergOracle.conjugate_truth(
+                HeisenbergOracle.evaluate(p), HeisenbergOracle.evaluate(q)
+            )
+            assert got[0] == truth, (str(p), str(q))
+        elif oracle is not None:
+            assert got[0] == _nilpotent2_conjugate_truth(oracle, p, q), (str(p), str(q))
+    assert verdicts == {True, False}
+
+
+def test_conjugate_strips_the_conjugators_before_composing(monkeypatch):
+    P = heisenberg()
+    calls = []
+    compose = rel.compose
+
+    def counted(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    monkeypatch.setattr(rel, "compose", counted)
+    p, w = GroupWord.parse("A C^-1 B"), GroupWord.parse("B A")
+    assert dec.conjugate(P, p, p)[0]
+    direct = len(calls)
+    for q in (w * p * w.inverse(), w.inverse() * p * w):
+        del calls[:]
+        assert dec.conjugate(P, p, q)[0]
+        assert len(calls) <= direct, str(q)
+        del calls[:]
+        assert dec.conjugate(P, q, p)[0]
+        assert len(calls) <= direct, str(q)
+
+
+def test_conjugate_checks_names_before_stripping():
+    P = heisenberg()
+    with pytest.raises(KeyError, match="no left relation for generator 'Z'"):
+        dec.conjugate(P, GroupWord.parse("A"), GroupWord.parse("A Z Z^-1 A^-1"))
+    with pytest.raises(KeyError, match="no left relation for generator 'Z'"):
+        dec.conjugate(P, GroupWord.parse("A"), GroupWord.parse("Z A Z^-1"))
+    with pytest.raises(KeyError, match="unknown generator 'Z'"):
+        dec.conjugate(P, GroupWord.parse("Z A Z^-1"), GroupWord.parse("A"))
+    with pytest.raises(KeyError, match="unknown generator 'Z'"):
+        dec.conjugate(P, GroupWord.parse("B Z^-1 Z"), GroupWord.parse("Z"))
 
 
 def test_monoid_growth_bound_check():
