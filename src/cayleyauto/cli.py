@@ -48,13 +48,14 @@ def _matrix(text):
 
 def _load_doc(path):
     with open(path) as f:
-        return json.load(f)
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _load_presentation(path, limit):
     doc = _load_doc(path)
-    if "identity" not in doc:
-        raise ValueError(f"{path} does not hold a presentation")
     return _guard_states(GraphAutomaticPresentation.from_json(doc), limit)
 
 
@@ -95,59 +96,45 @@ def _commutators(items):
 
 
 def _build(args):
-    # the builders are imported only by the command that builds
-    from .presentations import (
-        bs1n,
-        direct_product,
-        extend_generator,
-        fa_abelian_multiplication,
-        fg_abelian,
-        finite_extension,
-        free_group,
-        free_product,
-        gamma_free,
-        heisenberg,
-        nilpotent2,
-        restrict_to_regular_subgroup,
-        semidirect,
-        semidirect_zn_z,
-        ut,
-        ut_m,
-        wreath_finite_by_z,
-        zn,
-    )
+    # the builders are imported only by the command that builds, and the
+    # combinators only by the builds that combine presentations
+    from .presentations import builders as b
 
     name = args.builder
     if name == "zn":
-        return zn(args.n)
+        return b.zn(args.n)
     if name == "abelian":
-        return fg_abelian(args.n, _ints(args.torsion))
+        return b.fg_abelian(args.n, _ints(args.torsion))
     if name == "heisenberg":
-        return heisenberg(args.n if args.n else 3)
+        return b.heisenberg(args.n if args.n else 3)
     if name == "ut":
-        return ut(args.n) if args.step == 1 else ut_m(args.n, args.step)
+        return b.ut(args.n) if args.step == 1 else b.ut_m(args.n, args.step)
     if name == "bs1n":
-        return bs1n(args.p)
+        return b.bs1n(args.p)
     if name == "free":
-        return free_group(args.rank)
+        return b.free_group(args.rank)
     if name == "gamma-free":
-        return gamma_free(args.rank)
+        return b.gamma_free(args.rank)
     if name == "wreath":
-        return wreath_finite_by_z(FiniteGroupTable.cyclic(args.t))
+        return b.wreath_finite_by_z(FiniteGroupTable.cyclic(args.t))
     if name == "nilpotent2":
         spec = Nilpotent2Spec(
             args.n, args.split, tuple(_ints(args.orders)), _commutators(args.comm)
         )
-        return nilpotent2(spec)
+        return b.nilpotent2(spec)
     if name == "semidirect-zn-z":
-        return semidirect_zn_z(_matrix(args.matrix))
+        return b.semidirect_zn_z(_matrix(args.matrix))
+    if name == "fa-abelian":
+        return b.fa_abelian_multiplication(args.n, _ints(args.torsion))
+    from .presentations import combinators as c
+
     if name == "direct-product":
-        return direct_product(
+        return c.direct_product(
             _load_presentation(args.first, args.max_states),
             _load_presentation(args.second, args.max_states),
         )
     if name == "free-product":
-        return free_product(
+        return c.free_product(
             _load_presentation(args.first, args.max_states),
             _load_presentation(args.second, args.max_states),
         )
@@ -157,7 +144,7 @@ def _build(args):
             gen, _, path = item.partition("=")
             with open(path) as f:
                 action[gen] = rel.rel_from_text(f.read())
-        return semidirect(
+        return c.semidirect(
             _load_presentation(args.first, args.max_states),
             _load_presentation(args.second, args.max_states),
             action,
@@ -173,17 +160,15 @@ def _build(args):
             i, gen = key.split()
             conjugation[(int(i), gen)] = GroupWord.parse(w)
         data = FiniteExtensionData(base, doc["mult"], correction, conjugation)
-        return finite_extension(data)
+        return c.finite_extension(data)
     if name == "restrict":
         P = _load_presentation(args.pres, args.max_states)
         with open(args.sub) as f:
             sub = fa.from_text(f.read(), alphabet=P.base)
-        return restrict_to_regular_subgroup(P, sub, args.gens.split(","))
+        return c.restrict_to_regular_subgroup(P, sub, args.gens.split(","))
     if name == "extend-gen":
         P = _load_presentation(args.pres, args.max_states)
-        return extend_generator(P, args.name, GroupWord.parse(args.word))
-    if name == "fa-abelian":
-        return fa_abelian_multiplication(args.n, _ints(args.torsion))
+        return c.extend_generator(P, args.name, GroupWord.parse(args.word))
     raise UsageError(f"unknown builder {name!r}")
 
 
@@ -258,13 +243,9 @@ def cmd_check(args):
     report = dec.check_presentation(P)
     print(f"identity in domain: {report['identity_in_domain']}")
     for name, entry in report["relations"].items():
-        flags = " ".join(
-            k
-            for k in ("in_domain", "total", "functional", "injective", "surjective")
-            if entry[k]
-        )
-        print(f"{name}: {'ok' if entry['ok'] else 'FAIL'} ({flags})"
-              f" C={entry['growth_constant']}")
+        failed = " ".join(k for k in dec.CHECK_FLAGS if not entry[k])
+        verdict = f"FAIL ({failed})" if failed else "ok"
+        print(f"{name}: {verdict} C={entry['growth_constant']}")
     print("ok" if report["ok"] else "FAILED")
     return EXIT_TRUE if report["ok"] else EXIT_INVALID
 

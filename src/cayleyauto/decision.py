@@ -263,6 +263,9 @@ def growth_profile(P, radius):
     )
 
 
+CHECK_FLAGS = ("in_domain", "total", "functional", "injective", "surjective")
+
+
 def check_presentation(P):
     """Diagnostic report: the identity is a representative, every edge
     relation stays within the representatives and is a bijection of them.
@@ -271,50 +274,55 @@ def check_presentation(P):
 
     - in_domain: r ⊆ L², by one walk over r's own edges
       (`relations.relation_in_domain_power`);
-    - injective: fwd = r∘r⁻¹, the pairs of words sharing an image, lies
-      within the equality relation on L;
-    - functional: back = r⁻¹∘r, the pairs sharing a preimage, does;
-    - total: equality on L lies within fwd, as (u,u) ∈ fwd exactly when u
-      has an image;
-    - surjective: equality on L lies within back.
+    - functional: no two pairs of r share a source and differ in their
+      target (`relations.is_functional` on track 0), and every target of r
+      lies in L;
+    - injective: the same with source and target swapped (track 1);
+    - total: L ⊆ π₀(r), every representative has an image;
+    - surjective: L ⊆ π₁(r).
 
-    Total and surjective speak of images and preimages inside L: when r
-    leaves L², they are read off the compositions of r restricted to L²
-    instead.  growth_constant is C₁·C₂ for the relation's own automaton."""
+    These are the inclusions r⁻¹∘r ⊆ =_L (functional), r∘r⁻¹ ⊆ =_L
+    (injective), =_L ⊆ r∘r⁻¹ (total) and =_L ⊆ r⁻¹∘r (surjective), decided
+    without composing.  The targets and sources lie in L when r ⊆ L², so
+    they are checked only when it is not.  Total and surjective speak of
+    images and preimages inside L: when r leaves L², they are read off r
+    restricted to L² instead.  growth_constant is C₁·C₂ for the relation's
+    own automaton."""
     report = {
         "identity_in_domain": fa.accepts(P.domain, P.identity),
         "relations": {},
         "ok": True,
     }
-    items = [(name, r, P.relation(name, -1)) for name, r in P.generators.items()]
-    items += [
-        (f"left:{name}", r, P.left_relation(name, -1)) for name, r in P.left.items()
-    ]
-    consts = _growth_constants(P, {name: r for name, r, _ in items})
-    eq = P.equality_relation().dfa
-    for name, r, inverse in items:
+    items = dict(P.generators)
+    items.update((f"left:{name}", r) for name, r in P.left.items())
+    consts = _growth_constants(P, items)
+    lang = rel.language_relation(P.domain).dfa
+
+    def within(r, track):
+        """Whether π_track(r) ⊆ L."""
+        return fa.is_subset(rel.project(r, 1 - track).dfa, lang)
+
+    def covers(r, track):
+        """Whether L ⊆ π_track(r)."""
+        return fa.is_subset(lang, rel.project(r, 1 - track).dfa)
+
+    for name, r in items.items():
         in_domain = rel.relation_in_domain_power(r, P.domain)
-        fwd = rel.compose(r, inverse).dfa
-        back = rel.compose(inverse, r).dfa
-        functional = fa.is_subset(back, eq)
-        injective = fa.is_subset(fwd, eq)
+        functional = rel.is_functional(r, 0)
+        injective = rel.is_functional(r, 1)
         if not in_domain:
+            functional = functional and within(r, 1)
+            injective = injective and within(r, 0)
             r = rel.restrict_relation_to_domain(r, P.domain)
-            inverse = rel.transpose(r)
-            fwd = rel.compose(r, inverse).dfa
-            back = rel.compose(inverse, r).dfa
         entry = {
             "in_domain": in_domain,
-            "total": fa.is_subset(eq, fwd),
+            "total": covers(r, 0),
             "functional": functional,
             "injective": injective,
-            "surjective": fa.is_subset(eq, back),
+            "surjective": covers(r, 1),
             "growth_constant": consts[name],
         }
-        entry["ok"] = all(
-            entry[k]
-            for k in ("in_domain", "total", "functional", "injective", "surjective")
-        )
+        entry["ok"] = all(entry[k] for k in CHECK_FLAGS)
         report["relations"][name] = entry
         report["ok"] = report["ok"] and entry["ok"]
     report["ok"] = report["ok"] and report["identity_in_domain"]

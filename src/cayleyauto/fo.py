@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import fa, relations as rel
 from .fa import Alphabet, Dfa
+from .presentations.core import json_fields
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +467,11 @@ def structure_to_json(struct):
 
 
 def structure_from_json(doc):
-    base = Alphabet(doc["alphabet"])
-    domain = fa.from_text(doc["domain"], alphabet=base)
-    relations = {
-        name: rel.rel_from_text(text) for name, text in doc["relations"].items()
-    }
+    alphabet, domain, texts = json_fields(
+        doc, "structure", {"alphabet": list, "domain": str, "relations": dict},
+    )
+    base = Alphabet(alphabet)
+    domain = fa.from_text(domain, alphabet=base)
+    checked = json_fields(texts, "structure relations", dict.fromkeys(texts, str))
+    relations = {name: rel.rel_from_text(t) for name, t in zip(texts, checked)}
     return AutomaticStructure(domain, relations)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from . import fa, fo, relations as rel
+from . import fa, relations as rel
 from .fa import Alphabet, Dfa, Word
 
 BITS = Alphabet(["0", "1"])
@@ -170,6 +170,8 @@ def congruence_relation(omega):
 
 def presburger_structure():
     """The structure (ℤ; Add) over canonical integer words."""
+    from . import fo  # imported here, so that a group build does not load it
+
     return fo.AutomaticStructure(int_domain(), {"Add": addition_relation()})
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .. import fa, fo, presburger as pres, relations as rel
+from .. import fa, presburger as pres, relations as rel
 from ..fa import Alphabet, Dfa, Word
 from .core import GraphAutomaticPresentation
 
@@ -385,6 +385,8 @@ def fg_abelian(n, torsion=()):
 def fa_abelian_multiplication(n, torsion=()):
     """The full ternary multiplication relation of a finitely generated
     abelian group, as an automatic structure with relation Mult."""
+    from .. import fo  # imported here, so that a group build does not load it
+
     torsion = tuple(int(om) for om in torsion)
     if n < 0 or n + len(torsion) < 1:
         raise ValueError("need at least one coordinate")
@@ -478,6 +480,8 @@ def free_word(rank, letters):
 def gamma_free(rank):
     """The free group's Cayley graph with prefix order and equal length: the
     structure (F; Ea, ..., pre, el)."""
+    from .. import fo
+
     p = free_group(rank)
     rels = {f"E{name}": r for name, r in p.generators.items()}
     rels["pre"] = rel.prefix_order(p.base)

@@ -90,6 +90,32 @@ class GroupWord:
         return f"GroupWord({self.letters!r})"
 
 
+_TYPE_NAMES = {str: "a string", list: "a list of strings", dict: "an object"}
+
+
+def json_fields(doc, owner, fields, optional=()):
+    """The values of the named fields of a JSON document, in order, after
+    checking their types: fields maps each name to str, list (a list of
+    strings) or dict.  A missing field named in optional gives None; any
+    other missing field, or a value of another type, raises a ValueError
+    that names the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{owner} is not a JSON object")
+    out = []
+    for key, kind in fields.items():
+        if key not in doc:
+            if key in optional:
+                out.append(None)
+                continue
+            raise ValueError(f"{owner} has no {key!r} field")
+        value = doc[key]
+        if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(x, str) for x in value)):
+            raise ValueError(f"{owner} field {key!r} is not {_TYPE_NAMES[kind]}")
+        out.append(value)
+    return out
+
+
 class GraphAutomaticPresentation:
     """A group given by representatives and right-multiplication relations.
 
@@ -225,21 +251,26 @@ class GraphAutomaticPresentation:
 
     @classmethod
     def from_json(cls, doc):
-        for key in ("alphabet", "domain", "identity", "generators"):
-            if key not in doc:
-                raise ValueError(f"presentation has no {key!r} field")
-        base = Alphabet(doc["alphabet"])
-        domain = fa.from_text(doc["domain"], alphabet=base)
-        identity = Word.from_names(base, doc["identity"])
+        alphabet, domain, identity, entries, meta = json_fields(
+            doc, "presentation",
+            {"alphabet": list, "domain": str, "identity": list,
+             "generators": dict, "meta": dict},
+            optional=("meta",),
+        )
+        base = Alphabet(alphabet)
+        domain = fa.from_text(domain, alphabet=base)
+        identity = Word.from_names(base, identity)
         generators = {}
         left = {}
-        for name, entry in doc["generators"].items():
-            if "relation" not in entry:
-                raise ValueError(f"generator {name!r} has no 'relation' field")
-            generators[name] = rel.rel_from_text(entry["relation"])
-            if "left" in entry:
-                left[name] = rel.rel_from_text(entry["left"])
-        return cls(base, domain, identity, generators, left, doc.get("meta", {}))
+        for name, entry in entries.items():
+            right, left_text = json_fields(
+                entry, f"generator {name!r}",
+                {"relation": str, "left": str}, optional=("left",),
+            )
+            generators[name] = rel.rel_from_text(right)
+            if left_text is not None:
+                left[name] = rel.rel_from_text(left_text)
+        return cls(base, domain, identity, generators, left, meta)
 
     def save(self, path):
         with open(path, "w") as f:

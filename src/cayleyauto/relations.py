@@ -12,6 +12,7 @@ hand their branching rows to `fa.determinize`.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 
 from . import fa
@@ -330,8 +331,14 @@ def make_relation(base, arity, automaton):
     conv = conv_alphabet(base, arity)
     if automaton.alphabet != conv:
         raise ValueError("automaton alphabet does not match the column alphabet")
-    sigma_star = Dfa(base, 1, 0, {0}, {}, 0)
-    return RegularRelation(base, arity, _restrict_tracks(automaton, conv, sigma_star))
+    return RegularRelation(
+        base, arity, _restrict_tracks(automaton, conv, _sigma_star(base))
+    )
+
+
+def _sigma_star(base):
+    """The one-state automaton of every word over base."""
+    return Dfa(base, 1, 0, {0}, {}, 0)
 
 
 def _check_compatible(r, s):
@@ -588,6 +595,77 @@ def compose(r, s):
     # is no all-◇ column
     d = fa.determinize(conv, 0, product_row, lambda p: p in final())
     return RegularRelation(r.base, 2, fa.minimize(d))
+
+
+def is_functional(r, track):
+    """Whether the binary relation r pairs each word on the given track
+    with at most one word on the other track.
+
+    One search over pairs of runs of r that read the same word on that
+    track.  A search state is each run's state, or FIN once the run's word
+    has ended, and a flag saying whether the other tracks have differed
+    yet.  A run ends only from an accepting state, under a ◇ on the shared
+    track; the answer is False at the first state with the flag set where
+    both runs may end.  The two runs are interchangeable, so a state keeps
+    them in sorted order."""
+    if r.arity != 2:
+        raise ValueError("is_functional needs a binary relation")
+    if track not in (0, 1):
+        raise ValueError("track out of range")
+    d = r.dfa
+    radix = r.conv.radix
+    pad = radix - 1
+    FIN = -1
+    # q -> {digit on the shared track: [(digit on the other track, target)]};
+    # a 2-track column is track 0's digit plus radix times track 1's
+    by_shared = {}
+    for q, row in d.rows.items():
+        bucket = by_shared[q] = {}
+        for sym, t in row.items():
+            if t != d.sink:
+                high, low = divmod(sym, radix)
+                shared, other = (low, high) if track == 0 else (high, low)
+                bucket.setdefault(shared, []).append((other, t))
+    no_row = {}
+    ended = [(pad, FIN)]
+
+    def options(q, a):
+        """The moves of a run in state q under shared digit a."""
+        if q == FIN:
+            return ended if a == pad else ()
+        opts = by_shared.get(q, no_row).get(a, [])
+        if a == pad and q in d.accepting:
+            opts = opts + ended
+        return opts
+
+    def may_end(q):
+        return q == FIN or q in d.accepting
+
+    start = (d.initial, d.initial, False)
+    seen = {start}
+    stack = [start]
+    while stack:
+        q1, q2, differed = stack.pop()
+        if differed and may_end(q1) and may_end(q2):
+            return False
+        if q1 == FIN:  # FIN sorts first; a finished run needs ◇ shared
+            digits = (pad,)
+        else:
+            row1 = by_shared.get(q1, no_row)
+            row2 = by_shared.get(q2, no_row)
+            digits = [a for a in row1 if a in row2 and a != pad] + [pad]
+        for a in digits:
+            opts2 = options(q2, a)
+            for b1, t1 in options(q1, a):
+                for b2, t2 in opts2:
+                    if t1 == FIN and t2 == FIN:
+                        continue  # both words ended: nothing is read
+                    nxt = ((t1, t2) if t1 <= t2 else (t2, t1)) + (
+                        differed or b1 != b2,)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -937,17 +1015,85 @@ def relabel_base(d, new_base, mapping):
 
 
 def rel_to_text(r):
-    head = f"relation {r.arity} over {' '.join(r.base.symbols)}\n"
-    return head + fa.to_text(r.dfa)
+    """Text form: the `relation k over <base>` line, then the canonical
+    minimal DFA under a `dfa <n>` line: its initial state, its accepting
+    states and one `q s t` row per edge in state and column order.  The
+    column s is the symbol index: track 0's digit plus radix times track
+    1's, and so on, with ◇ the top digit.  Equal relations give identical
+    bytes."""
+    d = fa.minimize(r.dfa)
+    lines = [
+        f"relation {r.arity} over {' '.join(r.base.symbols)}",
+        f"dfa {d.n_states}",
+        f"initial: {d.initial}",
+        "accepting: " + " ".join(str(q) for q in sorted(d.accepting)),
+    ]
+    lines.extend(f"{q} {s} {t}" for q, s, t in fa._edges(d))
+    return "\n".join(lines) + "\n"
+
+
+def _rows_dfa(conv, top, lines):
+    """The Dfa of a `dfa <n>` text body: top holds the fields of its first
+    three nonblank lines, and lines iterates over the fields of the rest.
+
+    Every state must lie below n and every column below the alphabet size,
+    and no (state, column) may repeat.  Missing edges lead to a fresh sink,
+    numbered after the largest state the text names."""
+    if (len(top) < 3 or top[0][0] != "dfa" or len(top[0]) != 2
+            or top[1][0] != "initial:" or len(top[1]) != 2
+            or top[2][0] != "accepting:"):
+        raise ValueError(
+            "relation text needs a dfa header, an initial and an accepting line"
+        )
+    n = int(top[0][1])
+    initial = int(top[1][1])
+    accepting = [int(q) for q in top[2][1:]]
+    refs = [initial, *accepting]
+    last = max(refs)
+    if min(refs) < 0 or last >= n:
+        raise ValueError("state reference out of range")
+    size = conv.size
+    rows = {}
+    for fields in lines:
+        if len(fields) != 3:
+            raise ValueError(f"bad transition line {' '.join(fields)!r}")
+        q, s, t = map(int, fields)
+        if not (0 <= q < n and 0 <= t < n):
+            raise ValueError("state reference out of range")
+        if not 0 <= s < size:
+            raise ValueError(f"column {s} out of range")
+        row = rows.get(q)
+        if row is None:
+            row = rows[q] = {}
+        elif s in row:
+            raise ValueError(f"state {q} has two edges on column {s}")
+        row[s] = t
+        last = max(last, q, t)
+    return Dfa(conv, last + 2, initial, accepting, rows, last + 1)
 
 
 def rel_from_text(text):
-    lines = text.splitlines()
-    head = lines[0].split() if lines else []
+    """Parse `rel_to_text`'s form, or the older one whose automaton is an
+    `fa.from_text` table over the column names.
+
+    The rows are read straight into a Dfa, and one walk over Σ*
+    (`relation_in_domain_power`) confirms that it accepts only valid
+    convolutions.  Only when the walk finds an invalid one does
+    `make_relation` filter them out."""
+    first, _, rest = text.partition("\n")
+    head = first.split()
     if len(head) < 4 or head[0] != "relation" or head[2] != "over":
         raise ValueError("bad relation header")
     arity = int(head[1])
     base = Alphabet(head[3:])
     conv = conv_alphabet(base, arity)
-    d = fa.from_text("\n".join(lines[1:]), alphabet=conv)
+    # the rows are split one line at a time: a list of every line's
+    # fields would take several times the text's size
+    lines = filter(None, map(str.split, io.StringIO(rest)))
+    top = list(itertools.islice(lines, 3))
+    if top and top[0][0] == "nfa":
+        return make_relation(base, arity, fa.from_text(rest, alphabet=conv))
+    d = _rows_dfa(conv, top, lines)
+    if relation_in_domain_power(RegularRelation(base, arity, d), _sigma_star(base)):
+        return RegularRelation(base, arity, fa.minimize(d))
     return make_relation(base, arity, d)

@@ -232,9 +232,10 @@ def roster(name):
 
 
 def broken_zn1():
-    """zn(1) with its e1 relation x -> x+1 damaged five ways, by name: a
+    """zn(1) with its e1 relation x -> x+1 damaged six ways, by name: a
     missing pair, an extra pair, a pair redirected (not injective), a pair
-    leaving L², and a pair redirected out of L²."""
+    leaving L², a pair redirected out of L², and a pair with both words
+    outside L."""
     P = zn(1)
     r = P.relation("e1")
     zero, one, two = (pres.encode_int(k) for k in (0, 1, 2))
@@ -251,11 +252,54 @@ def broken_zn1():
         "non_injective": rel.rel_union(hole, pair(two)),
         "outside": rel.rel_union(r, pair(outside)),
         "outside_and_hole": rel.rel_union(hole, pair(outside)),
+        "outside_loop": rel.rel_union(
+            r, rel.relation_from_tuples(pres.BITS, 2, [(outside, outside)])
+        ),
     }
     return {
         name: GraphAutomaticPresentation(P.base, P.domain, P.identity, {"e1": e1})
         for name, e1 in broken.items()
     }
+
+
+def compose_check_presentation(P):
+    """The presentation check by its compose-based definition, the oracle
+    for `decision.check_presentation`: with fwd = r∘r⁻¹ and back = r⁻¹∘r,
+    injective is fwd ⊆ =_L, functional back ⊆ =_L, total =_L ⊆ fwd and
+    surjective =_L ⊆ back, the last two on r restricted to L² when r leaves
+    it."""
+    report = {
+        "identity_in_domain": fa.accepts(P.domain, P.identity),
+        "relations": {},
+        "ok": True,
+    }
+    items = [(name, r, P.relation(name, -1)) for name, r in P.generators.items()]
+    items += [
+        (f"left:{name}", r, P.left_relation(name, -1)) for name, r in P.left.items()
+    ]
+    eq = P.equality_relation().dfa
+    dom = fa.minimize(P.domain).n_states
+    for name, r, inverse in items:
+        in_domain = rel.relation_in_domain_power(r, P.domain)
+        functional = fa.is_subset(rel.compose(inverse, r).dfa, eq)
+        injective = fa.is_subset(rel.compose(r, inverse).dfa, eq)
+        growth_constant = fa.minimize(r.dfa).n_states * dom
+        if not in_domain:
+            r = rel.restrict_relation_to_domain(r, P.domain)
+            inverse = rel.transpose(r)
+        entry = {
+            "in_domain": in_domain,
+            "total": fa.is_subset(eq, rel.compose(r, inverse).dfa),
+            "functional": functional,
+            "injective": injective,
+            "surjective": fa.is_subset(eq, rel.compose(inverse, r).dfa),
+            "growth_constant": growth_constant,
+        }
+        entry["ok"] = all(entry[k] for k in dec.CHECK_FLAGS)
+        report["relations"][name] = entry
+        report["ok"] = report["ok"] and entry["ok"]
+    report["ok"] = report["ok"] and report["identity_in_domain"]
+    return report
 
 
 def random_group_word(rng, names, max_length):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cayleyauto import cli, decision as dec, fa
-from cayleyauto.relations import equality_relation, rel_to_text
+from cayleyauto.relations import equality_relation, rel_from_text, rel_to_text
 from cayleyauto.presentations import GraphAutomaticPresentation, GroupWord, zn
 
 from helpers import broken_zn1
@@ -130,21 +130,32 @@ def test_package_runs_as_a_module(zn1_path):
     assert (proc.returncode, proc.stdout) == (0, "sizes: 1 3\n"), proc.stderr
 
 
-def test_cold_start_imports_only_what_a_command_uses(zn1_path):
+def test_cold_start_imports_only_what_a_command_uses(zn1_path, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys\n"
-        "import cayleyauto.cli as cli\n"
-        "lazy = ('cayleyauto.fo', 'cayleyauto.presentations.builders')\n"
-        "assert not [m for m in lazy if m in sys.modules], 'on import'\n"
-        f"status = cli.main(['ball', {zn1_path!r}, '-r', '2'])\n"
-        "assert not [m for m in lazy if m in sys.modules], 'after ball'\n"
-        "sys.exit(status)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "sizes: 1 3 5\n"), proc.stderr
+    out = str(tmp_path / "zn2.json")
+    # a ball loads neither fo nor the builders, and a group build neither fo
+    # nor the combinators
+    for args, lazy, stdout in (
+        (["ball", zn1_path, "-r", "2"],
+         ("cayleyauto.fo", "cayleyauto.presentations.builders"),
+         "sizes: 1 3 5\n"),
+        (["build", "zn", "-n", "2", "--out", out],
+         ("cayleyauto.fo", "cayleyauto.presentations.combinators"),
+         f"wrote {out}: 2 generators\n"),
+    ):
+        code = (
+            "import sys\n"
+            "import cayleyauto.cli as cli\n"
+            f"lazy = {lazy!r}\n"
+            "assert not [m for m in lazy if m in sys.modules], 'on import'\n"
+            f"status = cli.main({args!r})\n"
+            "assert not [m for m in lazy if m in sys.modules], 'after main'\n"
+            "sys.exit(status)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, stdout), proc.stderr
     # a formula error in a cold process still exits 3
     proc = subprocess.run(
         [sys.executable, "-m", "cayleyauto", "fo", zn1_path, "E u ("],
@@ -197,6 +208,29 @@ def test_presentation_without_generators_names_the_field(heis_path, tmp_path, ca
     assert capsys.readouterr().err == "error: generator 'B' has no 'relation' field\n"
 
 
+_BAD_FIELDS = {
+    "list": (lambda doc: [], "does not hold a JSON object"),
+    "identity": (lambda doc: dict(doc, identity=5), "'identity'"),
+    "generators": (lambda doc: dict(doc, generators=[]), "'generators'"),
+    "domain": (lambda doc: dict(doc, domain=None), "'domain'"),
+}
+
+
+@pytest.mark.parametrize("command", ["ball", "check", "fo"])
+@pytest.mark.parametrize("bad", sorted(_BAD_FIELDS))
+def test_mistyped_field_exits_invalid_naming_it(zn1_path, tmp_path, capsys,
+                                                bad, command):
+    corrupt, named = _BAD_FIELDS[bad]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(corrupt(json.load(open(zn1_path)))))
+    extra = {"ball": ["-r", "1"], "check": [], "fo": ["E u (Ee1(u,u))"]}
+    capsys.readouterr()
+    assert cli.main([command, str(path)] + extra[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
 def test_check_command(zn1_path, capsys):
     assert cli.main(["check", zn1_path]) == 0
     out = capsys.readouterr().out
@@ -209,18 +243,23 @@ def test_check_reports_a_hole(tmp_path, capsys):
     broken_zn1()["hole"].save(path)
     assert cli.main(["check", path]) == 2
     out = capsys.readouterr().out.splitlines()
-    assert out[1].startswith("e1: FAIL (in_domain functional injective)")
+    assert out[1].startswith("e1: FAIL (total surjective) C=")
     assert out[-1] == "FAILED"
 
 
 def test_check_ignores_invalid_convolutions_in_a_file(zn1_path, capsys):
-    # the appended edge lets a padded track resume; the tuples are unchanged
+    # the appended edge lets a padded track resume; the tuples are unchanged.
+    # State 5 is entered on a ◇, and column 0, named 0,0 in the older text,
+    # is (0, 0)
     doc = json.load(open(zn1_path))
-    doc["generators"]["e1"]["relation"] += "5 0,0 5\n"
-    with open(zn1_path, "w") as f:
-        json.dump(doc, f)
-    assert cli.main(["check", zn1_path]) == 0
-    assert capsys.readouterr().out.strip().endswith("ok")
+    text = doc["generators"]["e1"]["relation"]
+    legacy = text.split("\n", 1)[0] + "\n" + fa.to_text(zn(1).relation("e1").dfa)
+    for dirty in (text + "5 0 5\n", legacy + "5 0,0 5\n"):
+        doc["generators"]["e1"]["relation"] = dirty
+        with open(zn1_path, "w") as f:
+            json.dump(doc, f)
+        assert cli.main(["check", zn1_path]) == 0
+        assert capsys.readouterr().out.strip().endswith("ok")
 
 
 def test_fo_decide_and_compile(zn1_path, tmp_path, capsys):
@@ -232,6 +271,12 @@ def test_fo_decide_and_compile(zn1_path, tmp_path, capsys):
                      "--compile", out, "--vars", "u,v"]) == 0
     text = open(out).read()
     assert text.startswith("relation 2 ")
+    # an empty relation is written with no accepting state and reads back
+    capsys.readouterr()
+    assert cli.main(["fo", zn1_path, "Ee1(u,v) & Ee1(v,u)",
+                     "--compile", out, "--vars", "u,v"]) == 0
+    empty = rel_from_text(open(out).read())
+    assert not empty.dfa.accepting and rel_to_text(empty) == open(out).read()
 
 
 def test_fo_formula_file_and_errors(zn1_path, tmp_path):
@@ -312,7 +357,8 @@ def test_relation_file_with_bad_references_exits_invalid(zn1_path, tmp_path):
     assert cli.main(args + ["--action", f"e1={good}"]) == 0
     text = good.read_text()
     n_states = int(text.splitlines()[1].split()[-1])
-    for line in (f"0 0,0 {n_states}", "0 z,0 1"):
+    # a target and a column out of range, and a column by name
+    for line in (f"0 0 {n_states}", "0 8 1", "0 z,0 1"):
         bad = tmp_path / "bad.txt"
         bad.write_text(text + line + "\n")
         assert cli.main(args + ["--action", f"e1={bad}"]) == 2

@@ -27,6 +27,7 @@ from helpers import (
     HeisenbergOracle,
     Nilpotent2Oracle,
     broken_zn1,
+    compose_check_presentation,
     random_group_word,
     roster,
 )
@@ -346,6 +347,13 @@ def test_check_presentation_accepts_builders():
             assert entry["injective"] and entry["surjective"]
 
 
+def test_check_presentation_equals_its_compose_definition():
+    presentations = [roster(n) for n in ROSTER_NAMES] + [fg_abelian(0, [3])]
+    presentations += broken_zn1().values()
+    for P in presentations:
+        assert dec.check_presentation(P) == compose_check_presentation(P)
+
+
 def test_check_presentation_flags_non_total_relation():
     P = zn(1)
     r = P.relation("e1")
@@ -369,6 +377,9 @@ _BROKEN_FLAGS = {
     "non_injective": (True, True, True, False, False),
     "outside": (False, True, False, True, True),
     "outside_and_hole": (False, False, False, True, False),
+    # the pair search finds no two pairs sharing a word; the pair itself
+    # leaves L on both sides
+    "outside_loop": (False, True, False, False, True),
 }
 
 

@@ -74,6 +74,16 @@ def test_define_relation_extends_structure():
             assert r.contains((u, v)) == expect
 
 
+def test_structure_json_round_trips_an_empty_relation():
+    struct, _, _ = finite_structure(random.Random(3), AB)
+    struct = fo.define_relation(struct, "Never", "R(x,y) & !R(x,y)", ("x", "y"))
+    assert not struct.relations["Never"].dfa.accepting
+    doc = fo.structure_to_json(struct)
+    back = fo.structure_from_json(doc)
+    assert not back.relations["Never"].dfa.accepting
+    assert fo.structure_to_json(back) == doc
+
+
 def test_quantifiers_relativize_to_domain():
     # domain = words of length exactly 1; S holds of both of them
     a, b = Word(AB, (0,)), Word(AB, (1,))

@@ -1,12 +1,15 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleyauto import decision as dec, fa, relations as rel
+from cayleyauto import decision as dec, fa, fo, presburger as pres, relations as rel
 from cayleyauto.presentations import (
     FiniteGroupTable,
     GroupWord,
     Nilpotent2Spec,
     bs1n,
+    fa_abelian_multiplication,
     free_group,
     heisenberg,
     zn,
@@ -227,6 +230,27 @@ def test_presentation_json_round_trip():
         assert Q.is_biautomatic() == P.is_biautomatic()
         # serialization is stable
         assert Q.to_json() == P.to_json()
+
+
+def _dumped(doc):
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ROSTER_NAMES)
+def test_roster_json_reserializes_to_identical_bytes(name):
+    text = _dumped(roster(name).to_json())
+    again = GraphAutomaticPresentation.from_json(json.loads(text))
+    assert _dumped(again.to_json()) == text
+    if name == "bs1n":
+        # relation rows name columns by index: no 46 655-column header
+        assert len(text) < 50_000
+
+
+def test_structure_json_reserializes_to_identical_bytes():
+    for struct in (pres.presburger_structure(), fa_abelian_multiplication(1)):
+        text = _dumped(fo.structure_to_json(struct))
+        again = fo.structure_from_json(json.loads(text))
+        assert _dumped(fo.structure_to_json(again)) == text
 
 
 def test_presentation_save_load(tmp_path):

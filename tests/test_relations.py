@@ -284,15 +284,62 @@ def test_in_domain_power_agrees_with_restriction_on_roster(name):
             assert not _in_domain_power_by_restriction(r, punctured)
 
 
-def test_rel_text_drops_invalid_convolutions():
-    # a padded track that resumes reads a word no tuple has: loading drops it
+def test_rel_text_drops_invalid_convolutions(monkeypatch):
+    # a padded track that resumes reads a word no tuple has: the validity
+    # walk finds it and only then does loading filter
     P = zn(1)
-    clean = rel.rel_to_text(P.relation("e1"))
-    dirty = clean + "5 0,0 5\n"
-    head = len(clean.split("\n", 1)[0]) + 1
-    assert not fa.language_equal(fa.from_text(dirty[head:]), fa.from_text(clean[head:]))
-    a, b = rel.rel_from_text(dirty).dfa, rel.rel_from_text(clean).dfa
-    assert (a.rows, a.accepting, a.sink) == (b.rows, b.accepting, b.sink)
+    r = P.relation("e1")
+    clean = rel.rel_to_text(r)
+    head = clean.split("\n", 1)[0] + "\n"
+    filtered = []
+    make_relation = rel.make_relation
+    monkeypatch.setattr(
+        rel, "make_relation", lambda *a: filtered.append(a) or make_relation(*a)
+    )
+    want = rel.rel_from_text(clean).dfa
+    assert not filtered
+    # state 5 is entered on a ◇; column 0 is (0, 0)
+    got = rel.rel_from_text(clean + "5 0 5\n").dfa
+    assert len(filtered) == 1
+    assert (got.rows, got.accepting, got.sink) == (want.rows, want.accepting, want.sink)
+    # the same edge in the older text, over the column names
+    legacy = fa.to_text(r.dfa)
+    dirty = legacy + "5 0,0 5\n"
+    assert not fa.language_equal(fa.from_text(dirty), fa.from_text(legacy))
+    got = rel.rel_from_text(head + dirty).dfa
+    assert (got.rows, got.accepting, got.sink) == (want.rows, want.accepting, want.sink)
+
+
+# {(u, u·a)} over {a, b}, as an older text (columns named track 0 first, ◇
+# written #, a branch into a dead state 2, an edge resuming track 0 after
+# its ◇) and as rows over column indices: (a,a) is 0, (◇,a) is 2 and (b,b)
+# is 4
+_APPEND_A_LEGACY = """relation 2 over a b
+nfa a,a b,a #,a a,b b,b #,b a,# b,# 3
+initial: 0
+accepting: 1
+0 a,a 0
+0 a,a 2
+0 b,b 0
+0 #,a 1
+1 a,a 1
+"""
+_APPEND_A = """relation 2 over a b
+dfa 3
+initial: 0
+accepting: 1
+0 0 0
+0 2 1
+0 4 0
+"""
+
+
+def test_legacy_relation_text_loads_like_its_dfa_text():
+    old, new = rel.rel_from_text(_APPEND_A_LEGACY), rel.rel_from_text(_APPEND_A)
+    assert (old.arity, old.base) == (new.arity, new.base) == (2, AB)
+    assert (old.dfa.rows, old.dfa.accepting) == (new.dfa.rows, new.dfa.accepting)
+    assert rel.rel_to_text(old) == _APPEND_A
+    assert members(new) == {(u.indices, u.indices + (0,)) for u in all_words(AB, 3)}
 
 
 @settings(max_examples=15, deadline=None)
@@ -413,6 +460,38 @@ def test_domain_power_language():
     }
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_is_functional_agrees_with_compose_and_brute_force(seed):
+    # half the relations are partial maps, so both answers occur
+    rng = random.Random(seed)
+    words = all_words(AB, 3)
+    if rng.random() < 0.5:
+        pairs = {(u, rng.choice(words)) for u in words if rng.random() < 0.4}
+    else:
+        pairs = {(u, v) for u in words for v in words if rng.random() < 0.02}
+    pairs = pairs or {(words[0], words[0])}
+    r = rel.relation_from_tuples(AB, 2, pairs)
+    eq = rel.equality_relation(fa.Dfa(AB, 1, 0, {0}, {}, 0)).dfa
+    back = rel.compose(rel.transpose(r), r).dfa
+    fwd = rel.compose(r, rel.transpose(r)).dfa
+    for track, composed in ((0, back), (1, fwd)):
+        partners = {}
+        for pair in pairs:
+            partners.setdefault(pair[track].indices, set()).add(pair[1 - track].indices)
+        want = all(len(p) == 1 for p in partners.values())
+        assert rel.is_functional(r, track) == want == fa.is_subset(composed, eq)
+
+
+def test_is_functional_follows_a_run_past_the_end_of_the_other():
+    # the targets a and aab part only after the first run's word has ended
+    a, aab = Word(AB, (0,)), Word(AB, (0, 0, 1))
+    r = rel.relation_from_tuples(AB, 2, [(a, a), (a, aab)])
+    assert not rel.is_functional(r, 0) and rel.is_functional(r, 1)
+    assert not rel.is_functional(rel.transpose(r), 1)
+    assert rel.is_functional(rel.transpose(r), 0)
+
+
 def test_embed_and_relabel():
     big = Alphabet(["x", "a", "b"])
     r, sr = small_relation(random.Random(4), 2, max_len=1, density=0.5)
@@ -430,12 +509,30 @@ def test_rel_text_round_trip():
     assert fa.language_equal(r.dfa, back.dfa)
 
 
+def test_rel_text_round_trips_an_empty_relation():
+    text = rel.rel_to_text(rel.relation_from_tuples(AB, 2, []))
+    assert text.splitlines()[3] == "accepting: "
+    back = rel.rel_from_text(text)
+    assert members(back) == set() and rel.rel_to_text(back) == text
+
+
 def test_rel_text_rejects_cut_text():
     r, _ = small_relation(random.Random(12), 2)
-    lines = rel.rel_to_text(r).splitlines()
+    text = rel.rel_to_text(r)
+    lines = text.splitlines()
     assert len(lines) > 4
+    n = int(lines[1].split()[1])
     cut = ["", "relation 2", *("\n".join(lines[:k]) for k in range(1, 4))]
     cut.append("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]))
+    # a missing initial or accepting line
+    cut.append("\n".join(lines[:2] + lines[3:]))
+    cut.append("\n".join(lines[:3] + lines[4:]))
+    # a state or a column out of range, and a repeated (state, column)
+    q, s, t = lines[4].split()
+    cut += [text + f"{q} {s} {n}\n", text + f"-1 {s} {t}\n",
+            text + f"{q} {r.conv.size} {t}\n", text + f"{q} -1 {t}\n",
+            text.replace("initial: 0", f"initial: {n}"),
+            text + f"{q} {s} {t}\n"]
     for text in cut:
         with pytest.raises(ValueError):
             rel.rel_from_text(text)
