@@ -20,6 +20,7 @@ from .presentations import (
     GroupWord,
     Nilpotent2Spec,
 )
+from .presentations.core import json_fields
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -95,6 +96,31 @@ def _commutators(items):
     return out
 
 
+def _extension_data(path, limit):
+    """The `--data` file of `build finite-extension`; a missing or mistyped
+    field raises a ValueError that names it."""
+    doc = _load_doc(path)
+    base, conj = json_fields(doc, "extension data", {"base": str, "conjugation": dict},
+                             optional=("conjugation",))
+    for key, cell in (("mult", int), ("correction", str)):
+        rows = doc.get(key)
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(type(x) is cell for x in row)
+                for row in rows):
+            raise ValueError(f"extension data needs a field {key!r} holding "
+                             f"a list of lists of {cell.__name__}")
+    conjugation = {}
+    for key, w in (conj or {}).items():
+        i, _, gen = key.partition(" ")
+        if not (i.isdecimal() and gen and isinstance(w, str)):
+            raise ValueError("extension data field 'conjugation' needs words keyed "
+                             f"by '<coset> <generator>', not {key!r}: {w!r}")
+        conjugation[(int(i), gen)] = GroupWord.parse(w)
+    correction = [[GroupWord.parse(w) for w in row] for row in doc["correction"]]
+    base = _load_presentation(base, limit)
+    return FiniteExtensionData(base, doc["mult"], correction, conjugation)
+
+
 def _build(args):
     # the builders are imported only by the command that builds, and the
     # combinators only by the builds that combine presentations
@@ -150,17 +176,7 @@ def _build(args):
             action,
         )
     if name == "finite-extension":
-        doc = _load_doc(args.data)
-        base = _load_presentation(doc["base"], args.max_states)
-        correction = [
-            [GroupWord.parse(w) for w in row] for row in doc["correction"]
-        ]
-        conjugation = {}
-        for key, w in doc.get("conjugation", {}).items():
-            i, gen = key.split()
-            conjugation[(int(i), gen)] = GroupWord.parse(w)
-        data = FiniteExtensionData(base, doc["mult"], correction, conjugation)
-        return c.finite_extension(data)
+        return c.finite_extension(_extension_data(args.data, args.max_states))
     if name == "restrict":
         P = _load_presentation(args.pres, args.max_states)
         with open(args.sub) as f:
@@ -394,6 +410,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try smaller parameters", file=sys.stderr)
+        return EXIT_INVALID
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         # fo is imported only by the commands that use it; its FormulaError
         # is a ValueError

@@ -5,8 +5,10 @@ alphabet: all tuples in (Σ∪{◇})ⁿ except the all-◇ tuple, which is exclu
 the symbol level so malformed words are unrepresentable.  Every operation
 returns a relation whose language is a subset of the valid convolutions
 (padding persists per track, final column not all-◇), determinized and
-minimized.  The constructions that guess a track, `project` and `compose`,
-hand their branching rows to `fa.determinize`.
+minimized; where symbol numbers already agree (grouping tracks, arity-1
+relations) only the alphabet changes.  `project` and `compose` hand their
+branching rows to `fa.determinize`.  Restriction to L(domain)ⁿ walks only
+the relation's own edges; complement within it is Lⁿ minus the relation.
 """
 
 from __future__ import annotations
@@ -271,46 +273,23 @@ def _track_step(column, ms):
 
 
 def _restrict_tracks(d, conv, domain):
-    """L(d) ∩ L(domain)ⁿ over the column alphabet, as a minimized DFA; d None
-    stands for every column word.
+    """L(d) ∩ L(domain)ⁿ over the column alphabet, as a minimized DFA.
 
     Each track steps its own copy of the domain DFA (`_TrackMoves`); the
     all-◇ column is not a symbol, so the result holds only valid
     convolutions.  With Σ* as the domain this is the validity filter alone.
-    When d's missing edges reject, only d's own edges are tried; when they
-    accept (d None, or an accepting sink), the columns tried are the product
-    of what each track may read next."""
+    Only d's own edges are tried, so d's missing edges must reject: a d
+    whose sink accepts raises a ValueError."""
+    if d.sink in d.accepting:
+        raise ValueError("the automaton's sink accepts")
     moves = _TrackMoves(domain)
-    d = Dfa(conv, 1, 0, {0}, {}, 0) if d is None else fa._ensure_sink(d)
-    dense = d.sink in d.accepting
     tuples = conv._tuples
-    radix = conv.radix
-    all_pad = radix ** conv.arity - 1
-    columns = {}
-
-    def product_columns(tracks):
-        """[(symbol, next tracks)] over every column the tracks may read."""
-        if tracks not in columns:
-            out = [(0, ())]
-            for i, ds in enumerate(tracks):
-                w = radix ** i
-                out = [
-                    (sym + (radix - 1 if c == PAD else c) * w, nxt + (t,))
-                    for sym, nxt in out
-                    for c, t in moves[ds].items()
-                ]
-            columns[tracks] = [(sym, nxt) for sym, nxt in out if sym != all_pad]
-        return columns[tracks]
 
     def edges(state):
         q, tracks = state
-        drow = d.rows.get(q, {})
-        if dense:
-            return {sym: (drow.get(sym, d.sink), nxt)
-                    for sym, nxt in product_columns(tracks)}
         ms = [moves[ds] for ds in tracks]
         out = {}
-        for sym, t in drow.items():
+        for sym, t in d.rows.get(q, {}).items():
             if t != d.sink:
                 nxt = _track_step(tuples[sym], ms)
                 if nxt is not None:
@@ -327,13 +306,16 @@ def _restrict_tracks(d, conv, domain):
 
 def make_relation(base, arity, automaton):
     """Canonicalize an automaton over the column alphabet of base and arity
-    into a relation, keeping only its valid convolutions."""
+    into a relation, keeping only its valid convolutions.  An automaton
+    whose sink accepts is intersected with Σ*ⁿ, the valid convolutions."""
     conv = conv_alphabet(base, arity)
     if automaton.alphabet != conv:
         raise ValueError("automaton alphabet does not match the column alphabet")
-    return RegularRelation(
-        base, arity, _restrict_tracks(automaton, conv, _sigma_star(base))
-    )
+    if automaton.sink in automaton.accepting:
+        valid = domain_power(_sigma_star(base), arity)
+        return RegularRelation(base, arity, fa.dfa_intersect(automaton, valid))
+    valid = _restrict_tracks(automaton, conv, _sigma_star(base))
+    return RegularRelation(base, arity, valid)
 
 
 def _sigma_star(base):
@@ -362,9 +344,9 @@ def rel_difference(r, s):
 
 
 def rel_complement(r, domain):
-    """Complement relative to L(domain)ⁿ."""
-    comp = fa.complement(r.dfa)
-    return RegularRelation(r.base, r.arity, _restrict_tracks(comp, r.conv, domain))
+    """Complement relative to L(domain)ⁿ: L(domain)ⁿ minus r."""
+    power = domain_power(domain, r.arity)
+    return RegularRelation(r.base, r.arity, fa.dfa_difference(power, r.dfa))
 
 
 def cylindrify(r, position, domain):
@@ -768,20 +750,14 @@ def equal_length(base):
 
 def group_tracks(r, chunk):
     """Reinterpret an arity-(k·chunk) relation over Σ as an arity-k relation
-    over the column alphabet of Σ-chunks (vector words)."""
+    over the column alphabet of Σ-chunks (vector words).  The automaton is
+    kept: a column's symbol is its digits in base radix, read radix**chunk
+    at a time, and an all-◇ chunk, radix**chunk − 1, is the chunks' ◇."""
     if r.arity % chunk != 0:
         raise ValueError("arity not divisible by chunk size")
     k = r.arity // chunk
     inner = conv_alphabet(r.base, chunk)
-
-    def column(tup):
-        parts = (tup[j * chunk:(j + 1) * chunk] for j in range(k))
-        return tuple(
-            PAD if all(c == PAD for c in part) else inner.index_of(part)
-            for part in parts
-        )
-
-    return _map_columns(r, inner, k, column)
+    return RegularRelation(inner, k, _rewrap(r.dfa, conv_alphabet(inner, k)))
 
 
 def relation_in_domain_power(r, domain):
@@ -941,21 +917,33 @@ def restrict_relation_to_domain(r, domain):
 
 def domain_power(domain, n):
     """DFA over the arity-n column alphabet accepting tuples with every
-    component in L(domain).  Intended for small alphabets."""
-    return _restrict_tracks(None, conv_alphabet(domain.alphabet, n), domain)
+    component in L(domain): the join of n copies of its language."""
+    lang = language_relation(domain)
+    return join([(lang, (i,)) for i in range(n)], n).dfa
 
 
 def language_relation(d):
-    """An automaton's language as an arity-1 relation."""
-    return RegularRelation(d.alphabet, 1, domain_power(d, 1))
+    """An automaton's language as an arity-1 relation.  A one-track column's
+    symbol is its base symbol's, so the automaton is kept; a sink that
+    accepts first gets explicit rows, since a relation's sink rejects."""
+    if d.sink in d.accepting:
+        rows = {q: dict(fa._symbol_edges(d, q)) for q in range(d.n_states)}
+        d = Dfa(d.alphabet, d.n_states, d.initial, d.accepting, rows)
+    return RegularRelation(d.alphabet, 1, _rewrap(d, conv_alphabet(d.alphabet, 1)))
 
 
 def relation_language(r):
     """The words of an arity-1 relation as a DFA over the base alphabet."""
     if r.arity != 1:
         raise ValueError("needs an arity-1 relation")
-    mapping = {r.conv.index_of((s,)): s for s in range(r.base.size)}
-    return fa.minimize(relabel_base(r.dfa, r.base, mapping))
+    return _rewrap(r.dfa, r.base)
+
+
+def _rewrap(d, alphabet):
+    """d read over another alphabet whose symbols number the same columns."""
+    out = Dfa(alphabet, d.n_states, d.initial, d.accepting, d.rows, d.sink)
+    out.minimal = d.minimal
+    return out
 
 
 def relation_from_tuples(base, arity, tuples):

@@ -209,7 +209,7 @@ def ball_sizes(P, radius):
 
 # the nine roster presentations, one per CLI builder with the parameters of
 # the benchmark's roster (bench/oracles.py)
-_ROSTER = {
+ROSTER_BUILDERS = {
     "zn": lambda: zn(2),
     "heisenberg": heisenberg,
     "ut": lambda: ut(3),
@@ -222,13 +222,13 @@ _ROSTER = {
     ),
     "semidirect-zn-z": lambda: semidirect_zn_z([[2, 1], [1, 1]]),
 }
-ROSTER_NAMES = tuple(_ROSTER)
+ROSTER_NAMES = tuple(ROSTER_BUILDERS)
 
 
 @functools.lru_cache(maxsize=None)
 def roster(name):
     """A roster presentation by name, built once per session."""
-    return _ROSTER[name]()
+    return ROSTER_BUILDERS[name]()
 
 
 def broken_zn1():

@@ -379,3 +379,56 @@ def test_build_check_catches_broken_presentation(tmp_path, zn1_path):
                      "--name", "g", "--word", "e1 e1", "--out", out]) == 0
     P = GraphAutomaticPresentation.load(out)
     assert set(P.generators) == {"e1", "g"}
+
+
+_DIHEDRAL = {
+    "mult": [[0, 1], [1, 0]],
+    "correction": [["", ""], ["", ""]],
+    "conjugation": {"1 e1": "e1^-1"},
+}
+_BAD_EXTENSION_DATA = {
+    "base": ({"base": 0}, "'base'"),
+    "mult": ({"mult": 5}, "'mult'"),
+    "mult-cells": ({"mult": [[0, "1"], [1, 0]]}, "'mult'"),
+    "correction": ({"correction": None}, "'correction'"),
+    "conjugation": ({"conjugation": []}, "'conjugation'"),
+    "conjugation-key": ({"conjugation": {"1e1": "e1^-1"}}, "'conjugation'"),
+    "conjugation-word": ({"conjugation": {"1 e1": ["e1"]}}, "'conjugation'"),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "no-correction", *sorted(_BAD_EXTENSION_DATA)])
+def test_finite_extension_data_is_checked(zn1_path, tmp_path, capsys, bad):
+    doc = dict(_DIHEDRAL, base=zn1_path)
+    named = "'correction'"
+    if bad == "no-correction":
+        del doc["correction"]
+    elif bad is not None:
+        change, named = _BAD_EXTENSION_DATA[bad]
+        doc.update(change)
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["build", "finite-extension", "--data", str(data),
+                     "--out", str(tmp_path / "ext.json")])
+    err = capsys.readouterr().err
+    if bad is None:
+        assert code == 0, err
+        return
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
+def test_out_of_memory_exits_invalid_in_one_line(tmp_path, capsys, monkeypatch):
+    from cayleyauto.presentations import builders
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(builders, "zn", exhausted)
+    capsys.readouterr()
+    assert cli.main(["build", "zn", "-n", "1", "--out", str(tmp_path / "z.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1, err
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
 from cayleyauto.presentations import GroupWord, bs1n, heisenberg, zn
 
-from helpers import ROSTER_NAMES, all_words, roster
+from helpers import ROSTER_BUILDERS, ROSTER_NAMES, all_words, roster
 
 AB = Alphabet(["a", "b"])
 
@@ -230,12 +230,19 @@ def test_project_and_cylindrify_need_no_validity_pass(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_domain_restriction_matches_set_definitions(seed):
-    # restriction walks the relation's own edges; complement and domain
-    # powers walk every column the tracks allow
+    # restriction walks the relation's own edges; a domain power is a join
+    # of the domain's language, and a complement is that power minus r
     rng = random.Random(seed)
     dom = random_domain(rng)
+    words = {w.indices for w in all_words(AB, 3)}
     in_dom = {w.indices for w in all_words(AB, 3) if fa.accepts(dom, w)}
     r, sr = small_relation(rng, 2, max_len=rng.randint(1, 3))
+    # an automaton whose sink accepts is intersected with the valid tuples
+    outside = fa.complement(r.dfa)
+    assert outside.sink in outside.accepting
+    assert members(rel.make_relation(AB, 2, outside), 3) == (
+        set(itertools.product(words, repeat=2)) - sr
+    )
     inside = {t for t in sr if all(w in in_dom for w in t)}
     restricted = rel.restrict_relation_to_domain(r, dom)
     assert members(restricted, 3) == inside
@@ -416,6 +423,29 @@ def test_cylindrify_adds_free_track():
     assert all(a == (0,) for a, b in got)
 
 
+def test_group_tracks_keeps_the_minimal_automaton(monkeypatch):
+    # grouping only swaps the alphabet, so every relation the roster groups
+    # must already be minimal and canonically numbered; the copy drops the
+    # flag that would let minimize return its input untouched
+    group_tracks = rel.group_tracks
+    grouped = []
+
+    def record(r, chunk):
+        g = group_tracks(r, chunk)
+        grouped.append((r.dfa, g.dfa))
+        return g
+
+    monkeypatch.setattr(rel, "group_tracks", record)
+    for name in ROSTER_NAMES:
+        ROSTER_BUILDERS[name]()
+    assert grouped
+    for d, g in grouped:
+        m = fa.minimize(
+            fa.Dfa(d.alphabet, d.n_states, d.initial, d.accepting, d.rows, d.sink)
+        )
+        assert (g.initial, g.accepting, g.rows) == (m.initial, m.accepting, m.rows)
+
+
 def test_group_tracks_round_trip_semantics():
     r, sr = small_relation(random.Random(9), 2, max_len=1, density=0.5)
     g = rel.group_tracks(rel.join([(r, (0, 1))], 2), 2)
@@ -543,3 +573,5 @@ def test_make_relation_rejects_accepting_sink():
     d = fa.Dfa(conv, 2, 0, frozenset({1}), {}, 1)
     with pytest.raises(ValueError):
         rel.RegularRelation(AB, 2, d)
+    with pytest.raises(ValueError):
+        rel._restrict_tracks(d, conv, rel._sigma_star(AB))
