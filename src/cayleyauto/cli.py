@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import decision as dec, fa, relations as rel
+from . import fa, relations as rel
 from .presentations import (
     FiniteExtensionData,
     FiniteGroupTable,
@@ -21,6 +21,9 @@ from .presentations import (
     Nilpotent2Spec,
 )
 from .presentations.core import json_fields
+
+# decision, fo and the builders are imported inside the commands that use
+# them, so that a cold process loads only what its command runs
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -192,6 +195,8 @@ def cmd_build(args):
     obj = _guard_states(_build(args), args.max_states)
     if isinstance(obj, GraphAutomaticPresentation):
         if not args.no_check:
+            from . import decision as dec
+
             report = dec.check_presentation(obj)
             if not report["ok"]:
                 bad = [k for k, v in report["relations"].items() if not v["ok"]]
@@ -212,6 +217,8 @@ def cmd_build(args):
 
 
 def cmd_eval(args):
+    from . import decision as dec
+
     P = _load_presentation(args.path, args.max_states)
     w = dec.canonical_rep(P, GroupWord.parse(args.word))
     print(" ".join(w.names()))
@@ -219,6 +226,8 @@ def cmd_eval(args):
 
 
 def cmd_equal(args):
+    from . import decision as dec
+
     P = _load_presentation(args.path, args.max_states)
     same = dec.words_equal(P, GroupWord.parse(args.word1), GroupWord.parse(args.word2))
     print("true" if same else "false")
@@ -226,6 +235,8 @@ def cmd_equal(args):
 
 
 def cmd_relator(args):
+    from . import decision as dec
+
     P = _load_presentation(args.path, args.max_states)
     holds = dec.relator_holds(P, GroupWord.parse(args.word))
     print("true" if holds else "false")
@@ -233,6 +244,8 @@ def cmd_relator(args):
 
 
 def cmd_ball(args):
+    from . import decision as dec
+
     P = _load_presentation(args.path, args.max_states)
     report = dec.growth_profile(P, args.radius)
     print("sizes: " + " ".join(str(s) for s in report.sizes))
@@ -243,6 +256,8 @@ def cmd_ball(args):
 
 
 def cmd_conj(args):
+    from . import decision as dec
+
     P = _load_presentation(args.path, args.max_states)
     ok, witness = dec.conjugate(
         P, GroupWord.parse(args.word1), GroupWord.parse(args.word2)
@@ -255,6 +270,8 @@ def cmd_conj(args):
 
 
 def cmd_check(args):
+    from . import decision as dec
+
     P = _load_presentation(args.path, args.max_states)
     report = dec.check_presentation(P)
     print(f"identity in domain: {report['identity_in_domain']}")

@@ -5,36 +5,35 @@ diagnostics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import fa, relations as rel
 from .fa import Word
 from .presentations.core import GroupWord
 
 
-@dataclass
 class EvalTrace:
     """Record of a right-multiplication run: the input group word, the
     representative after each letter, and the automaton transitions taken."""
 
-    word: object
-    steps: list = field(default_factory=list)
-    transitions: int = 0
+    def __init__(self, word, steps=None, transitions=0):
+        self.word = word
+        self.steps = [] if steps is None else steps
+        self.transitions = transitions
 
 
-@dataclass
 class GrowthReport:
     """Ball sizes against the σ^(c·n) bound, with the per-generator
     constants C = C₁·C₂ (relation states × domain states), and the ball's
     representatives in breadth-first order.  σ is max(|Σ|, 2) and c is one
     more than the largest constant or the identity's length."""
 
-    sizes: list
-    constants: dict
-    sigma: int
-    c: int
-    ok: bool
-    ball: list
+    def __init__(self, sizes, constants, sigma, c, ok, ball):
+        self.sizes = sizes
+        self.constants = constants
+        self.sigma = sigma
+        self.c = c
+        self.ok = ok
+        self.ball = ball
 
     @property
     def bounds(self):
@@ -345,13 +344,7 @@ def monoid_growth_bound_check(struct, elements, n):
     if len(factors) != n:
         raise ValueError("pass one element or exactly n elements")
 
-    def prod(lo, hi):
-        if hi - lo == 1:
-            return factors[lo]
-        mid = (lo + hi) // 2
-        return eval_function(op, [prod(lo, mid), prod(mid, hi)])
-
-    value = prod(0, n)
+    value = _balanced_product(op, factors, 0, n)
     c = fa.minimize(op.dfa).n_states * struct.domain.n_states
     bound = max(len(m) for m in factors) + c * max(1, math.ceil(math.log2(n)))
     return {
@@ -361,6 +354,16 @@ def monoid_growth_bound_check(struct, elements, n):
         "constant": c,
         "ok": len(value) <= bound,
     }
+
+
+def _balanced_product(op, factors, lo, hi):
+    """factors[lo:hi] multiplied through the ternary relation op, splitting
+    at the midpoint."""
+    if hi - lo == 1:
+        return factors[lo]
+    mid = (lo + hi) // 2
+    return eval_function(op, [_balanced_product(op, factors, lo, mid),
+                              _balanced_product(op, factors, mid, hi)])
 
 
 def conjugate(P, p, q):

@@ -19,7 +19,6 @@ function.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 
 PAD = -1  # virtual component index used by convolution alphabets
@@ -57,17 +56,56 @@ class Alphabet:
         return f"Alphabet({list(self.symbols)!r})"
 
 
-@dataclass(frozen=True)
-class Word:
+class Frozen:
+    """Base of small immutable classes: a subclass names its fields in both
+    `__slots__` and `_fields`, is built from them positionally, and two
+    instances are equal, and hash equal, when their types and fields are."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Word(Frozen):
     """A word over an alphabet, stored as a tuple of symbol indices."""
 
-    alphabet: Alphabet
-    indices: tuple = ()
+    __slots__ = _fields = ("alphabet", "indices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if any(not (0 <= i < self.alphabet.size) for i in self.indices):
+    def __init__(self, alphabet, indices=()):
+        indices = tuple(indices)
+        if any(not (0 <= i < alphabet.size) for i in indices):
             raise ValueError("symbol index out of range")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def from_names(cls, alphabet, names):

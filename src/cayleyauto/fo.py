@@ -18,10 +18,8 @@ following formula, so quantified bodies are usually parenthesized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fa, relations as rel
-from .fa import Alphabet, Dfa
+from .fa import Alphabet, Dfa, Frozen
 from .presentations.core import json_fields
 
 
@@ -29,72 +27,57 @@ from .presentations.core import json_fields
 # abstract syntax
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    args: tuple
+class Atom(Frozen):
+    __slots__ = _fields = ("name", "args")
 
     def __str__(self):
         return f"{self.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class VarEqual:
-    left: str
-    right: str
+class VarEqual(Frozen):
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self):
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True)
-class Not:
-    body: object
+class Not(Frozen):
+    __slots__ = _fields = ("body",)
 
     def __str__(self):
         return f"!({self.body})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+class And(Frozen):
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self):
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
+class Or(Frozen):
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
+class Implies(Frozen):
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self):
         return f"({self.left} -> {self.right})"
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: object
+class Exists(Frozen):
+    __slots__ = _fields = ("var", "body")
 
     def __str__(self):
         return f"E {self.var} ({self.body})"
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: object
+class Forall(Frozen):
+    __slots__ = _fields = ("var", "body")
 
     def __str__(self):
         return f"A {self.var} ({self.body})"
@@ -252,6 +235,7 @@ class AutomaticStructure:
         self.base = self.domain.alphabet
         self.relations = {}
         self._restricted = {}
+        self._powers = {}
         for name, r in (relations or {}).items():
             self.add_relation(name, r)
 
@@ -269,6 +253,15 @@ class AutomaticStructure:
             hit = (r, rel.restrict_relation_to_domain(r, self.domain))
             self._restricted[name] = hit
         return hit[1]
+
+    def complement(self, r):
+        """Lⁿ minus the arity-n relation r; Lⁿ is built once for each arity."""
+        power = self._powers.get(r.arity)
+        if power is None:
+            power = rel.RegularRelation(
+                self.base, r.arity, rel.domain_power(self.domain, r.arity))
+            self._powers[r.arity] = power
+        return rel.rel_difference(power, r)
 
     def domain_nonempty(self):
         empty, _ = fa.is_empty(self.domain)
@@ -343,7 +336,7 @@ def _compile(struct, node):
         if isinstance(body, bool):
             return not body
         vars_, r = body
-        return vars_, rel.rel_complement(r, struct.domain)
+        return vars_, struct.complement(r)
     if isinstance(node, (And, Or, Implies)):
         left = _compile(struct, node.left)
         right = _compile(struct, node.right)
@@ -352,7 +345,7 @@ def _compile(struct, node):
             if isinstance(left, bool):
                 return True if not left else right
             lv, lr = left
-            left = (lv, rel.rel_complement(lr, struct.domain))
+            left = (lv, struct.complement(lr))
             node_op = Or
         else:
             node_op = type(node)

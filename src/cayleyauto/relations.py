@@ -872,31 +872,36 @@ def join(parts, arity):
 
     digits = [PAD] * arity
     targets = [None] * len(comps)
-    n_comps = len(comps)
-
-    def assemble(state, i, acc, row):
-        """Recursively pick one option per component; digits[k] holds the
-        column digit for the k-th assigned track and is always written by an
-        earlier component than any that reads it."""
-        if i == n_comps:
-            if acc != all_pad_total:  # every component finished: no column
-                row[acc] = tuple(targets)
-            return
-        old_res = comps[i][4]
-        new_res = comps[i][5]
-        opts = options(i, state[i]).get(tuple(digits[k] for k in old_res))
-        if not opts:
-            return
-        i1 = i + 1
-        for fresh, contrib, t in opts:
-            for k, c in zip(new_res, fresh):
-                digits[k] = c
-            targets[i] = t
-            assemble(state, i1, acc + contrib, row)
+    last = len(comps) - 1
 
     def moves(state):
+        """One option per component, picked depth first from a stack of
+        (component, symbol index so far, the option picked for the component
+        before it), not by recursion: a nested function that calls itself
+        leaves a reference cycle holding the option cache after the join.
+        digits[k] holds the column digit for the k-th assigned track and is
+        always written by an earlier component than any that reads it."""
         row = {}
-        assemble(state, 0, 0, row)
+        stack = [(0, 0, None)]
+        while stack:
+            i, acc, picked = stack.pop()
+            if picked is not None:
+                fresh, _, targets[i - 1] = picked
+                for k, c in zip(comps[i - 1][5], fresh):
+                    digits[k] = c
+            opts = options(i, state[i]).get(tuple(digits[k] for k in comps[i][4]))
+            if not opts:
+                continue
+            if i < last:
+                # reversed, so that options pop in their listed order: the
+                # row's order numbers the explored states
+                stack.extend((i + 1, acc + opt[1], opt) for opt in reversed(opts))
+                continue
+            for _, contrib, t in opts:
+                sym = acc + contrib
+                if sym != all_pad_total:  # every component finished: no column
+                    targets[i] = t
+                    row[sym] = tuple(targets)
         return row
 
     def accepts(state):

@@ -134,8 +134,10 @@ def test_cold_start_imports_only_what_a_command_uses(zn1_path, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = str(tmp_path / "zn2.json")
-    # a ball loads neither fo nor the builders, and a group build neither fo
-    # nor the combinators
+    dot = str(tmp_path / "dot")
+    # no command loads dataclasses; a ball loads neither fo nor the
+    # builders, a group build neither fo nor the combinators, and fo and
+    # export never load decision.  -S keeps site hooks from preloading.
     for args, lazy, stdout in (
         (["ball", zn1_path, "-r", "2"],
          ("cayleyauto.fo", "cayleyauto.presentations.builders"),
@@ -143,19 +145,30 @@ def test_cold_start_imports_only_what_a_command_uses(zn1_path, tmp_path):
         (["build", "zn", "-n", "2", "--out", out],
          ("cayleyauto.fo", "cayleyauto.presentations.combinators"),
          f"wrote {out}: 2 generators\n"),
+        (["fo", zn1_path, "A u (E v (Ee1(u,v)))"],
+         ("cayleyauto.decision", "cayleyauto.presentations.builders"),
+         "true\n"),
+        (["export", zn1_path, "--dot", dot],
+         ("cayleyauto.decision", "cayleyauto.fo"),
+         None),
     ):
+        lazy += ("dataclasses",)
         code = (
             "import sys\n"
             "import cayleyauto.cli as cli\n"
             f"lazy = {lazy!r}\n"
             "assert not [m for m in lazy if m in sys.modules], 'on import'\n"
             f"status = cli.main({args!r})\n"
-            "assert not [m for m in lazy if m in sys.modules], 'after main'\n"
+            "loaded = [m for m in lazy if m in sys.modules]\n"
+            "assert not loaded, f'after main: {loaded}'\n"
             "sys.exit(status)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, stdout), proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        if stdout is not None:
+            assert proc.stdout == stdout
+    assert sorted(os.listdir(dot)) == ["domain.dot", "e1.dot", "left_e1.dot"]
     # a formula error in a cold process still exits 3
     proc = subprocess.run(
         [sys.executable, "-m", "cayleyauto", "fo", zn1_path, "E u ("],

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -153,6 +154,13 @@ def test_eval_trace_records_each_step():
     for step in trace.steps:
         assert fa.accepts(P.domain, step)
     assert decode_vector(result) == HeisenbergOracle.evaluate(w)
+
+
+def test_eval_trace_gets_its_own_steps():
+    a, b = dec.EvalTrace(word="A"), dec.EvalTrace(word="B")
+    a.steps.append(1)
+    assert (b.word, b.steps, b.transitions) == ("B", [], 0)
+    assert a.steps == [1]
 
 
 def test_words_equal_and_is_identity():
@@ -328,6 +336,14 @@ def test_growth_profile_free_group():
     assert report.sizes == [1, 5, 17, 53]
     assert report.ok
     assert all(s <= b for s, b in zip(report.sizes, report.bounds))
+
+
+def test_growth_report_bounds_are_computed_on_access():
+    report = dec.GrowthReport(sizes=[1, 5, 17], constants={"a": 2}, sigma=3,
+                              c=2, ok=True, ball=[])
+    assert report.bounds == [1, 9, 81]
+    report.sizes.append(53)
+    assert report.bounds == [1, 9, 81, 729]
 
 
 def test_growth_constants_are_positive():
@@ -570,3 +586,16 @@ def test_monoid_growth_bound_check():
         dec.monoid_growth_bound_check(struct, [one, one], 3)
     with pytest.raises(ValueError):
         dec.monoid_growth_bound_check(gamma_free(1), [one], 4)
+
+
+def test_monoid_growth_bound_check_leaves_no_reference_cycles():
+    struct = fa_abelian_multiplication(1)
+    one = abelian_encode(1, (), (1,))
+    gc.collect()
+    gc.disable()
+    try:
+        report = dec.monoid_growth_bound_check(struct, [one], 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert decode_vector(report["value"]) == (8,)

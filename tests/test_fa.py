@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -39,6 +41,24 @@ def test_accepts_on_simple_dfa():
     assert fa.accepts(d, Word.from_names(AB, []))
     assert not fa.accepts(d, Word.from_names(AB, ["a"]))
     assert fa.accepts(d, Word.from_names(AB, ["a", "b", "a"]))
+
+
+def test_word_is_an_immutable_value():
+    w = Word(AB, [0, 1])
+    same = Word(alphabet=Alphabet(["a", "b"]), indices=(0, 1))
+    assert w == same and hash(w) == hash(same)
+    assert w != Word(AB, (1, 0)) and w != Word(Alphabet(["x", "y"]), (0, 1))
+    assert w != (AB, (0, 1)) and Word(AB) == Word(AB, ())
+    assert repr(w) == "Word(alphabet=Alphabet(['a', 'b']), indices=(0, 1))"
+    with pytest.raises(AttributeError):
+        w.indices = (1,)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.alphabet
+    with pytest.raises(ValueError):
+        Word(AB, (2,))
+    assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
 
 
 def test_explore_numbers_states_and_adds_the_sink_when_needed():

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from cayleyauto import fa, fo, relations as rel
 from cayleyauto.fa import Alphabet, Word
+from cayleyauto.presentations import zn
 
-from helpers import all_words, check_formula_soundness, finite_structure
+from helpers import all_words, check_formula_soundness, finite_structure, random_formula
 
 AB = Alphabet(["a", "b"])
 
@@ -29,6 +30,27 @@ def test_parse_right_associative_implication():
 def test_parse_quantifiers_and_free_variables():
     node = fo.parse_formula("A x (E y (R(x,y) & S(z)))")
     assert fo.free_variables(node) == {"z"}
+
+
+def test_formula_nodes_are_immutable_values():
+    a, b = fo.Atom("R", ("x", "y")), fo.Atom("R", ("x", "y"))
+    assert a == b and hash(a) == hash(b)
+    assert fo.And(a, b) == fo.And(b, a) and hash(fo.And(a, b)) == hash(fo.And(b, a))
+    assert fo.And(a, b) != fo.Or(a, b) and fo.Exists("x", a) != fo.Forall("x", a)
+    assert a != fo.Atom("R", ("y", "x")) and a != ("R", ("x", "y"))
+    assert repr(fo.Not(fo.VarEqual("x", "y"))) == "Not(body=VarEqual(left='x', right='y'))"
+    with pytest.raises(AttributeError):
+        a.name = "S"
+    with pytest.raises(TypeError):
+        fo.Atom("R")
+
+
+def test_formula_text_round_trips():
+    rng = random.Random(18)
+    for _ in range(300):
+        node = fo.parse_formula(random_formula(rng, 4, set()))
+        again = fo.parse_formula(str(node))
+        assert again == node and hash(again) == hash(node)
 
 
 def test_parse_error_reports_position():
@@ -110,6 +132,27 @@ def test_variable_equality_on_a_domain_whose_sink_accepts():
         assert same.contains((u,)) == inside
         for v in words:
             assert eq.contains((u, v)) == (inside and u == v)
+
+
+def test_complements_build_each_domain_power_once(monkeypatch):
+    P = zn(1)
+    struct = fo.AutomaticStructure(P.domain, {"R": P.relation("e1")})
+    calls = []
+    domain_power = rel.domain_power
+
+    def counted(domain, n):
+        calls.append(n)
+        return domain_power(domain, n)
+
+    monkeypatch.setattr(rel, "domain_power", counted)
+    # three complements of arity 2 (of u = v, of R for the ->, and the inner
+    # universal's) and two of arity 1 (around the inner universal)
+    assert fo.decide(struct, "A u (A v (R(u,v) -> ! (u = v)))")
+    assert sorted(calls) == [1, 2]
+    _, r = fo.compile(struct, "R(u,v) | u = v")
+    assert rel.rel_to_text(struct.complement(r)) == rel.rel_to_text(
+        rel.rel_complement(r, struct.domain))
+    assert sorted(calls) == [1, 2, 2]  # rel_complement builds its own
 
 
 @settings(max_examples=120, deadline=None)

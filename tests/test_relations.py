@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -383,6 +384,19 @@ def test_join_shared_tracks_and_minimization():
     r = rel.relation_from_tuples(AB, 2, [(u, v)])
     j = rel.join([(r, (0, 1)), (r, (0, 1))], 2)
     assert members(j) == {(u.indices, v.indices)}
+
+
+def test_join_leaves_no_reference_cycles():
+    P = zn(2)
+    e1, e2 = P.relation("e1"), P.relation("e2")
+    gc.collect()
+    gc.disable()
+    try:
+        j = rel.join([(e1, (0, 1)), (e2, (1, 2))], 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert j.arity == 3
 
 
 def test_equality_relation_is_diagonal():
