@@ -238,7 +238,16 @@ def cmd_relator(args):
     from . import decision as dec
 
     P = _load_presentation(args.path, args.max_states)
-    holds = dec.relator_holds(P, GroupWord.parse(args.word))
+    w = GroupWord.parse(args.word)
+    # the decision assumes that each edge it follows is a bijection of the
+    # representatives: certify those the word names, cancelled ones too
+    edges = {name: P.relation(name) for name, _ in w}
+    for name, r in edges.items():
+        flags = dec.check_relation(r, P.domain)
+        failed = " ".join(k for k, ok in flags.items() if not ok)
+        if failed:
+            raise ValueError(f"relation {name} fails the presentation check: {failed}")
+    holds = dec.relator_holds(P, w)
     print("true" if holds else "false")
     return EXIT_TRUE if holds else EXIT_FALSE
 
@@ -259,9 +268,20 @@ def cmd_conj(args):
     from . import decision as dec
 
     P = _load_presentation(args.path, args.max_states)
-    ok, witness = dec.conjugate(
-        P, GroupWord.parse(args.word1), GroupWord.parse(args.word2)
-    )
+    p, q = GroupWord.parse(args.word1), GroupWord.parse(args.word2)
+    # certify the right relations p names and the left ones q names, as in
+    # `cmd_relator`; names resolve in `conjugate`'s order, so its errors
+    # come first
+    edges = {}
+    if P.is_biautomatic():
+        edges = {name: P.relation(name) for name, _ in p}
+        edges.update((f"left:{name}", P.left_relation(name)) for name, _ in q)
+    for name, r in edges.items():
+        flags = dec.check_relation(r, P.domain)
+        failed = " ".join(k for k, ok in flags.items() if not ok)
+        if failed:
+            raise ValueError(f"relation {name} fails the presentation check: {failed}")
+    ok, witness = dec.conjugate(P, p, q)
     if ok:
         print("conjugate, witness: " + " ".join(witness.names()))
         return EXIT_TRUE

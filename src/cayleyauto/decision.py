@@ -265,11 +265,10 @@ def growth_profile(P, radius):
 CHECK_FLAGS = ("in_domain", "total", "functional", "injective", "surjective")
 
 
-def check_presentation(P):
-    """Diagnostic report: the identity is a representative, every edge
-    relation stays within the representatives and is a bijection of them.
-
-    For each relation r (right edges, then left edges as ``left:<name>``):
+def check_relation(r, domain):
+    """The five `CHECK_FLAGS` of a binary relation r against the
+    representatives L = L(domain), in that order: whether r stays within L²
+    and is a bijection of L.
 
     - in_domain: r ⊆ L², by one walk over r's own edges
       (`relations.relation_in_domain_power`);
@@ -285,17 +284,8 @@ def check_presentation(P):
     without composing.  The targets and sources lie in L when r ⊆ L², so
     they are checked only when it is not.  Total and surjective speak of
     images and preimages inside L: when r leaves L², they are read off r
-    restricted to L² instead.  growth_constant is C₁·C₂ for the relation's
-    own automaton."""
-    report = {
-        "identity_in_domain": fa.accepts(P.domain, P.identity),
-        "relations": {},
-        "ok": True,
-    }
-    items = dict(P.generators)
-    items.update((f"left:{name}", r) for name, r in P.left.items())
-    consts = _growth_constants(P, items)
-    lang = rel.language_relation(P.domain).dfa
+    restricted to L² instead."""
+    lang = rel.language_relation(domain).dfa
 
     def within(r, track):
         """Whether π_track(r) ⊆ L."""
@@ -305,25 +295,42 @@ def check_presentation(P):
         """Whether L ⊆ π_track(r)."""
         return fa.is_subset(lang, rel.project(r, 1 - track).dfa)
 
+    in_domain = rel.relation_in_domain_power(r, domain)
+    functional = rel.is_functional(r, 0)
+    injective = rel.is_functional(r, 1)
+    if not in_domain:
+        functional = functional and within(r, 1)
+        injective = injective and within(r, 0)
+        r = rel.restrict_relation_to_domain(r, domain)
+    return {
+        "in_domain": in_domain,
+        "total": covers(r, 0),
+        "functional": functional,
+        "injective": injective,
+        "surjective": covers(r, 1),
+    }
+
+
+def check_presentation(P):
+    """Diagnostic report: the identity is a representative, every edge
+    relation stays within the representatives and is a bijection of them.
+
+    Each relation, right edges and then left edges as ``left:<name>``, gets
+    the flags of `check_relation`, its growth_constant (C₁·C₂ for the
+    relation's own automaton) and ok, the conjunction of the flags."""
+    report = {
+        "identity_in_domain": fa.accepts(P.domain, P.identity),
+        "relations": {},
+        "ok": True,
+    }
+    items = dict(P.generators)
+    items.update((f"left:{name}", r) for name, r in P.left.items())
+    consts = _growth_constants(P, items)
     for name, r in items.items():
-        in_domain = rel.relation_in_domain_power(r, P.domain)
-        functional = rel.is_functional(r, 0)
-        injective = rel.is_functional(r, 1)
-        if not in_domain:
-            functional = functional and within(r, 1)
-            injective = injective and within(r, 0)
-            r = rel.restrict_relation_to_domain(r, P.domain)
-        entry = {
-            "in_domain": in_domain,
-            "total": covers(r, 0),
-            "functional": functional,
-            "injective": injective,
-            "surjective": covers(r, 1),
-            "growth_constant": consts[name],
-        }
-        entry["ok"] = all(entry[k] for k in CHECK_FLAGS)
-        report["relations"][name] = entry
-        report["ok"] = report["ok"] and entry["ok"]
+        flags = check_relation(r, P.domain)
+        ok = all(flags.values())
+        report["relations"][name] = dict(flags, growth_constant=consts[name], ok=ok)
+        report["ok"] = report["ok"] and ok
     report["ok"] = report["ok"] and report["identity_in_domain"]
     return report
 

@@ -296,7 +296,7 @@ def _int_det(matrix):
 # finitely generated abelian groups (with torsion)
 
 
-def _abelian_alphabet(n, torsion):
+def _abelian_alphabet(torsion):
     syms = ["0", "1"]
     for j, om in enumerate(torsion):
         syms.extend(f"t{j}.{v}" for v in range(om))
@@ -306,7 +306,7 @@ def _abelian_alphabet(n, torsion):
 def abelian_encode(n, torsion, values):
     """Word for an element of Z^n + Z/torsion[0] + ... given its tuple."""
     torsion = tuple(torsion)
-    U = _abelian_alphabet(n, torsion)
+    U = _abelian_alphabet(torsion)
     words = [Word(U, pres.encode_int(v).indices) for v in values[:n]]
     for j, om in enumerate(torsion):
         words.append(Word.from_names(U, [f"t{j}.{values[n + j] % om}"]))
@@ -327,7 +327,7 @@ def _abelian_parts(n, torsion):
     """Per-track language, equality, and increment relations over the mixed
     alphabet, plus the alphabet itself."""
     torsion = tuple(torsion)
-    U = _abelian_alphabet(n, torsion)
+    U = _abelian_alphabet(torsion)
     langs = []
     eqs = []
     ops = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .. import fa, relations as rel
+from .. import decision as dec, fa, relations as rel
 from ..fa import Alphabet, Dfa, Word
 from .core import GraphAutomaticPresentation, GroupWord
 
@@ -34,27 +34,6 @@ def _paired_names(P, Q):
             {y: f"2_{y}" for y in Q.generators},
         )
     return {x: x for x in P.generators}, {y: y for y in Q.generators}
-
-
-def _word_dfa(word):
-    """DFA accepting exactly one word."""
-    rows = {i: {word.indices[i]: i + 1} for i in range(len(word))}
-    rows[len(word)] = {}
-    return Dfa(
-        word.alphabet,
-        len(word) + 2,
-        0,
-        frozenset({len(word)}),
-        rows,
-        len(word) + 1,
-    )
-
-
-def _image_words(p_or_rel, r, u):
-    """All v with (u, v) in r."""
-    wr = rel.relation_from_tuples(r.base, 1, [(u,)])
-    img = rel.project(rel.join([(r, (0, 1)), (wr, (0,))], 2), 0)
-    return [t[0] for t in img.tuples(max_length=len(u) + r.dfa.n_states + 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +89,17 @@ def direct_product(P, Q):
 def semidirect(P, Q, action):
     """P semidirect Q: elements s·r with s from Q and r from P; a Q-generator
     y sends (s, r) to (s·y, r^y) where r^y is given by action[y], the graph
-    of r -> y^-1 r y on P's domain (the inverse action is its transpose)."""
+    of r -> y^-1 r y on P's domain (the inverse action is its transpose).
+    Each action, restricted to P's representatives, must pass
+    `decision.check_relation`, a bijection of them, and fix the identity."""
     if set(action) != set(Q.generators):
         raise ValueError("need exactly one action relation per Q generator")
-    eqP_plain = rel.equality_relation(P.domain)
     acts = {}
     for y, a in action.items():
         if a.arity != 2 or a.base != P.base:
             raise ValueError(f"action for {y!r} must be binary over P's alphabet")
         a = rel.restrict_relation_to_domain(a, P.domain)
-        fwd = rel.compose(a, rel.transpose(a))
-        back = rel.compose(rel.transpose(a), a)
-        if not (
-            fa.language_equal(fwd.dfa, eqP_plain.dfa)
-            and fa.language_equal(back.dfa, eqP_plain.dfa)
-        ):
+        if not all(dec.check_relation(a, P.domain).values()):
             raise ValueError(f"action for {y!r} is not a bijection of P's domain")
         if not a.contains((P.identity, P.identity)):
             raise ValueError(f"action for {y!r} does not fix the identity")
@@ -135,7 +110,7 @@ def semidirect(P, Q, action):
     domain = rel.join(
         [(rel.language_relation(domQ), (0,)), (rel.language_relation(domP), (1,))], 2
     ).dfa
-    eqP = rel.embed_relation(eqP_plain, U, mp)
+    eqP = rel.embed_relation(rel.equality_relation(P.domain), U, mp)
     eqQ = rel.embed_relation(rel.equality_relation(Q.domain), U, mq)
     np_, nq_ = _paired_names(P, Q)
 
@@ -174,13 +149,16 @@ def free_product(P, Q):
     U, mp, mq = _tag_maps(P, Q, extra=["."])
     SEP = U.index["."]
     conv2 = rel.conv_alphabet(U, 2)
-    DP = fa.dfa_difference(P.domain, _word_dfa(P.identity))
-    DQ = fa.dfa_difference(Q.domain, _word_dfa(Q.identity))
-    for D, which in ((DP, "first"), (DQ, "second")):
+    nonids = []
+    for F, which in ((P, "first"), (Q, "second")):
+        ident = rel.relation_from_tuples(F.base, 1, [(F.identity,)])
+        D = fa.dfa_difference(F.domain, rel.relation_language(ident))
         if fa.accepts(D, Word(D.alphabet, ())):
             raise ValueError(
                 f"the {which} factor has an empty non-identity representative"
             )
+        nonids.append(D)
+    DP, DQ = nonids
     DPu = rel.relabel_base(DP, U, mp)
     DQu = rel.relabel_base(DQ, U, mq)
 
@@ -209,120 +187,84 @@ def free_product(P, Q):
         first = {c: sid((tag, t)) for c, t in D.rows.get(D.initial, {}).items()}
         rows[src].update(first)
         rows[START].update(first)
-    accepting = {START} | {
-        ids[s]
-        for s in ids
-        if isinstance(s, tuple)
-        and s[1] in (DPu if s[0] == "P" else DQu).accepting
+    # the states where a syllable of each factor may end
+    ends = {
+        tag: [ids[(tag, q)] for q in sorted(D.accepting) if (tag, q) in ids]
+        for D, tag in ((DPu, "P"), (DQu, "Q"))
     }
     n = len(ids)
-    domain = fa.minimize(Dfa(U, n + 1, START, frozenset(accepting), rows, n))
+    accepting = frozenset({START, *ends["P"], *ends["Q"]})
+    domain = fa.minimize(Dfa(U, n + 1, START, accepting, rows, n))
+    col = conv2.index_of
 
-    def edge(fac, other_tag, tag_prefix, mapping, branch_state):
-        """Edge relation for one generator of factor `fac`; syllables of the
-        other factor pass through by equality."""
+    def edge(fac, x, nonid, tag_prefix, mapping, branch_state, other_ends):
+        """Edge relation for generator x of factor `fac`, whose nonidentity
+        representatives are `nonid`; syllables of the other factor, which
+        end at the states `other_ends`, pass through by equality."""
+        E = fac.relation(x)
+        sx = dec.eval_function(E, [fac.identity])
+        if sx.indices == fac.identity.indices:
+            return rel.equality_relation(domain)
+        # the syllable that x cancels to the identity; a nonidentity
+        # representative, so never empty
+        cx = dec.eval_function(fac.relation(x, -1), [fac.identity])
+        lang = rel.language_relation(nonid)
+        # both sides stay nonidentity syllables: modify the last syllable
+        mod = rel.embed_relation(
+            rel.join([(E, (0, 1)), (lang, (0,)), (lang, (1,))], 2), U, mapping
+        ).dfa
 
-        def build(x):
-            E = fac.relation(x)
-            sx = _image_words(fac, E, fac.identity)
-            assert len(sx) == 1
-            sx = sx[0]
-            if sx.indices == fac.identity.indices:
-                return rel.equality_relation(domain)
-            nonid = rel.language_relation(DP if tag_prefix == "1." else DQ)
-            # both sides stay nonidentity syllables: modify the last syllable
-            mod = rel.embed_relation(
-                rel.join([(E, (0, 1)), (nonid, (0,)), (nonid, (1,))], 2), U, mapping
-            ).dfa
-            # words whose syllable cancels to the identity
-            lc = rel.relation_language(
-                rel.project(
-                    rel.join(
-                        [
-                            (E, (0, 1)),
-                            (
-                                rel.relation_from_tuples(
-                                    fac.base, 1, [(fac.identity,)]
-                                ),
-                                (1,),
-                            ),
-                        ],
-                        2,
-                    ),
-                    1,
-                )
-            )
-            lcu = rel.relabel_base(lc, U, mapping)
-            sxu = _retag(sx, U, tag_prefix)
+        trans = {}
 
-            trans = {}
+        def add(q, sym, t):
+            trans.setdefault((q, sym), set()).add(t)
 
-            def add(q, col, t):
-                trans.setdefault((q, conv2.index_of(col)), set()).add(t)
-
-            # phase 1: equal prefixes, walking the normal-form automaton
-            for q, row in rows.items():
-                for c, t in row.items():
-                    add(q, (c, c), t)
-            oE = n
-            oL = oE + mod.n_states
-            oC = oL + lcu.n_states
-            total = oC + len(sxu) + 1
-            accept = set()
-            # modify the last syllable in place
-            for src in (START, branch_state):
-                for sym, t in mod.rows.get(mod.initial, {}).items():
-                    if t != mod.sink:
-                        add2(trans, src, sym, oE + t)
-            for q, row in mod.rows.items():
-                for sym, t in row.items():
-                    if t != mod.sink:
-                        add2(trans, oE + q, sym, oE + t)
-            accept.update(oE + q for q in mod.accepting if q != mod.sink)
-            # cancel the last syllable entirely
-            for c, t in lcu.rows.get(lcu.initial, {}).items():
-                if t != lcu.sink:
-                    add(START, (c, rel.PAD), oL + t)
-            other = "Q" if branch_state == TOP else "P"
-            oth_dfa = DQu if other == "Q" else DPu
-            for q in range(oth_dfa.n_states):
-                if q in oth_dfa.accepting and (other, q) in ids:
-                    src = ids[(other, q)]
-                    add(src, (SEP, rel.PAD), oL + lcu.initial)
-                    # append a fresh syllable after the separator
-                    add(src, (rel.PAD, SEP), oC)
-            for q, row in lcu.rows.items():
-                for c, t in row.items():
-                    if t != lcu.sink:
-                        add(oL + q, (c, rel.PAD), oL + t)
-            accept.update(oL + q for q in lcu.accepting if q != lcu.sink)
-            if lcu.initial in lcu.accepting:
-                # a syllable never cancels via the empty word
-                raise AssertionError("empty cancelling syllable")
-            # append the generator's own syllable
-            add(START, (rel.PAD, sxu.indices[0]), oC + 1)
-            for i, c in enumerate(sxu.indices):
-                add(oC + i, (rel.PAD, c), oC + i + 1)
-            accept.add(oC + len(sxu))
-            d = fa.nfa_to_dfa(conv2, total, {START}, accept, trans)
-            # one walk keeps the valid convolutions over the domain
-            return rel.restrict_relation_to_domain(
-                rel.RegularRelation(U, 2, d), domain
-            )
-
-        return build
-
-    def add2(trans, q, sym, t):
-        trans.setdefault((q, sym), set()).add(t)
+        # phase 1: equal prefixes, walking the normal-form automaton
+        for q, row in rows.items():
+            for c, t in row.items():
+                add(q, col((c, c)), t)
+        oE = n
+        oL = oE + mod.n_states
+        oC = oL + len(cx) + 1
+        total = oC + len(sx) + 1
+        accept = set()
+        # modify the last syllable in place
+        for src in (START, branch_state):
+            for sym, t in mod.rows.get(mod.initial, {}).items():
+                if t != mod.sink:
+                    add(src, sym, oE + t)
+        for q, row in mod.rows.items():
+            for sym, t in row.items():
+                if t != mod.sink:
+                    add(oE + q, sym, oE + t)
+        accept.update(oE + q for q in mod.accepting if q != mod.sink)
+        # cancel the last syllable (cx on the first track), or append the
+        # generator's own syllable after it (sx on the second)
+        for o, word, track in ((oL, cx, 0), (oC, sx, 1)):
+            syms = [
+                col((c, rel.PAD) if track == 0 else (rel.PAD, c))
+                for c in (SEP, *_retag(word, U, tag_prefix).indices)
+            ]
+            add(START, syms[1], o + 1)
+            for src in other_ends:
+                add(src, syms[0], o)
+            for i, sym in enumerate(syms[1:]):
+                add(o + i, sym, o + i + 1)
+            accept.add(o + len(word))
+        d = fa.nfa_to_dfa(conv2, total, {START}, accept, trans)
+        # one walk keeps the valid convolutions over the domain
+        return rel.restrict_relation_to_domain(rel.RegularRelation(U, 2, d), domain)
 
     np_, nq_ = _paired_names(P, Q)
     gens = {}
-    buildP = edge(P, "Q", "1.", mp, TOP)
-    buildQ = edge(Q, "P", "2.", mq, TOQ)
-    for x in P.generators:
-        gens[np_[x]] = buildP(x)
-    for y in Q.generators:
-        gens[nq_[y]] = buildQ(y)
+    for fac, names, nonid, tag_prefix, mapping, branch_state, other_ends in (
+        (P, np_, DP, "1.", mp, TOP, ends["Q"]),
+        (Q, nq_, DQ, "2.", mq, TOQ, ends["P"]),
+    ):
+        for x in fac.generators:
+            gens[names[x]] = edge(
+                fac, x, nonid, tag_prefix, mapping, branch_state, other_ends
+            )
     meta = {
         "description": f"({P.describe()}) * ({Q.describe()})",
         "builder": "free_product",
@@ -403,8 +345,11 @@ def finite_extension(data):
 
 def restrict_to_regular_subgroup(P, subdomain, names):
     """The subgroup with representatives L(subdomain), generated by the given
-    subset of P's generators; every retained edge must map the subgroup
-    language into itself."""
+    subset of P's generators.  Each of their edge relations, restricted to
+    L(subdomain)², must pass `decision.check_relation` against it; the left
+    relations are kept only when all of theirs pass too.  For a presentation
+    that `check_presentation` accepts, this says each edge and its inverse
+    map the subgroup into itself."""
     sub = fa.minimize(subdomain)
     if sub.alphabet != P.base:
         raise ValueError("subgroup domain uses a different alphabet")
@@ -413,32 +358,19 @@ def restrict_to_regular_subgroup(P, subdomain, names):
     if not fa.accepts(sub, P.identity):
         raise ValueError("subgroup domain must contain the identity word")
     names = list(names)
-    sublang = rel.language_relation(sub)
-
-    def closed(r):
-        img = rel.relation_language(
-            rel.project(rel.join([(r, (0, 1)), (sublang, (0,))], 2), 0)
-        )
-        return fa.is_subset(img, sub)
-
-    gens = {}
+    gens, left = {}, {}
     for x in names:
         if x not in P.generators:
             raise ValueError(f"unknown generator {x!r}")
-        r = P.relation(x)
-        if not (closed(r) and closed(rel.transpose(r))):
+        for kept, edges in ((gens, P.generators), (left, P.left)):
+            if x in edges:
+                r = rel.restrict_relation_to_domain(edges[x], sub)
+                if all(dec.check_relation(r, sub).values()):
+                    kept[x] = r
+        if x not in gens:
             raise ValueError(f"generator {x!r} does not preserve the subgroup")
-        gens[x] = rel.restrict_relation_to_domain(r, sub)
-    left = None
-    if all(x in P.left for x in names):
-        left = {}
-        for x in names:
-            r = P.left[x]
-            if closed(r) and closed(rel.transpose(r)):
-                left[x] = rel.restrict_relation_to_domain(r, sub)
-            else:
-                left = None
-                break
+    if set(left) != set(names):
+        left = None
     meta = {
         "description": f"regular subgroup of ({P.describe()})",
         "builder": "restrict_to_regular_subgroup",

@@ -260,6 +260,46 @@ def test_check_reports_a_hole(tmp_path, capsys):
     assert out[-1] == "FAILED"
 
 
+_BROKEN_FLAGS = {
+    "hole": "total surjective",
+    "extra_pair": "functional injective",
+    "non_injective": "injective surjective",
+    "outside": "in_domain functional",
+    "outside_and_hole": "in_domain total functional surjective",
+    "outside_loop": "in_domain functional injective",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_FLAGS))
+def test_relator_refuses_a_broken_edge(tmp_path, capsys, name):
+    # "e1 e1^-1" reduces to the empty word, so only the certificate of the
+    # cancelled letter's relation can see the damage
+    path = str(tmp_path / f"{name}.json")
+    broken_zn1()[name].save(path)
+    capsys.readouterr()
+    assert cli.main(["relator", path, "e1 e1^-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: relation e1 fails the presentation check: "
+                   f"{_BROKEN_FLAGS[name]}\n")
+
+
+def test_conj_refuses_a_broken_edge(tmp_path, capsys):
+    P = broken_zn1()["hole"]
+    e1 = P.relation("e1")
+    both = GraphAutomaticPresentation(P.base, P.domain, P.identity,
+                                      {"e1": e1}, {"e1": e1})
+    path = str(tmp_path / "hole2.json")
+    both.save(path)
+    capsys.readouterr()
+    for words, named in ((["e1", "e1"], "e1"), (["", "e1"], "left:e1")):
+        assert cli.main(["conj", path] + words) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: relation {named} fails the presentation check: "
+                       "total surjective\n")
+
+
 def test_check_ignores_invalid_convolutions_in_a_file(zn1_path, capsys):
     # the appended edge lets a padded track resume; the tuples are unchanged.
     # State 5 is entered on a ◇, and column 0, named 0,0 in the older text,

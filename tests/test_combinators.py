@@ -54,6 +54,19 @@ def test_semidirect_rejects_bad_actions():
         semidirect(zn(2), zn(1), {})
 
 
+def test_semidirect_certifies_actions_without_composing(monkeypatch):
+    def refuse(r, s):
+        raise AssertionError("semidirect composed two relations")
+
+    monkeypatch.setattr(rel, "compose", refuse)
+    act = rel.group_tracks(pres.affine_relation([[2, 1], [1, 1]], [0, 0]), 2)
+    P = semidirect(zn(2), zn(1), {"e1": act})
+    assert ball_sizes(P, 2) == [1, 7, 33]
+    doubling = rel.group_tracks(pres.affine_relation([[2, 0], [0, 1]], [0, 0]), 2)
+    with pytest.raises(ValueError, match="not a bijection"):
+        semidirect(zn(2), zn(1), {"e1": doubling})
+
+
 def test_free_product_of_lines_is_free():
     P = free_product(zn(1), zn(1))
     assert ball_sizes(P, 3) == [1, 5, 17, 53]
@@ -140,6 +153,23 @@ def test_restrict_heisenberg_to_its_center():
         w = random_group_word(rng, ["B"], 5)
         got = decode_vector(dec.canonical_rep(C, w))
         assert got == (0, sum(s for _, s in w), 0)
+
+
+def test_restrict_drops_left_relations_that_leave_the_subgroup():
+    # {b = 0} is preserved by A on the right, (a, b, c) -> (a + 1, b, c),
+    # but not on the left, where A adds c to b
+    ints = rel.language_relation(pres.int_domain())
+    zero = pres.constant_relation(0)
+    no_b = rel.join([(ints, (0,)), (zero, (1,)), (ints, (2,))], 3).dfa
+    P = heisenberg()
+    C = restrict_to_regular_subgroup(P, no_b, ["A"])
+    assert set(C.generators) == {"A"}
+    assert C.left == {}
+    assert dec.check_presentation(C)["ok"]
+    rng = random.Random(10)
+    for _ in range(10):
+        w = random_group_word(rng, ["A"], 5)
+        assert decode_vector(dec.canonical_rep(C, w)) == (sum(s for _, s in w), 0, 0)
 
 
 def test_restrict_rejects_non_closed_generator():

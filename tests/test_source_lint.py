@@ -7,14 +7,20 @@
   the function, so each call of the enclosing function leaves a reference
   cycle that keeps everything the closure holds alive until the next full
   garbage collection.
+- No leftover: every module-level function and class of the package is
+  named somewhere outside its own definition, in the package, the tests or
+  the benchmark.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 import cayleyauto
 
 SOURCES = sorted(pathlib.Path(cayleyauto.__file__).parent.rglob("*.py"))
+REPO = pathlib.Path(__file__).resolve().parents[1]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -55,3 +61,42 @@ def test_no_nested_function_names_itself():
                        for stmt in inner.body for n in ast.walk(stmt)):
                     bad.append(f"{name}:{inner.lineno} {inner.name}")
     assert not bad
+
+
+def _names(node):
+    """The identifiers a tree names: variables, attributes, imported names,
+    and the dotted parts of strings that spell a name (the package's lazy
+    imports and the benchmark's traced functions list them as strings)."""
+    out = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", n.value):
+                out.update(n.value.split("."))
+    return out
+
+
+def test_every_module_level_definition_is_used():
+    files = set(SOURCES)
+    for folder in ("tests", "bench"):
+        files.update((REPO / folder).rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    everywhere = collections.Counter()
+    for tree in trees.values():
+        everywhere.update(_names(tree))
+    unused = []
+    for path in SOURCES:
+        for node in trees[path].body:
+            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if everywhere[name] - _names(node)[name] < 1:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused
