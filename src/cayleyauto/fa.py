@@ -9,8 +9,9 @@ large product alphabets sparse while leaving complement safe.
 
 `Dfa` is the one automaton type.  Nondeterminism lives only inside
 `determinize`, which runs the subset construction over a row function, so
-the relational constructions that branch (projection, composition) and the
-text format's transition tables share one implementation.
+the relational constructions that branch (projection, composition), the
+written-out edge lists of `relations.relation_from_edges` and the text
+format's transition tables share one implementation.
 
 All values are immutable after construction and every operation is a pure
 function.

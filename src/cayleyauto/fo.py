@@ -19,7 +19,7 @@ following formula, so quantified bodies are usually parenthesized.
 from __future__ import annotations
 
 from . import fa, relations as rel
-from .fa import Alphabet, Dfa, Frozen
+from .fa import Alphabet, Frozen
 from .presentations.core import json_fields
 
 
@@ -271,17 +271,6 @@ class AutomaticStructure:
         return rel.language_relation(self.domain)
 
 
-def _track_equal(base, arity, i, j):
-    """All arity-`arity` tuples whose tracks i and j are the same word."""
-    conv = rel.conv_alphabet(base, arity)
-    rows = {0: {}}
-    for sym in range(conv.size):
-        t = conv.tuple_of(sym)
-        if t[i] == t[j]:
-            rows[0][sym] = 0
-    return rel.make_relation(base, arity, Dfa(conv, 2, 0, frozenset({0}), rows, 1))
-
-
 def _expand(struct, r, vars_, target):
     """Widen a compiled relation from its sorted variable tuple to a sorted
     superset, in one join that places each new variable on the domain."""
@@ -303,27 +292,14 @@ def _compile(struct, node):
             raise FormulaError(
                 f"{node.name} expects {arity} arguments, got {len(node.args)}"
             )
-        # restricted to Lⁿ first: collapsing and permuting tracks stay in it
+        # restricted to Lⁿ first: joining and permuting tracks stay in it
         r = struct.restricted(node.name)
-        args = list(node.args)
-        # collapse repeated variables: constrain the tracks equal, drop one
-        while True:
-            dup = None
-            for j in range(len(args)):
-                for i in range(j):
-                    if args[i] == args[j]:
-                        dup = (i, j)
-                        break
-                if dup:
-                    break
-            if not dup:
-                break
-            i, j = dup
-            r = rel.rel_intersect(r, _track_equal(struct.base, r.arity, i, j))
-            r = rel.project(r, j)
-            del args[j]
-        order = sorted(args)
-        if args != order:
+        args = node.args
+        order = sorted(set(args))
+        if len(order) < len(args):
+            # a repeated variable: one join reads its tracks as one word
+            r = rel.join([(r, tuple(order.index(v) for v in args))], len(order))
+        elif list(args) != order:
             r = rel.permute_tracks(r, [order.index(v) for v in args])
         return tuple(order), r
     if isinstance(node, VarEqual):

@@ -5,8 +5,9 @@ Integers are written least-significant-digit first in two's complement over
 canonical (shortest) form has length 1 or its last two digits differing.
 Each row y = Σ kᵢxᵢ + c of an affine map y = Ax + c is one synchronous carry
 automaton (Boudet & Comon 1996; Wolper & Boigelot 1995); addition is the row
-y = x₁ + x₂ and a constant the row with no inputs.  The rows of a map are
-joined on their shared tracks."""
+y = x₁ + x₂, a constant the row with no inputs, and x ≡ y (mod ω) the row
+y = x − ω·k with its k track projected away.  The rows of a map are joined
+on their shared tracks."""
 
 from __future__ import annotations
 
@@ -124,48 +125,12 @@ def addition_relation():
     return affine_relation([[1, 1]], [0])
 
 
-_congruence_cache = {}
-
-
 def congruence_relation(omega):
-    """Binary relation {(x,y) : x ≡ y (mod omega)} on canonical encodings."""
+    """Binary relation {(x,y) : x ≡ y (mod omega)} on canonical encodings:
+    the carry row y = x − omega·k with its k track projected away."""
     if omega < 1:
         raise ValueError("modulus must be positive")
-    if omega in _congruence_cache:
-        return _congruence_cache[omega]
-    conv = rel.conv_alphabet(BITS, 2)
-    # state: (Σ x-digits·2^i, Σ y-digits·2^i, 2^k, last x digit, last y digit)
-    # all mod omega; a track's value is its digit sum minus twice its last
-    # digit's weighted contribution (two's complement sign digit)
-    def moves(state):
-        sx, sy, p, lx, ly = state
-        row = {}
-        for sym in range(conv.size):
-            a, b = conv.tuple_of(sym)
-            if (a == rel.PAD and lx is None) or (b == rel.PAD and ly is None):
-                continue
-            row[sym] = (
-                sx if a == rel.PAD else (sx + a * p) % omega,
-                sy if b == rel.PAD else (sy + b * p) % omega,
-                (p * 2) % omega,
-                lx if a == rel.PAD else (a * p) % omega,
-                ly if b == rel.PAD else (b * p) % omega,
-            )
-        return row
-
-    def accepts(state):
-        sx, sy, _, lx, ly = state
-        return (
-            lx is not None and ly is not None
-            and (sx - 2 * lx) % omega == (sy - 2 * ly) % omega
-        )
-
-    d = fa.explore(conv, (0, 0, 1 % omega, None, None), moves, accepts)
-    out = rel.restrict_relation_to_domain(
-        rel.RegularRelation(BITS, 2, d), int_domain()
-    )
-    _congruence_cache[omega] = out
-    return out
+    return rel.project(_affine_row((1, -omega), 0), 1)
 
 
 def presburger_structure():

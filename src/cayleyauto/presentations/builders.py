@@ -70,15 +70,10 @@ def _range_language(omega):
     return rel.relation_language(r)
 
 
-def _mod_relation(omega):
-    """{(x, y) : y = x mod omega, 0 <= y < omega} on canonical encodings."""
-    return rel.join(
-        [
-            (pres.congruence_relation(omega), (0, 1)),
-            (rel.language_relation(_range_language(omega)), (1,)),
-        ],
-        2,
-    )
+def _mod_relation(omega, lang):
+    """{(x, y) : y = x mod omega, 0 <= y < omega} on canonical encodings,
+    lang being the range language of 0..omega-1 as a relation."""
+    return rel.join([(pres.congruence_relation(omega), (0, 1)), (lang, (1,))], 2)
 
 
 def _affine_presentation(orders, right, left, meta):
@@ -92,9 +87,12 @@ def _affine_presentation(orders, right, left, meta):
     m = len(orders)
     finite = [t for t in range(m) if orders[t] is not None]
     ints = rel.language_relation(pres.int_domain())
-    langs = {t: rel.language_relation(_range_language(orders[t])) for t in finite}
-    mods = {t: _mod_relation(orders[t]) for t in finite}
-    domain = rel.join([(langs.get(t, ints), (t,)) for t in range(m)], m).dfa
+    # one range language and one mod relation for each distinct order
+    langs, mods = {None: ints}, {}
+    for omega in set(orders) - {None}:
+        langs[omega] = rel.language_relation(_range_language(omega))
+        mods[omega] = _mod_relation(omega, langs[omega])
+    domain = rel.join([(langs[o], (t,)) for t, o in enumerate(orders)], m).dfa
     width = 2 * m + len(finite)
     aux = dict(zip(finite, range(2 * m, width)))
     outputs = tuple(aux.get(t, m + t) for t in range(m))
@@ -104,7 +102,8 @@ def _affine_presentation(orders, right, left, meta):
         if finite:
             parts = [(e, tuple(range(m)) + outputs)]
             for t in finite:
-                parts += [(langs[t], (t,)), (mods[t], (aux[t], m + t))]
+                omega = orders[t]
+                parts += [(langs[omega], (t,)), (mods[omega], (aux[t], m + t))]
             e = rel.join(parts, width)
             for pos in reversed(range(2 * m, width)):
                 e = rel.project(e, pos)
@@ -449,23 +448,19 @@ def free_group(rank):
         raise ValueError("need rank >= 1")
     U = _free_alphabet(rank)
     domain = _reduced_domain(U)
-    conv = rel.conv_alphabet(U, 2)
     gens = {}
     for i in range(rank):
         s = 2 * i
-        final = U.size + 1
-        trans = {}
-        for q in range(U.size + 1):
-            last = None if q == 0 else q - 1
-            for c in range(U.size):
-                if last is None or c != last ^ 1:
-                    trans.setdefault((q, conv.index_of((c, c))), set()).add(1 + c)
+        # a state is the last letter read by both tracks, None at the start
+        edges = []
+        for last in (None, *range(U.size)):
+            edges += [(last, (c, c), c) for c in range(U.size)
+                      if last is None or c != last ^ 1]
             if last != s ^ 1:
-                trans.setdefault((q, conv.index_of((rel.PAD, s))), set()).add(final)
+                edges.append((last, (rel.PAD, s), "final"))
             if last != s:
-                trans.setdefault((q, conv.index_of((s ^ 1, rel.PAD))), set()).add(final)
-        d = fa.nfa_to_dfa(conv, U.size + 2, {0}, {final}, trans)
-        gens[U.symbols[s]] = rel.make_relation(U, 2, d)
+                edges.append((last, (s ^ 1, rel.PAD), "final"))
+        gens[U.symbols[s]] = rel.relation_from_edges(U, 2, None, {"final"}, edges)
     meta = {"description": f"free group of rank {rank}", "builder": "free_group",
             "rank": rank}
     return GraphAutomaticPresentation(U, domain, Word(U, ()), gens, None, meta)
@@ -532,26 +527,21 @@ def _bs_domain_mk(p):
     """Sign-magnitude/unary coupling: m's digits end nonzero, and k > 0
     forces a first digit that p does not divide."""
     U = _bs_alphabet(p)
-    conv = rel.conv_alphabet(U, 2)
     PLUS, MINUS, BAR = p, p + 1, p + 2
-    S0, PLUS0, MINUS0, K1, OK, MID = range(6)
-    rows = {q: {} for q in range(6)}
-    rows[S0][conv.index_of((PLUS, rel.PAD))] = PLUS0
-    rows[S0][conv.index_of((MINUS, rel.PAD))] = MINUS0
-    rows[S0][conv.index_of((PLUS, BAR))] = K1
-    rows[S0][conv.index_of((MINUS, BAR))] = K1
+    edges = [
+        ("start", (PLUS, rel.PAD), "plus0"),
+        ("start", (MINUS, rel.PAD), "minus0"),
+        ("start", (PLUS, BAR), "k1"),
+        ("start", (MINUS, BAR), "k1"),
+        ("ok", (rel.PAD, BAR), "ok"),
+    ]
     for kc in (BAR, rel.PAD):
         for d in range(p):
-            tgt = OK if d != 0 else MID
-            rows[PLUS0][conv.index_of((d, kc))] = tgt
-            rows[MINUS0][conv.index_of((d, kc))] = tgt
-            rows[OK][conv.index_of((d, kc))] = tgt
-            rows[MID][conv.index_of((d, kc))] = tgt
+            tgt = "ok" if d != 0 else "mid"
+            edges += [(q, (d, kc), tgt) for q in ("plus0", "minus0", "ok", "mid")]
             if d != 0:
-                rows[K1][conv.index_of((d, kc))] = OK
-    rows[OK][conv.index_of((rel.PAD, BAR))] = OK
-    d = Dfa(conv, 7, S0, frozenset({PLUS0, OK}), rows, 6)
-    return rel.make_relation(U, 2, d)
+                edges.append(("k1", (d, kc), "ok"))
+    return rel.relation_from_edges(U, 2, "start", {"plus0", "ok"}, edges)
 
 
 def _bs_add_unit(p):
@@ -634,7 +624,6 @@ def bs1n(p):
         raise ValueError("need p >= 2")
     U = _bs_alphabet(p)
     PLUS, MINUS, BAR = p, p + 1, p + 2
-    conv2 = rel.conv_alphabet(U, 2)
 
     int_lang, int_eq, succ = _int_parts(U)
     full = Dfa(U, 1, 0, frozenset({0}), {0: {s: 0 for s in range(U.size)}}, None)
@@ -645,52 +634,20 @@ def bs1n(p):
     ).dfa
 
     # a-edge, k > 0: (n, m, k) -> (n+1, m, k-1)
-    shrink = rel.make_relation(
-        U,
-        2,
-        Dfa(
-            conv2,
-            3,
-            0,
-            frozenset({1}),
-            {
-                0: {
-                    conv2.index_of((BAR, BAR)): 0,
-                    conv2.index_of((BAR, rel.PAD)): 1,
-                },
-                1: {},
-            },
-            2,
-        ),
+    shrink = rel.relation_from_edges(
+        U, 2, 0, {1}, [(0, (BAR, BAR), 0), (0, (BAR, rel.PAD), 1)]
     )
     case1 = rel.join([(succ, (0, 3)), (any_eq, (1, 4)), (shrink, (2, 5))], 6)
 
     # a-edge, k = 0: (n, m, 0) -> (n+1, p*m, 0); the product inserts a zero
-    # digit after the sign
-    mrows = {0: {}, 1: {}}
-    nstates = 2
-    hold = {}
-    for sgn in (PLUS, MINUS):
-        mrows[0][conv2.index_of((sgn, sgn))] = 1
-    final = None
+    # digit after the sign, and state d holds the digit still to be written
+    edges = [("start", (sgn, sgn), "sign") for sgn in (PLUS, MINUS)]
     for d0 in range(p):
-        hold[d0] = nstates
-        mrows[nstates] = {}
-        nstates += 1
-    final = nstates
-    mrows[final] = {}
-    nstates += 1
-    for d0 in range(p):
-        mrows[1][conv2.index_of((d0, 0))] = hold[d0]
-        mrows[hold[d0]][conv2.index_of((rel.PAD, d0))] = final
-        for d1 in range(p):
-            mrows[hold[d0]][conv2.index_of((d1, d0))] = hold[d1]
-    mulp = rel.make_relation(
-        U, 2, Dfa(conv2, nstates + 1, 0, frozenset({1, final}), mrows, nstates)
-    )
-    empty2 = rel.make_relation(
-        U, 2, Dfa(conv2, 2, 0, frozenset({0}), {0: {}}, 1)
-    )
+        edges.append(("sign", (d0, 0), d0))
+        edges.append((d0, (rel.PAD, d0), "final"))
+        edges += [(d0, (d1, d0), d1) for d1 in range(p)]
+    mulp = rel.relation_from_edges(U, 2, "start", {"sign", "final"}, edges)
+    empty2 = rel.relation_from_edges(U, 2, 0, {0}, [])
     case2 = rel.join([(succ, (0, 3)), (mulp, (1, 4)), (empty2, (2, 5))], 6)
 
     e_a = rel.restrict_relation_to_domain(
@@ -794,7 +751,6 @@ def wreath_finite_by_z(table):
     the shift t."""
     r = table.size
     U = _wreath_alphabet(table)
-    conv2 = rel.conv_alphabet(U, 2)
     unm = lambda i: 2 + i
     mk = lambda i: 2 + r + i
     int_lang, int_eq, succ = _int_parts(U)
@@ -805,14 +761,9 @@ def wreath_finite_by_z(table):
 
     def lamp_edge(g):
         # tapes equal except the marked cell, which multiplies by g
-        rows = {0: {}, 1: {}}
-        for i in range(r):
-            rows[0][conv2.index_of((unm(i), unm(i)))] = 0
-            rows[1][conv2.index_of((unm(i), unm(i)))] = 1
-            rows[0][conv2.index_of((mk(i), mk(table.mult(i, g))))] = 1
-        tg = rel.make_relation(
-            U, 2, Dfa(conv2, 3, 0, frozenset({1}), rows, 2)
-        )
+        edges = [(q, (unm(i), unm(i)), q) for q in (0, 1) for i in range(r)]
+        edges += [(0, (mk(i), mk(table.mult(i, g))), 1) for i in range(r)]
+        tg = rel.relation_from_edges(U, 2, 0, {1}, edges)
         e = rel.group_tracks(rel.join([(int_eq, (0, 2)), (tg, (1, 3))], 4), 2)
         return rel.restrict_relation_to_domain(e, domain)
 
@@ -820,39 +771,29 @@ def wreath_finite_by_z(table):
         # t^i a_f t = t^(i+1) a_f' with f'(x) = f(x+1): the mark moves one
         # cell right; a leading identity mark is stripped, a trailing mark
         # grows a fresh identity cell
-        START, PRE, MOVED, POST, SINGLE, F, F2 = range(7)
-        trans = {}
-
-        def add(q, col, t):
-            trans.setdefault((q, conv2.index_of(col)), set()).add(t)
-
-        carry = {}
-        nstates = 7
-        for j in range(r):
-            carry[j] = nstates
-            nstates += 1
+        one = table.identity
         # strip a leading identity mark: v is u shifted left, re-marked at
-        # its first cell; carry(j) checks u's next cell holds j
+        # its first cell; state j checks u's next cell holds j
+        edges = [("start", (mk(one), mk(j)), j) for j in range(r)]
         for j in range(r):
-            add(START, (mk(table.identity), mk(j)), carry[j])
-        for j in range(r):
-            for j2 in range(r):
-                add(carry[j], (unm(j), unm(j2)), carry[j2])
-            add(carry[j], (unm(j), rel.PAD), F)
+            edges += [(j, (unm(j), unm(j2)), j2) for j2 in range(r)]
+            edges.append((j, (unm(j), rel.PAD), "final"))
         # single identity mark: unchanged
-        add(START, (mk(table.identity), mk(table.identity)), SINGLE)
+        edges.append(("start", (mk(one), mk(one)), "single"))
         # general case: mark moves right within or at the end of the tape
         for i in range(r):
-            add(PRE, (unm(i), unm(i)), PRE)
-            add(POST, (unm(i), unm(i)), POST)
-            if i != table.identity:
-                add(START, (unm(i), unm(i)), PRE)
-                add(START, (mk(i), unm(i)), MOVED)
-            add(PRE, (mk(i), unm(i)), MOVED)
-            add(MOVED, (unm(i), mk(i)), POST)
-        add(MOVED, (rel.PAD, mk(table.identity)), F2)
-        d = fa.nfa_to_dfa(conv2, nstates, {START}, {SINGLE, F, F2, POST}, trans)
-        return rel.make_relation(U, 2, d)
+            edges += [
+                ("pre", (unm(i), unm(i)), "pre"),
+                ("pre", (mk(i), unm(i)), "moved"),
+                ("moved", (unm(i), mk(i)), "post"),
+                ("post", (unm(i), unm(i)), "post"),
+            ]
+            if i != one:
+                edges += [("start", (unm(i), unm(i)), "pre"),
+                          ("start", (mk(i), unm(i)), "moved")]
+        edges.append(("moved", (rel.PAD, mk(one)), "final"))
+        return rel.relation_from_edges(
+            U, 2, "start", {"single", "final", "post"}, edges)
 
     gens = {}
     for g in range(r):

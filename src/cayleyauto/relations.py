@@ -7,7 +7,10 @@ returns a relation whose language is a subset of the valid convolutions
 (padding persists per track, final column not all-◇), determinized and
 minimized; where symbol numbers already agree (grouping tracks, arity-1
 relations) only the alphabet changes.  `project` and `compose` hand their
-branching rows to `fa.determinize`.  Restriction to L(domain)ⁿ walks only
+branching rows to `fa.determinize`, and so does `relation_from_edges`, the
+one constructor of a relation written out as (state, column, state) edges.
+`join` conjoins relations over shared tracks; a part that names one track
+twice reads the same word on both.  Restriction to L(domain)ⁿ walks only
 the relation's own edges; complement within it is Lⁿ minus the relation.
 """
 
@@ -654,25 +657,25 @@ def is_functional(r, track):
 # canonical relations
 
 
-def _column_dfa(base, states, initial, accepting, step):
-    """Build a small DFA over the 2-track column alphabet from a step function
-    mapping (state, a, b) -> state or None (dead)."""
-    conv = conv_alphabet(base, 2)
-    ids = {s: i for i, s in enumerate(states)}
-    rows = {i: {} for i in ids.values()}
-    values = list(range(base.size)) + [PAD]
-    for st in states:
-        for a in values:
-            for b in values:
-                if a == PAD and b == PAD:
-                    continue
-                t = step(st, a, b)
-                if t is None:
-                    continue
-                rows[ids[st]][conv.index_of((a, b))] = ids[t]
-    sink = len(states)
-    d = Dfa(conv, len(states) + 1, ids[initial], {ids[s] for s in accepting}, rows, sink)
-    return make_relation(base, 2, d)
+def relation_from_edges(base, arity, initial, accepting, edges):
+    """The relation of a written-out automaton over the column alphabet of
+    base and arity.
+
+    An edge is a (state, column, state) triple, the column a tuple of base
+    indices with PAD for ◇; the all-◇ column is not one, and raises a
+    ValueError.  States are any hashable values but frozensets, and two
+    edges from one state on one column branch.  The edges go to
+    `fa.determinize`, and `make_relation` keeps the valid convolutions, so
+    an edge that resumes a padded track is simply never taken."""
+    conv = conv_alphabet(base, arity)
+    pairs = {}
+    for q, column, t in edges:
+        pairs.setdefault(q, []).append((conv.index_of(column), t))
+    rows = {q: fa.nfa_row(row) for q, row in pairs.items()}
+    no_row = {}
+    d = fa.determinize(conv, initial, lambda q: rows.get(q, no_row),
+                       frozenset(accepting).__contains__)
+    return make_relation(base, arity, d)
 
 
 def equality_relation(domain):
@@ -687,61 +690,41 @@ def equality_relation(domain):
 
 def prefix_order(base):
     """x ⪯ y: x is a prefix of y."""
-
-    def step(st, a, b):
-        if st == "eq":
-            if a == b and a != PAD:
-                return "eq"
-            if a == PAD:
-                return "short"
-            return None
-        # short: x already exhausted
-        return "short" if a == PAD else None
-
-    return _column_dfa(base, ["eq", "short"], "eq", {"eq", "short"}, step)
+    letters = range(base.size)
+    edges = [("eq", (a, a), "eq") for a in letters]
+    # short: x already exhausted
+    edges += [(q, (PAD, b), "short") for q in ("eq", "short") for b in letters]
+    return relation_from_edges(base, 2, "eq", {"eq", "short"}, edges)
 
 
 def lex_order(base):
     """x ≤_lex y: first difference decides; a proper prefix is smaller."""
-
-    def step(st, a, b):
-        if st == "less":
-            return "less"
-        if a == PAD:
-            return "less"
-        if b == PAD:
-            return None
-        if a == b:
-            return "eq"
-        return "less" if a < b else None
-
-    return _column_dfa(base, ["eq", "less"], "eq", {"eq", "less"}, step)
+    letters = range(base.size)
+    digits = (*letters, PAD)
+    edges = [("less", (a, b), "less") for a in digits for b in digits
+             if (a, b) != (PAD, PAD)]
+    edges += [("eq", (PAD, b), "less") for b in letters]
+    edges += [("eq", (a, b), "eq" if a == b else "less")
+              for a in letters for b in letters if a <= b]
+    return relation_from_edges(base, 2, "eq", {"eq", "less"}, edges)
 
 
 def llex_order(base):
     """x ≤_llex y: shorter first, ties broken lexicographically."""
-
-    def step(st, a, b):
-        if st == "short":
-            return "short" if a == PAD else None
-        if a == PAD:
-            return "short"
-        if b == PAD:
-            return None
-        if st != "eq" or a == b:
-            return st
-        return "lt" if a < b else "gt"
-
-    return _column_dfa(base, ["eq", "lt", "gt", "short"], "eq", {"eq", "lt", "short"}, step)
+    letters = range(base.size)
+    edges = [(q, (PAD, b), "short") for q in ("eq", "lt", "gt", "short")
+             for b in letters]
+    edges += [(q, (a, b), q) for q in ("lt", "gt") for a in letters for b in letters]
+    edges += [("eq", (a, b), "eq" if a == b else "lt" if a < b else "gt")
+              for a in letters for b in letters]
+    return relation_from_edges(base, 2, "eq", {"eq", "lt", "short"}, edges)
 
 
 def equal_length(base):
     """el(x,y): |x| = |y|."""
-
-    def step(st, a, b):
-        return "eq" if (a != PAD and b != PAD) else None
-
-    return _column_dfa(base, ["eq"], "eq", {"eq"}, step)
+    letters = range(base.size)
+    edges = [("eq", (a, b), "eq") for a in letters for b in letters]
+    return relation_from_edges(base, 2, "eq", {"eq"}, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -798,11 +781,12 @@ def join(parts, arity):
 
     parts is a list of (relation, tracks) where tracks names the positions of
     the relation's components in the result tuple; every result track must be
-    covered by at least one part.  Built as one synchronized product, with a
-    component considered finished once its tracks are all ◇.  Column choices
-    are enumerated sparsely: each component's transitions are indexed by the
-    digits on the tracks it shares with earlier components, so the full result
-    alphabet is never scanned.
+    covered by at least one part.  A part that names one result track twice
+    holds only where its two tracks read the same word.  Built as one
+    synchronized product, with a component considered finished once its
+    tracks are all ◇.  Column choices are enumerated sparsely: each
+    component's transitions are indexed by the digits on the tracks it shares
+    with earlier components, so the full result alphabet is never scanned.
     """
     if not parts:
         raise ValueError("need at least one relation")
@@ -819,14 +803,22 @@ def join(parts, arity):
     conv = conv_alphabet(base, arity)
     DONE = -1
     # per component: automaton, positions of already-constrained vs fresh
-    # tracks within its own tuple, and the result tracks the fresh ones fill
+    # tracks within its own tuple, the result tracks the fresh ones fill, and
+    # (first, repeat) position pairs of a fresh track the part names twice
     comps = []
     assigned = []
     for r, tracks in parts:
         d = fa._ensure_sink(r.dfa)
         sub = r.conv
         old_pos = [k for k, t in enumerate(tracks) if t in assigned]
-        new_pos = [k for k, t in enumerate(tracks) if t not in assigned]
+        first = {}
+        repeats = []
+        for k, t in enumerate(tracks):
+            if t in first:
+                repeats.append((first[t], k))
+            elif t not in assigned:
+                first[t] = k
+        new_pos = list(first.values())
         old_res = [assigned.index(tracks[k]) for k in old_pos]
         new_res = []
         for k in new_pos:
@@ -834,7 +826,7 @@ def join(parts, arity):
             assigned.append(tracks[k])
         new_trk = tuple(tracks[k] for k in new_pos)
         comps.append((d, sub, tuple(old_pos), tuple(new_pos),
-                      tuple(old_res), tuple(new_res), new_trk))
+                      tuple(old_res), tuple(new_res), new_trk, tuple(repeats)))
     radix = conv.radix
     all_pad_total = radix ** arity - 1
     option_cache = {}
@@ -846,7 +838,7 @@ def join(parts, arity):
         ckey = (i, q)
         if ckey in option_cache:
             return option_cache[ckey]
-        d, sub, old_pos, new_pos, _, new_res, new_trk = comps[i]
+        d, sub, old_pos, new_pos, _, new_res, new_trk, repeats = comps[i]
         weights = [radix ** t for t in new_trk]
         pad_part = (radix - 1) * sum(weights)
         out = {}
@@ -857,6 +849,8 @@ def join(parts, arity):
                 if t == d.sink:
                     continue
                 tup = sub.tuple_of(sym)
+                if repeats and any(tup[j] != tup[k] for j, k in repeats):
+                    continue
                 key = tuple(tup[p] for p in old_pos)
                 fresh = tuple(tup[p] for p in new_pos)
                 contrib = sum(

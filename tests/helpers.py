@@ -551,3 +551,36 @@ def check_formula_soundness(rng, struct, words, tables, depth=3):
         assert got == expect, (text, env)
         checked += 1
     return checked
+
+
+# ---------------------------------------------------------------------------
+# repeated variables of an atom, collapsed one pair at a time
+
+
+def track_equal(base, arity, i, j):
+    """All arity-`arity` tuples whose tracks i and j are the same word: one
+    state that reads every column agreeing on the two tracks."""
+    conv = rel.conv_alphabet(base, arity)
+    rows = {0: {}}
+    for sym in range(conv.size):
+        t = conv.tuple_of(sym)
+        if t[i] == t[j]:
+            rows[0][sym] = 0
+    return rel.make_relation(base, arity, Dfa(conv, 2, 0, frozenset({0}), rows, 1))
+
+
+def collapse_repeated(r, args):
+    """An atom's relation r read at the variables args, as (sorted variables,
+    relation): each repeated pair of tracks is intersected with
+    `track_equal` and the later one projected away, then the tracks are
+    permuted into sorted order."""
+    args = list(args)
+    while len(set(args)) < len(args):
+        j = next(j for j in range(len(args)) if args[j] in args[:j])
+        i = args.index(args[j])
+        r = rel.project(rel.rel_intersect(r, track_equal(r.base, r.arity, i, j)), j)
+        del args[j]
+    order = sorted(args)
+    if args != order:
+        r = rel.permute_tracks(r, [order.index(v) for v in args])
+    return tuple(order), r

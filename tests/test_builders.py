@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayleyauto import decision as dec, fa, fo, relations as rel
+from cayleyauto import decision as dec, fa, fo, presburger as pres, relations as rel
 from cayleyauto.presentations import (
     FiniteGroupTable,
     GroupWord,
@@ -142,11 +142,27 @@ def test_nilpotent2_matches_collection_oracle(orders):
         assert decode_vector(dec.canonical_rep(P, w)) == oracle.evaluate(w)
 
 
+def test_nilpotent2_with_a_large_order_matches_collection_oracle():
+    # the mod-64 step is the carry row y = x - 64k with k projected away
+    spec = Nilpotent2Spec(3, 2, (None, None, 64), {(0, 1): (0, 0, 1)})
+    P = nilpotent2(spec)
+    oracle = Nilpotent2Oracle(spec)
+    rng = random.Random(11)
+    for _ in range(40):
+        w = random_group_word(rng, ["a1", "a2", "a3"], 12)
+        assert decode_vector(dec.canonical_rep(P, w)) == oracle.evaluate(w)
+
+
 def test_nilpotent2_edges_are_not_filtered_twice(monkeypatch):
     # each edge's one join already range-checks the finite coordinates, so
-    # no pass over the domain is needed after it
-    def refuse(*args, **kwargs):
-        raise AssertionError("an edge was restricted to the domain again")
+    # no pass over the domain is needed after it; the carry rows over single
+    # bits keep their own one pass
+    restrict = rel.restrict_relation_to_domain
+
+    def refuse(r, domain):
+        if r.base != pres.BITS:
+            raise AssertionError("an edge was restricted to the domain again")
+        return restrict(r, domain)
 
     monkeypatch.setattr(rel, "restrict_relation_to_domain", refuse)
     P = nilpotent2(Nilpotent2Spec(3, 2, (2, 2, 2), {(0, 1): (0, 0, 1)}))

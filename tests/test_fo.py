@@ -3,11 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleyauto import fa, fo, relations as rel
+from cayleyauto import fa, fo, presburger as pres, relations as rel
 from cayleyauto.fa import Alphabet, Word
-from cayleyauto.presentations import zn
+from cayleyauto.presentations import heisenberg, zn
 
-from helpers import all_words, check_formula_soundness, finite_structure, random_formula
+from helpers import (
+    all_words,
+    check_formula_soundness,
+    collapse_repeated,
+    finite_structure,
+    random_formula,
+)
 
 AB = Alphabet(["a", "b"])
 
@@ -81,6 +87,24 @@ def test_compile_unknown_relation():
     struct, _, _ = finite_structure(random.Random(2), AB)
     with pytest.raises(fo.FormulaError):
         fo.compile(struct, "T(x,y)")
+
+
+@pytest.mark.parametrize("args", [("x", "x", "y"), ("x", "y", "x"), ("x", "x", "x")])
+def test_repeated_variables_compile_like_the_collapse(args):
+    struct = pres.presburger_structure()
+    vars_, r = fo.compile(struct, f"Add({','.join(args)})")
+    expect_vars, expect = collapse_repeated(struct.restricted("Add"), args)
+    assert vars_ == expect_vars
+    assert rel.rel_to_text(r) == rel.rel_to_text(expect)
+
+
+def test_repeated_variable_on_a_group_edge_compiles_like_the_collapse():
+    P = heisenberg()
+    struct = fo.AutomaticStructure(P.domain, {"EA": P.relation("A")})
+    vars_, r = fo.compile(struct, "EA(u,u)")
+    expect_vars, expect = collapse_repeated(struct.restricted("EA"), ("u", "u"))
+    assert vars_ == expect_vars == ("u",)
+    assert rel.rel_to_text(r) == rel.rel_to_text(expect)
 
 
 def test_define_relation_extends_structure():

@@ -65,7 +65,7 @@ def test_addition_relation_is_functional_on_inputs():
 
 
 def test_congruence_relation():
-    for omega in (2, 3, 5):
+    for omega in (2, 3, 5, 31, 64, 100):
         cong = pres.congruence_relation(omega)
         for x in range(-40, 41):
             for y in range(-40, 41, 7):

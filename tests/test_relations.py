@@ -9,7 +9,7 @@ from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
 from cayleyauto.presentations import GroupWord, bs1n, heisenberg, zn
 
-from helpers import ROSTER_BUILDERS, ROSTER_NAMES, all_words, roster
+from helpers import ROSTER_BUILDERS, ROSTER_NAMES, all_words, collapse_repeated, roster
 
 AB = Alphabet(["a", "b"])
 
@@ -379,6 +379,25 @@ def test_join_agrees_with_brute_force(seed):
     assert members(j, max_len=3) == expect
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_join_with_a_repeated_track_equals_the_collapse(seed):
+    rng = random.Random(seed)
+    r, _ = small_relation(rng, 3, max_len=1, density=0.3)
+    for tracks in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (0, 0, 0)]:
+        _, expect = collapse_repeated(r, ["xy"[t] for t in tracks])
+        got = rel.join([(r, tracks)], max(tracks) + 1)
+        assert rel.rel_to_text(got) == rel.rel_to_text(expect), tracks
+
+
+def test_join_repeats_a_track_shared_with_an_earlier_part():
+    u, v = Word(AB, (0,)), Word(AB, (1, 1))
+    lang = rel.relation_from_tuples(AB, 1, [(u,), (v,)])
+    r = rel.relation_from_tuples(AB, 2, [(u, u), (u, v), (v, v)])
+    j = rel.join([(lang, (0,)), (r, (0, 0))], 1)
+    assert members(j) == {(u.indices,), (v.indices,)}
+
+
 def test_join_shared_tracks_and_minimization():
     u, v = Word(AB, (0,)), Word(AB, (1, 1))
     r = rel.relation_from_tuples(AB, 2, [(u, v)])
@@ -397,6 +416,32 @@ def test_join_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert j.arity == 3
+
+
+def test_relation_from_edges_takes_the_union_of_branches():
+    a, b = 0, 1
+    edges = [("s", (a, a), "x"), ("s", (a, a), "y"),
+             ("x", (b, b), "end"), ("y", (a, b), "end")]
+    r = rel.relation_from_edges(AB, 2, "s", {"end"}, edges)
+    assert members(r) == {((a, b), (a, b)), ((a, a), (a, b))}
+
+
+def test_relation_from_edges_drops_an_edge_that_resumes_a_padded_track():
+    edges = [(0, (rel.PAD, 0), 1), (1, (0, 0), 2)]
+    r = rel.relation_from_edges(AB, 2, 0, {1, 2}, edges)
+    assert members(r) == {((), (0,))}
+
+
+def test_relation_from_edges_takes_string_and_tuple_states():
+    edges = [("start", (0,), ("seen", 0)), (("seen", 0), (1,), ("seen", 1)),
+             (("seen", 1), (1,), ("seen", 1))]
+    r = rel.relation_from_edges(AB, 1, "start", {("seen", 1)}, edges)
+    assert members(r) == {((0, 1),), ((0, 1, 1),), ((0, 1, 1, 1),)}
+
+
+def test_relation_from_edges_rejects_the_all_pad_column():
+    with pytest.raises(ValueError):
+        rel.relation_from_edges(AB, 2, 0, {1}, [(0, (rel.PAD, rel.PAD), 1)])
 
 
 def test_equality_relation_is_diagonal():

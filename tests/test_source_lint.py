@@ -10,6 +10,10 @@
 - No leftover: every module-level function and class of the package is
   named somewhere outside its own definition, in the package, the tests or
   the benchmark.
+- No hand-filled column tables in the builders or the formula compiler:
+  they write automata as edge lists (`relations.relation_from_edges`) or
+  build them from the kernel's relations, so neither names `index_of` or
+  `nfa_to_dfa`, and `fo.py` names no column alphabet at all.
 """
 
 import ast
@@ -100,3 +104,15 @@ def test_every_module_level_definition_is_used():
             if everywhere[name] - _names(node)[name] < 1:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused
+
+
+def test_no_hand_filled_column_tables():
+    forbidden = {
+        "builders.py": {"index_of", "nfa_to_dfa"},
+        "fo.py": {"index_of", "nfa_to_dfa", "conv_alphabet", "tuple_of"},
+    }
+    bad = []
+    for name, tree in _trees():
+        bad += [f"{name} names {n}" for n in sorted(forbidden.get(name, ()))
+                if _names(tree)[n]]
+    assert not bad
