@@ -403,18 +403,92 @@ def complement(d):
     return minimize(Dfa(d.alphabet, d.n_states, d.initial, accepting, d.rows, d.sink))
 
 
-def _pair_steps(d1, q1, d2, q2):
-    """Successor pairs of (q1,q2), one entry per distinct symbol, plus the
-    default pair when some symbol is missing from both rows."""
+def _dead_sides(d1, d2, rule):
+    """Which operands' sinks doom a pair, for a rule on the pair's two
+    acceptance bits: side 1's when the rule is false at its sink's bit
+    whatever side 2's bit, and the same for side 2.  A sink only loops to
+    itself, so a pair with a component there keeps that bit for good."""
+    acc1 = d1.sink in d1.accepting
+    acc2 = d2.sink in d2.accepting
+    return (not (rule(acc1, False) or rule(acc1, True)),
+            not (rule(False, acc2) or rule(True, acc2)))
+
+
+def _pair_steps(d1, q1, d2, q2, dead1=False, dead2=False):
+    """Successor pairs of (q1,q2), one entry per symbol, and the default
+    pair of the symbols missing from both rows: None when there are none.
+
+    A pair whose component on a dead side is that side's sink is dropped,
+    with its symbol: with both sides dead only the symbols of both rows
+    count, the smaller row iterated; with one, only that side's row; with
+    neither, the union of the rows.  The default pair is dead then too."""
     row1 = d1.rows.get(q1, {})
     row2 = d2.rows.get(q2, {})
-    out = {}
-    for s in row1.keys() | row2.keys():
-        out[s] = (row1.get(s, d1.sink), row2.get(s, d2.sink))
-    default = None
-    if len(out) < d1.alphabet.size:
-        default = (d1.sink, d2.sink)
-    return out, default
+    sink1, sink2 = d1.sink, d2.sink
+    if dead1 and dead2:
+        if len(row2) < len(row1):
+            return {s: (t1, t2) for s, t2 in row2.items()
+                    if t2 != sink2 and (t1 := row1.get(s, sink1)) != sink1}, None
+        return {s: (t1, t2) for s, t1 in row1.items()
+                if t1 != sink1 and (t2 := row2.get(s, sink2)) != sink2}, None
+    if dead1:
+        return {s: (t, row2.get(s, sink2)) for s, t in row1.items() if t != sink1}, None
+    if dead2:
+        return {s: (row1.get(s, sink1), t) for s, t in row2.items() if t != sink2}, None
+    out = {s: (row1.get(s, sink1), row2.get(s, sink2)) for s in row1.keys() | row2.keys()}
+    return out, (sink1, sink2) if len(out) < d1.alphabet.size else None
+
+
+def _reaches_sink(d, states):
+    """Whether d's sink is reachable from one of the states, along an edge
+    into it or a symbol missing from a row."""
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        q = stack.pop()
+        row = d.rows.get(q, {})
+        if q == d.sink or len(row) < d.alphabet.size:
+            return True
+        for t in row.values():
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return False
+
+
+def _full_product_has_sink(d1, d2, pairs, dead1, dead2):
+    """Whether the product that expands dead pairs too reaches the pair of
+    sinks, given the pairs the dropping walk expanded.  Its other pairs lie
+    below a dropped pair, whose dead side stays in its sink: below
+    (sink1, q2) it reaches the pair of sinks exactly when d2 reaches its
+    sink from q2, and the same for side 2."""
+    sink1, sink2, size = d1.sink, d2.sink, d1.alphabet.size
+    below1, below2 = [], []
+    for q1, q2 in pairs:
+        row1 = d1.rows.get(q1, {})
+        row2 = d2.rows.get(q2, {})
+        symbols = row1.keys() | row2.keys()
+        if len(symbols) < size:
+            return True
+        for s in symbols:
+            t1 = row1.get(s, sink1)
+            t2 = row2.get(s, sink2)
+            if t1 == sink1 and t2 == sink2:
+                return True
+            if dead1 and t1 == sink1:
+                below2.append(t2)
+            elif dead2 and t2 == sink2:
+                below1.append(t1)
+    return _reaches_sink(d2, below2) or _reaches_sink(d1, below1)
+
+
+def _sink_as_state(d):
+    """d with its sink an ordinary state that loops to itself, every row
+    written out in full."""
+    symbols = range(d.alphabet.size)
+    rows = {q: {s: d.rows.get(q, {}).get(s, d.sink) for s in symbols}
+            for q in range(d.n_states)}
+    return Dfa(d.alphabet, d.n_states, d.initial, d.accepting, rows)
 
 
 def dfa_product(d1, d2, accept_rule):
@@ -423,18 +497,38 @@ def dfa_product(d1, d2, accept_rule):
     The pair of sinks becomes the product's sink; it may legitimately be
     accepting (e.g. products involving complemented automata), which the Dfa
     representation supports directly.
-    """
+
+    A side is dead when accept_rule is false at its sink's acceptance bit
+    for both bits of the other side (`_dead_sides`): a rejecting sink on
+    either side of an intersection, no sink of a union, and for a∖b a
+    rejecting sink of a or an accepting sink of b.  A pair with a dead
+    side in its sink is never accepted, nor is any pair after it, so it is
+    never expanded: its symbol leads to the product's sink, which rejects.
+    When the product that expands those pairs has no sink, every row of it
+    complete (`_full_product_has_sink`), the sink is written out as an
+    ordinary state before minimizing, so the result is the very automaton
+    that product minimizes to."""
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
     d1 = _ensure_sink(d1)
     d2 = _ensure_sink(d2)
+    dead1, dead2 = _dead_sides(d1, d2, accept_rule)
+    pairs = []
+
+    def moves(pair):
+        pairs.append(pair)
+        return _pair_steps(d1, pair[0], d2, pair[1], dead1, dead2)[0]
+
     d = explore(
         d1.alphabet,
         (d1.initial, d2.initial),
-        lambda pair: _pair_steps(d1, pair[0], d2, pair[1])[0],
+        moves,
         lambda pair: accept_rule(pair[0] in d1.accepting, pair[1] in d2.accepting),
         (d1.sink, d2.sink),
     )
+    if (pairs and d.sink is not None and (dead1 or dead2)
+            and not _full_product_has_sink(d1, d2, pairs, dead1, dead2)):
+        d = _sink_as_state(d)
     return minimize(d)
 
 
@@ -452,11 +546,18 @@ def dfa_difference(a, b):
 
 def _pair_search(a, b, bad):
     """Synchronized search over the reachable state pairs of two automata:
-    False as soon as a pair has bad(accepted by a, accepted by b)."""
+    False as soon as a pair has bad(accepted by a, accepted by b).
+
+    A side is dead when bad is false at its sink's acceptance bit for both
+    bits of the other side (`_dead_sides`).  A pair with a dead side in its
+    sink is never searched, since no pair after it is bad: `is_subset`
+    drops the pairs where a is in a rejecting sink or b in an accepting
+    one, while `language_equal` has no dead side and follows both rows."""
     d1 = _ensure_sink(a)
     d2 = _ensure_sink(b)
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
+    dead1, dead2 = _dead_sides(d1, d2, bad)
     start = (d1.initial, d2.initial)
     seen = {start}
     queue = deque([start])
@@ -464,7 +565,7 @@ def _pair_search(a, b, bad):
         q1, q2 = queue.popleft()
         if bad(q1 in d1.accepting, q2 in d2.accepting):
             return False
-        out, default = _pair_steps(d1, q1, d2, q2)
+        out, default = _pair_steps(d1, q1, d2, q2, dead1, dead2)
         targets = set(out.values())
         if default is not None:
             targets.add(default)
@@ -481,7 +582,9 @@ def language_equal(a, b):
 
 
 def is_subset(a, b):
-    """L(a) <= L(b), via synchronized pair search."""
+    """L(a) <= L(b), via synchronized pair search.  A pair where a is in a
+    rejecting sink, or b in an accepting sink, is never searched: when a's
+    sink rejects, the search follows a's row and not b's other symbols."""
     return _pair_search(a, b, lambda x, y: x and not y)
 
 

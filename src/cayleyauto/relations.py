@@ -332,6 +332,9 @@ def _check_compatible(r, s):
 
 
 def rel_intersect(r, s):
+    """r ∩ s, by `fa.dfa_intersect`.  Both relations' sinks reject, so
+    both sides are dead there: the product never expands a pair with
+    either side in its sink and follows only the columns both rows share."""
     _check_compatible(r, s)
     return RegularRelation(r.base, r.arity, fa.dfa_intersect(r.dfa, s.dfa))
 

@@ -180,6 +180,23 @@ def with_duplicates(rng, d):
     return Dfa(d.alphabet, 2 * n, initial, accepting, rows, d.sink)
 
 
+def full_product(d1, d2, rule):
+    """Oracle for `fa.dfa_product`: the minimized product over every
+    reachable pair of states, dead or not, each pair's row the union of
+    both rows."""
+    d1, d2 = fa._ensure_sink(d1), fa._ensure_sink(d2)
+
+    def moves(pair):
+        row1, row2 = d1.rows.get(pair[0], {}), d2.rows.get(pair[1], {})
+        return {s: (row1.get(s, d1.sink), row2.get(s, d2.sink))
+                for s in row1.keys() | row2.keys()}
+
+    return fa.minimize(fa.explore(
+        d1.alphabet, (d1.initial, d2.initial), moves,
+        lambda pair: rule(pair[0] in d1.accepting, pair[1] in d2.accepting),
+        (d1.sink, d2.sink)))
+
+
 def ball_words(P, radius):
     """BFS ball as a list of shells of representative words."""
     rels = [P.relation(n, s) for n in P.generators for s in (1, -1)]

@@ -476,6 +476,21 @@ def test_conjugate_in_heisenberg():
     assert HeisenbergOracle.mul(w, c) == HeisenbergOracle.mul(c, w)
 
 
+def test_conjugate_on_an_empty_intersection_and_a_central_core():
+    P = heisenberg()
+    ev, mul = HeisenbergOracle.evaluate, HeisenbergOracle.mul
+    # no v has v·B⁻¹ = A⁻¹·v: the chains' intersection is empty
+    p, q = GroupWord.parse("B^-1"), GroupWord.parse("A^-1 A^-1 A")
+    assert not HeisenbergOracle.conjugate_truth(ev(p), ev(q))
+    assert dec.conjugate(P, p, q) == (False, None)
+    # C is central, and q's conjugator A is stripped before the chains
+    p, q = GroupWord.parse("C"), GroupWord.parse("A C A^-1")
+    ok, witness = dec.conjugate(P, p, q)
+    assert ok
+    w = decode_vector(witness)
+    assert mul(w, ev(p)) == mul(ev(q), w)
+
+
 def test_conjugate_requires_left_relations():
     with pytest.raises(ValueError):
         dec.conjugate(free_group(2), GroupWord.parse("a"), GroupWord.parse("b"))

@@ -10,6 +10,7 @@ from cayleyauto.fa import Alphabet, Dfa, Word
 
 from helpers import (
     all_words,
+    full_product,
     language,
     nfa_language,
     nfa_text,
@@ -208,6 +209,87 @@ def test_subset_and_equality_agree_with_booleans(s1, s2):
     assert fa.language_equal(d1, d2) == (
         fa.is_subset(d1, d2) and fa.is_subset(d2, d1)
     )
+
+
+ABC = Alphabet(["a", "b", "c"])
+
+
+def _and(x, y):
+    return x and y
+
+
+def _or(x, y):
+    return x or y
+
+
+def _minus(x, y):
+    return x and not y
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_products_and_inclusion_on_partial_automata(s1, s2):
+    # random_dfa gives explicit edges into the sink, states equivalent to
+    # it, accepting sinks and, one time in five, a complete automaton; the
+    # complements add accepting sinks to the others
+    d1 = random_dfa(random.Random(s1), ABC, max_states=4)
+    d2 = random_dfa(random.Random(s2), ABC, max_states=4)
+    for a in (d1, fa.complement(d1)):
+        for b in (d2, fa.complement(d2)):
+            for x, y in ((a, b), (b, a)):
+                lx, ly = language(x, 4), language(y, 4)
+                for op, rule, want in ((fa.dfa_intersect, _and, lx & ly),
+                                       (fa.dfa_union, _or, lx | ly),
+                                       (fa.dfa_difference, _minus, lx - ly)):
+                    got = op(x, y)
+                    assert language(got, 4) == want
+                    # the very automaton the product over every pair gives
+                    assert _fields(got) == _fields(full_product(x, y, rule))
+                subset = fa.is_subset(x, y)
+                assert subset == fa.is_empty(full_product(x, y, _minus))[0]
+                assert lx <= ly or not subset
+                equal = fa.language_equal(x, y)
+                assert equal == (subset and fa.is_subset(y, x))
+                assert lx == ly or not equal
+
+
+def _starting_with(letter):
+    """The words over ABC that start with the letter."""
+    return Dfa(ABC, 3, 0, {1}, {0: {letter: 1}, 1: {0: 1, 1: 1, 2: 1}}, 2)
+
+
+def test_dead_pairs_are_never_expanded(monkeypatch):
+    visited = []
+    pair_steps = fa._pair_steps
+
+    def counted(d1, q1, d2, q2, *dead):
+        visited.append((q1, q2))
+        return pair_steps(d1, q1, d2, q2, *dead)
+
+    monkeypatch.setattr(fa, "_pair_steps", counted)
+    a, b = _starting_with(0), _starting_with(1)
+    # the starts share no symbol: every successor has a side in its sink
+    assert fa.is_empty(fa.dfa_intersect(a, b))[0]
+    assert visited == [(0, 0)]
+    del visited[:]
+    fa.dfa_union(a, b)
+    assert len(visited) == 3
+    # L(e) = {ε}: its row is empty, however large the other automaton
+    e = Dfa(ABC, 2, 0, {0}, {}, 1)
+    lengths = Dfa(ABC, 100, 0, {0},
+                  {q: {s: (q + 1) % 100 for s in range(3)} for q in range(100)})
+    for big in (lengths, fa.complement(a)):
+        del visited[:]
+        assert fa.is_subset(e, big)
+        assert visited == [(0, 0)]
+    # language_equal has no dead side: it reaches the pair of sinks, which
+    # is_subset drops
+    del visited[:]
+    assert fa.is_subset(a, a)
+    assert visited == [(0, 0), (1, 1)]
+    del visited[:]
+    assert fa.language_equal(a, a)
+    assert sorted(visited) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_is_empty_witness_is_shortest():
