@@ -5,7 +5,10 @@ I/O, and a column alphabet (`relations.ConvolutionAlphabet`) builds its names
 on their first use by I/O.  DFAs are semantically total: a state's missing
 transition entries all lead to the designated ``sink`` state (``sink is
 None`` means every reachable row is explicit).  This keeps automata over
-large product alphabets sparse while leaving complement safe.
+large product alphabets sparse while leaving complement safe.  A sink may
+accept, but not in the canonical form `minimize` returns: there the sink
+is the language's dead class, the states from which no word is accepted,
+so it rejects and every other state reaches an accepting state.
 
 `Dfa` is the one automaton type.  Nondeterminism lives only inside
 `determinize`, which runs the subset construction over a row function, so
@@ -289,43 +292,51 @@ def _reachable(d):
     return seen, sink_hit, preds
 
 
+def _sink_as_state(d):
+    """d with its sink an ordinary state that loops to itself, every row
+    written out in full."""
+    symbols = range(d.alphabet.size)
+    rows = {q: {s: d.rows.get(q, {}).get(s, d.sink) for s in symbols}
+            for q in range(d.n_states)}
+    return Dfa(d.alphabet, d.n_states, d.initial, d.accepting, rows)
+
+
 def minimize(d):
     """Moore minimization with canonical BFS numbering.
 
-    A state is in the sink's class exactly when it cannot reach a state
-    whose acceptance differs from the sink's (the sink has no edges of its
-    own, and it may accept).  One backward search from the states whose
-    acceptance differs finds the others, the live states, and an edge into
-    a state that is not live counts as missing.  Without a reachable sink
-    every reachable state is live.  Only live states are refined: starting
-    from the accepting/rejecting split, each round gives every live state
-    the signature (its class, its live symbols in order, the classes of
-    their targets), with the live edges sorted once before the first
-    round, and splits classes by signature until a round splits none.
-    States are then numbered breadth-first from the initial class in
-    symbol order, the sink last, so equal languages give identical
-    automata.  An automaton it returned comes back unchanged: its numbering
-    already depends only on its language."""
+    The live states are the reachable states that can reach an accepting
+    state, found by one backward search over explicit edges.  The states
+    that are not live form the language's dead class, which becomes the
+    sink: the result has a sink exactly when some reachable state is not
+    live, that sink never accepts, and an edge into it is left out of its
+    row.  A reachable sink that accepts is first written out as an ordinary
+    state (`_sink_as_state`).  Only live states are refined: starting from
+    the accepting/rejecting split, each round gives every live state the
+    signature (its class, its live symbols in order, the classes of their
+    targets), with the live edges sorted once before the first round, and
+    splits classes by signature until a round splits none.  States are
+    then numbered breadth-first from the initial class in symbol order,
+    the sink last, so equal languages give identical automata whether the
+    input is partial, complete with trap states or has an accepting sink.
+    An automaton it returned comes back unchanged: its numbering already
+    depends only on its language."""
     if d.minimal:
         return d
     reachable, sink_hit, preds = _reachable(d)
     if sink_hit and d.sink is None:
         raise ValueError("incomplete DFA row without sink")
     rows, accepting = d.rows, d.accepting
-    sink = d.sink if d.sink in reachable else None
-    if sink is None:
-        live = reachable
-    else:
-        sink_acc = sink in accepting
-        live = {q for q in reachable if (q in accepting) != sink_acc}
-        stack = list(live)
-        while stack:
-            for p in preds[stack.pop()]:
-                if p not in live:
-                    live.add(p)
-                    stack.append(p)
+    if d.sink in reachable and d.sink in accepting:
+        return minimize(_sink_as_state(d))
+    live = reachable & accepting
+    stack = list(live)
+    while stack:
+        for p in preds[stack.pop()]:
+            if p not in live:
+                live.add(p)
+                stack.append(p)
     if d.initial not in live:
-        out = Dfa(d.alphabet, 1, 0, {0} if sink in accepting else (), {}, 0)
+        out = Dfa(d.alphabet, 1, 0, (), {}, 0)
         out.minimal = True
         return out
     no_row = {}
@@ -377,14 +388,12 @@ def minimize(d):
         out_rows[number[c]] = {
             s: number[cls[t]] for s, t in rows.get(rep[c], no_row).items() if t in live
         }
-    out_acc = {number[c] for c in order if rep[c] in accepting}
-    n, new_sink = len(order), None
-    if sink is not None:
-        new_sink = n
-        if sink in accepting:
-            out_acc.add(n)
-        n += 1
-    out = Dfa(d.alphabet, n, 0, frozenset(out_acc), out_rows, new_sink)
+    out_acc = frozenset(number[c] for c in order if rep[c] in accepting)
+    n = len(order)
+    if len(live) == len(reachable):
+        out = Dfa(d.alphabet, n, 0, out_acc, out_rows)
+    else:
+        out = Dfa(d.alphabet, n + 1, 0, out_acc, out_rows, n)
     out.minimal = True
     return out
 
@@ -397,7 +406,9 @@ def _ensure_sink(d):
 
 
 def complement(d):
-    """Complement of a total DFA; result minimized."""
+    """Complement of a total DFA, minimized.  The flipped automaton's sink
+    accepts where the input's rejects; `minimize` writes it out, so the
+    result's sink, if any, rejects like every minimized one."""
     d = _ensure_sink(d)
     accepting = frozenset(range(d.n_states)) - d.accepting
     return minimize(Dfa(d.alphabet, d.n_states, d.initial, accepting, d.rows, d.sink))
@@ -439,64 +450,11 @@ def _pair_steps(d1, q1, d2, q2, dead1=False, dead2=False):
     return out, (sink1, sink2) if len(out) < d1.alphabet.size else None
 
 
-def _reaches_sink(d, states):
-    """Whether d's sink is reachable from one of the states, along an edge
-    into it or a symbol missing from a row."""
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        row = d.rows.get(q, {})
-        if q == d.sink or len(row) < d.alphabet.size:
-            return True
-        for t in row.values():
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return False
-
-
-def _full_product_has_sink(d1, d2, pairs, dead1, dead2):
-    """Whether the product that expands dead pairs too reaches the pair of
-    sinks, given the pairs the dropping walk expanded.  Its other pairs lie
-    below a dropped pair, whose dead side stays in its sink: below
-    (sink1, q2) it reaches the pair of sinks exactly when d2 reaches its
-    sink from q2, and the same for side 2."""
-    sink1, sink2, size = d1.sink, d2.sink, d1.alphabet.size
-    below1, below2 = [], []
-    for q1, q2 in pairs:
-        row1 = d1.rows.get(q1, {})
-        row2 = d2.rows.get(q2, {})
-        symbols = row1.keys() | row2.keys()
-        if len(symbols) < size:
-            return True
-        for s in symbols:
-            t1 = row1.get(s, sink1)
-            t2 = row2.get(s, sink2)
-            if t1 == sink1 and t2 == sink2:
-                return True
-            if dead1 and t1 == sink1:
-                below2.append(t2)
-            elif dead2 and t2 == sink2:
-                below1.append(t1)
-    return _reaches_sink(d2, below2) or _reaches_sink(d1, below1)
-
-
-def _sink_as_state(d):
-    """d with its sink an ordinary state that loops to itself, every row
-    written out in full."""
-    symbols = range(d.alphabet.size)
-    rows = {q: {s: d.rows.get(q, {}).get(s, d.sink) for s in symbols}
-            for q in range(d.n_states)}
-    return Dfa(d.alphabet, d.n_states, d.initial, d.accepting, rows)
-
-
 def dfa_product(d1, d2, accept_rule):
-    """Reachable product of two DFAs; accept_rule(bool, bool) -> bool.
-
-    The pair of sinks becomes the product's sink; it may legitimately be
-    accepting (e.g. products involving complemented automata), which the Dfa
-    representation supports directly.
+    """Reachable product of two DFAs; accept_rule(bool, bool) -> bool,
+    minimized.  The pair of sinks may accept (a union with an operand whose
+    sink accepts, say); `minimize` then writes it out, so the result's
+    sink, if any, rejects.
 
     A side is dead when accept_rule is false at its sink's acceptance bit
     for both bits of the other side (`_dead_sides`): a rejecting sink on
@@ -504,32 +462,20 @@ def dfa_product(d1, d2, accept_rule):
     rejecting sink of a or an accepting sink of b.  A pair with a dead
     side in its sink is never accepted, nor is any pair after it, so it is
     never expanded: its symbol leads to the product's sink, which rejects.
-    When the product that expands those pairs has no sink, every row of it
-    complete (`_full_product_has_sink`), the sink is written out as an
-    ordinary state before minimizing, so the result is the very automaton
-    that product minimizes to."""
+    `minimize` depends only on the language, so the result is the very
+    automaton the product over every pair minimizes to."""
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
     d1 = _ensure_sink(d1)
     d2 = _ensure_sink(d2)
     dead1, dead2 = _dead_sides(d1, d2, accept_rule)
-    pairs = []
-
-    def moves(pair):
-        pairs.append(pair)
-        return _pair_steps(d1, pair[0], d2, pair[1], dead1, dead2)[0]
-
-    d = explore(
+    return minimize(explore(
         d1.alphabet,
         (d1.initial, d2.initial),
-        moves,
+        lambda pair: _pair_steps(d1, pair[0], d2, pair[1], dead1, dead2)[0],
         lambda pair: accept_rule(pair[0] in d1.accepting, pair[1] in d2.accepting),
         (d1.sink, d2.sink),
-    )
-    if (pairs and d.sink is not None and (dead1 or dead2)
-            and not _full_product_has_sink(d1, d2, pairs, dead1, dead2)):
-        d = _sink_as_state(d)
-    return minimize(d)
+    ))
 
 
 def dfa_intersect(a, b):
@@ -620,34 +566,20 @@ def is_empty(d):
     return (True, None)
 
 
-def _alive_states(d):
-    """States of a Dfa from which some accepting state is reachable."""
-    rev = {}
-    for q, row in d.rows.items():
-        for s, t in row.items():
-            rev.setdefault(t, set()).add(q)
-    if d.sink is not None:
-        for q in range(d.n_states):
-            if len(d.rows.get(q, {})) < d.alphabet.size and q != d.sink:
-                rev.setdefault(d.sink, set()).add(q)
-    alive = set(d.accepting)
-    queue = deque(alive)
-    while queue:
-        q = queue.popleft()
-        for p in rev.get(q, ()):
-            if p not in alive:
-                alive.add(p)
-                queue.append(p)
-    return alive
-
-
 def enumerate_words(a, max_length=None, count=None):
-    """Accepted words in length-lexicographic order, up to a length or count."""
-    if max_length is None and count is None:
+    """Accepted words in length-lexicographic order, up to a length or count.
+
+    The walk is over `minimize(a)`, whose rows lead only to states that can
+    still accept, so every word it extends is the prefix of an accepted
+    one.  A limit must be given, and no limit may be negative."""
+    limits = [x for x in (max_length, count) if x is not None]
+    if not limits:
         raise ValueError("a limit is required")
+    if min(limits) < 0:
+        raise ValueError("limits must be nonnegative")
+    if count == 0:
+        return []
     d = minimize(a)
-    # d is minimal, so its sink is alive exactly when it accepts
-    alive = _alive_states(d)
     out = []
     frontier = [((), d.initial)]
     length = 0
@@ -662,9 +594,8 @@ def enumerate_words(a, max_length=None, count=None):
             break
         nxt = []
         for word, q in frontier:
-            for s, t in _symbol_edges(d, q):
-                if t in alive:
-                    nxt.append((word + (s,), t))
+            for s, t in sorted(d.rows.get(q, {}).items()):
+                nxt.append((word + (s,), t))
         frontier = nxt
     return out
 
@@ -684,7 +615,9 @@ def to_text(d):
     """Text form: header, initial/accepting lines, one line per transition.
 
     The automaton is written in canonical (minimized, BFS-numbered) form so
-    that equal languages produce identical bytes.  The format itself may
+    that equal languages produce identical bytes, whatever the input's
+    form: its sink, if any, is the dead class and has no lines, and every
+    other state reaches an accepting one.  The format itself may
     branch: `from_text` reads several initial states and several targets
     per state and symbol.
     """

@@ -228,16 +228,15 @@ def free_product(P, Q):
         oC = oL + len(cx) + 1
         total = oC + len(sx) + 1
         accept = set()
-        # modify the last syllable in place
+        # modify the last syllable in place; mod is minimized, so its rows
+        # never lead to its sink, which rejects
         for src in (START, branch_state):
             for sym, t in mod.rows.get(mod.initial, {}).items():
-                if t != mod.sink:
-                    add(src, sym, oE + t)
+                add(src, sym, oE + t)
         for q, row in mod.rows.items():
             for sym, t in row.items():
-                if t != mod.sink:
-                    add(oE + q, sym, oE + t)
-        accept.update(oE + q for q in mod.accepting if q != mod.sink)
+                add(oE + q, sym, oE + t)
+        accept.update(oE + q for q in mod.accepting)
         # cancel the last syllable (cx on the first track), or append the
         # generator's own syllable after it (sx on the second)
         for o, word, track in ((oL, cx, 0), (oC, sx, 1)):

@@ -241,24 +241,19 @@ class _TrackMoves(dict):
     """The per-track rule for L(domain): track state → {column digit: next
     track state}, filled on first lookup.  A track state is a state of the
     minimized domain DFA, or _ENDED once the track has padded.  A track reads
-    a base digit unless the domain rejects everything after it, pads (PAD)
-    only from an accepting state, and stays padded after.  So `PAD in
-    moves[s]` says whether a track may end in state s."""
+    a base digit along the minimized domain's row, which leaves out the
+    sink, the states from which the domain rejects everything; it pads
+    (PAD) only from an accepting state, and stays padded after.  So `PAD
+    in moves[s]` says whether a track may end in state s."""
 
     def __init__(self, domain):
         super().__init__({_ENDED: {PAD: _ENDED}})
         self.dom = fa.minimize(domain)
-        self.alive = fa._alive_states(self.dom)
 
     def __missing__(self, ds):
         dom = self.dom
-        row = dom.rows.get(ds, {})
         out = {PAD: _ENDED} if ds in dom.accepting else {}
-        # missing edges lead to the sink, which matters only if it can accept
-        for v in range(dom.alphabet.size) if dom.sink in self.alive else row:
-            t = row.get(v, dom.sink)
-            if t in self.alive:
-                out[v] = t
+        out.update(dom.rows.get(ds, {}))
         self[ds] = out
         return out
 
@@ -749,14 +744,12 @@ def group_tracks(r, chunk):
 def relation_in_domain_power(r, domain):
     """Check every member tuple has all components in L(domain).
 
-    One search over (state of r, per-track domain states), along r's edges
-    into states that can still accept.  It fails at the first column some
-    track may not read, or at an accepting state where some track may not
-    end.  A relation's sink never accepts, so only r's explicit rows need
-    walking."""
+    One search over (state of the minimized r, per-track domain states),
+    along its rows, which lead only to states that can still accept.  It
+    fails at the first column some track may not read, or at an accepting
+    state where some track may not end."""
     moves = _TrackMoves(domain)
-    d = r.dfa
-    alive = fa._alive_states(d)
+    d = fa.minimize(r.dfa)
     tuples = r.conv._tuples
     start = (d.initial, (moves.dom.initial,) * r.arity)
     seen = {start}
@@ -767,8 +760,6 @@ def relation_in_domain_power(r, domain):
             return False
         ms = [moves[ds] for ds in tracks]
         for sym, t in d.rows.get(q, {}).items():
-            if t not in alive:
-                continue
             nxt = _track_step(tuples[sym], ms)
             if nxt is None:
                 return False
@@ -926,11 +917,9 @@ def domain_power(domain, n):
 
 def language_relation(d):
     """An automaton's language as an arity-1 relation.  A one-track column's
-    symbol is its base symbol's, so the automaton is kept; a sink that
-    accepts first gets explicit rows, since a relation's sink rejects."""
-    if d.sink in d.accepting:
-        rows = {q: dict(fa._symbol_edges(d, q)) for q in range(d.n_states)}
-        d = Dfa(d.alphabet, d.n_states, d.initial, d.accepting, rows)
+    symbol is its base symbol's, so the minimized automaton is kept: its
+    sink, if any, rejects, as a relation's must."""
+    d = fa.minimize(d)
     return RegularRelation(d.alphabet, 1, _rewrap(d, conv_alphabet(d.alphabet, 1)))
 
 
@@ -1066,10 +1055,11 @@ def rel_from_text(text):
     """Parse `rel_to_text`'s form, or the older one whose automaton is an
     `fa.from_text` table over the column names.
 
-    The rows are read straight into a Dfa, and one walk over Σ*
-    (`relation_in_domain_power`) confirms that it accepts only valid
-    convolutions.  Only when the walk finds an invalid one does
-    `make_relation` filter them out."""
+    The rows are read straight into a Dfa and minimized, and one walk over
+    Σ* (`relation_in_domain_power`) confirms that it accepts only valid
+    convolutions; a state that accepts nothing is gone by then, whatever
+    it reads.  Only when the walk finds an invalid one does `make_relation`
+    filter them out."""
     first, _, rest = text.partition("\n")
     head = first.split()
     if len(head) < 4 or head[0] != "relation" or head[2] != "over":
@@ -1083,7 +1073,7 @@ def rel_from_text(text):
     top = list(itertools.islice(lines, 3))
     if top and top[0][0] == "nfa":
         return make_relation(base, arity, fa.from_text(rest, alphabet=conv))
-    d = _rows_dfa(conv, top, lines)
-    if relation_in_domain_power(RegularRelation(base, arity, d), _sigma_star(base)):
-        return RegularRelation(base, arity, fa.minimize(d))
-    return make_relation(base, arity, d)
+    r = RegularRelation(base, arity, fa.minimize(_rows_dfa(conv, top, lines)))
+    if relation_in_domain_power(r, _sigma_star(base)):
+        return r
+    return make_relation(base, arity, r.dfa)

@@ -180,6 +180,15 @@ def with_duplicates(rng, d):
     return Dfa(d.alphabet, 2 * n, initial, accepting, rows, d.sink)
 
 
+def flipped(d):
+    """The complement of d as built, before `fa.complement` minimizes it:
+    every state's acceptance flipped, the sink's too, so the sink accepts
+    where d's rejects or d has none."""
+    d = fa._ensure_sink(d)
+    return Dfa(d.alphabet, d.n_states, d.initial,
+               set(range(d.n_states)) - d.accepting, d.rows, d.sink)
+
+
 def full_product(d1, d2, rule):
     """Oracle for `fa.dfa_product`: the minimized product over every
     reachable pair of states, dead or not, each pair's row the union of

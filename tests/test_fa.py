@@ -10,6 +10,7 @@ from cayleyauto.fa import Alphabet, Dfa, Word
 
 from helpers import (
     all_words,
+    flipped,
     full_product,
     language,
     nfa_language,
@@ -170,9 +171,31 @@ def test_minimize_against_residual_oracle(seed, alphabet):
     assert m.n_states == residual_class_count(d)
     assert language(m, 4) == language(d, 4)
     # the result depends only on the language: state names, insertion
-    # order and duplicated states do not show
+    # order, duplicated states and a sink written out as a state do not show
     assert _fields(fa.minimize(renumbered(rng, d))) == _fields(m)
     assert _fields(fa.minimize(with_duplicates(rng, d))) == _fields(m)
+    assert _fields(fa.minimize(fa._sink_as_state(d))) == _fields(m)
+    # the sink is the dead class: it rejects, no row names it, and every
+    # other state reaches an accepting state
+    assert m.sink not in m.accepting
+    assert all(m.sink not in row.values() for row in m.rows.values())
+    for q in range(m.n_states):
+        if q != m.sink:
+            from_q = Dfa(alphabet, m.n_states, q, m.accepting, m.rows, m.sink)
+            assert not fa.is_empty(from_q)[0]
+
+
+def test_minimize_is_canonical_whatever_the_sink():
+    # the words starting with a, three ways: a rejecting sink, a complete
+    # automaton with a trap state, and an accepting sink read on a first
+    partial = Dfa(AB, 3, 0, {1}, {0: {0: 1}, 1: {0: 1, 1: 1}}, 2)
+    trap = Dfa(AB, 3, 0, {1}, {0: {0: 1, 1: 2}, 1: {0: 1, 1: 1}, 2: {0: 2, 1: 2}})
+    accepting_sink = Dfa(AB, 3, 0, {2}, {0: {1: 1}, 1: {0: 1, 1: 1}}, 2)
+    for d in (trap, accepting_sink):
+        assert fa.language_equal(d, partial)
+        assert _fields(fa.minimize(d)) == _fields(partial)
+        assert fa.to_text(d) == fa.to_text(partial)
+    assert fa.to_text(partial) == "nfa a b 3\ninitial: 0\naccepting: 1\n0 a 1\n1 a 1\n1 b 1\n"
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,9 +213,9 @@ def test_complement_flips_membership(seed):
 def test_boolean_operations(s1, s2):
     d1 = seeded_dfa(s1)
     d2 = seeded_dfa(s2)
-    # complements have accepting sinks, so the pair of sinks may accept
-    for a in (d1, fa.complement(d1)):
-        for b in (d2, fa.complement(d2)):
+    # flipped automata have accepting sinks, so the pair of sinks may accept
+    for a in (d1, fa.complement(d1), flipped(d1)):
+        for b in (d2, fa.complement(d2), flipped(d2)):
             l1, l2 = language(a, 3), language(b, 3)
             assert language(fa.dfa_intersect(a, b), 3) == l1 & l2
             assert language(fa.dfa_union(a, b), 3) == l1 | l2
@@ -231,11 +254,12 @@ def _minus(x, y):
 def test_products_and_inclusion_on_partial_automata(s1, s2):
     # random_dfa gives explicit edges into the sink, states equivalent to
     # it, accepting sinks and, one time in five, a complete automaton; the
-    # complements add accepting sinks to the others
+    # flipped automata add accepting sinks to the others; the complements
+    # are minimized, so their sinks reject
     d1 = random_dfa(random.Random(s1), ABC, max_states=4)
     d2 = random_dfa(random.Random(s2), ABC, max_states=4)
-    for a in (d1, fa.complement(d1)):
-        for b in (d2, fa.complement(d2)):
+    for a in (d1, fa.complement(d1), flipped(d1)):
+        for b in (d2, fa.complement(d2), flipped(d2)):
             for x, y in ((a, b), (b, a)):
                 lx, ly = language(x, 4), language(y, 4)
                 for op, rule, want in ((fa.dfa_intersect, _and, lx & ly),
@@ -278,7 +302,7 @@ def test_dead_pairs_are_never_expanded(monkeypatch):
     e = Dfa(ABC, 2, 0, {0}, {}, 1)
     lengths = Dfa(ABC, 100, 0, {0},
                   {q: {s: (q + 1) % 100 for s in range(3)} for q in range(100)})
-    for big in (lengths, fa.complement(a)):
+    for big in (lengths, flipped(a)):
         del visited[:]
         assert fa.is_subset(e, big)
         assert visited == [(0, 0)]
@@ -317,6 +341,17 @@ def test_enumerate_words_count_limit():
     words = fa.enumerate_words(d, count=3)
     assert len(words) == 3
     assert words[0].indices == ()
+
+
+def test_enumerate_words_limits():
+    d = even_as()
+    assert fa.enumerate_words(d, count=0) == []
+    assert fa.enumerate_words(d, max_length=0, count=0) == []
+    assert fa.enumerate_words(d, max_length=0) == [Word(AB, ())]
+    for limits in ({}, {"max_length": -1}, {"count": -1},
+                   {"max_length": 2, "count": -1}):
+        with pytest.raises(ValueError):
+            fa.enumerate_words(d, **limits)
 
 
 def branching_nfa(seed):

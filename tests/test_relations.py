@@ -9,7 +9,15 @@ from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
 from cayleyauto.presentations import GroupWord, bs1n, heisenberg, zn
 
-from helpers import ROSTER_BUILDERS, ROSTER_NAMES, all_words, collapse_repeated, roster
+from helpers import (
+    ROSTER_BUILDERS,
+    ROSTER_NAMES,
+    all_words,
+    collapse_repeated,
+    flipped,
+    roster,
+)
+
 
 AB = Alphabet(["a", "b"])
 
@@ -239,7 +247,7 @@ def test_domain_restriction_matches_set_definitions(seed):
     in_dom = {w.indices for w in all_words(AB, 3) if fa.accepts(dom, w)}
     r, sr = small_relation(rng, 2, max_len=rng.randint(1, 3))
     # an automaton whose sink accepts is intersected with the valid tuples
-    outside = fa.complement(r.dfa)
+    outside = flipped(r.dfa)
     assert outside.sink in outside.accepting
     assert members(rel.make_relation(AB, 2, outside), 3) == (
         set(itertools.product(words, repeat=2)) - sr
@@ -348,6 +356,21 @@ def test_legacy_relation_text_loads_like_its_dfa_text():
     assert (old.dfa.rows, old.dfa.accepting) == (new.dfa.rows, new.dfa.accepting)
     assert rel.rel_to_text(old) == _APPEND_A
     assert members(new) == {(u.indices, u.indices + (0,)) for u in all_words(AB, 3)}
+
+
+def test_relation_text_drops_a_state_that_accepts_nothing(monkeypatch):
+    # _APPEND_A edited by hand: state 3, entered on (◇,b), resumes track 0
+    # on (a,a) but accepts nothing, so the relation loads as if it were not
+    # there and without filtering
+    filtered = []
+    make_relation = rel.make_relation
+    monkeypatch.setattr(
+        rel, "make_relation", lambda *a: filtered.append(a) or make_relation(*a)
+    )
+    edited = _APPEND_A.replace("dfa 3", "dfa 4") + "0 5 3\n3 0 3\n"
+    r = rel.rel_from_text(edited)
+    assert not filtered
+    assert rel.rel_to_text(r) == _APPEND_A
 
 
 @settings(max_examples=15, deadline=None)
