@@ -41,13 +41,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text):
-    if not text.strip():
-        return []
-    return [int(x) for x in text.split(",")]
+    """argparse type: '1,2,3' as [1, 2, 3], the empty text as []."""
+    try:
+        return [int(x) for x in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer list {text!r}") from None
 
 
 def _matrix(text):
-    return [[int(x) for x in row.split(",")] for row in text.split(";")]
+    """argparse type: '1,1;0,1' as [[1, 1], [0, 1]], the empty text as []."""
+    try:
+        return ([[int(x) for x in row.split(",")] for row in text.split(";")]
+                if text.strip() else [])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer matrix {text!r}") from None
+
+
+def _commutator(text):
+    """argparse type: 'i,j=c,..' as ((i, j), (c, ..))."""
+    head, _, tail = text.partition("=")
+    try:
+        i, j = (int(x) for x in head.split(","))
+        coeffs = tuple(int(x) for x in tail.split(",")) if tail.strip() else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid commutator {text!r}") from None
+    return (i, j), coeffs
 
 
 def _load_doc(path):
@@ -90,15 +108,6 @@ def _guard_states(obj, limit):
     return obj
 
 
-def _commutators(items):
-    out = {}
-    for item in items or []:
-        head, _, tail = item.partition("=")
-        i, j = (int(x) for x in head.split(","))
-        out[(i, j)] = tuple(_ints(tail))
-    return out
-
-
 def _extension_data(path, limit):
     """The `--data` file of `build finite-extension`; a missing or mistyped
     field raises a ValueError that names it."""
@@ -133,7 +142,7 @@ def _build(args):
     if name == "zn":
         return b.zn(args.n)
     if name == "abelian":
-        return b.fg_abelian(args.n, _ints(args.torsion))
+        return b.fg_abelian(args.n, args.torsion)
     if name == "heisenberg":
         return b.heisenberg(args.n if args.n else 3)
     if name == "ut":
@@ -148,13 +157,13 @@ def _build(args):
         return b.wreath_finite_by_z(FiniteGroupTable.cyclic(args.t))
     if name == "nilpotent2":
         spec = Nilpotent2Spec(
-            args.n, args.split, tuple(_ints(args.orders)), _commutators(args.comm)
+            args.n, args.split, tuple(args.orders), dict(args.comm or ())
         )
         return b.nilpotent2(spec)
     if name == "semidirect-zn-z":
-        return b.semidirect_zn_z(_matrix(args.matrix))
+        return b.semidirect_zn_z(args.matrix)
     if name == "fa-abelian":
-        return b.fa_abelian_multiplication(args.n, _ints(args.torsion))
+        return b.fa_abelian_multiplication(args.n, args.torsion)
     from .presentations import combinators as c
 
     if name == "direct-product":
@@ -377,10 +386,10 @@ def make_parser():
     b.add_argument("--rank", type=int, default=2)
     b.add_argument("--step", type=int, default=1)
     b.add_argument("--split", type=int, default=0)
-    b.add_argument("--torsion", default="")
-    b.add_argument("--orders", default="")
-    b.add_argument("--comm", action="append")
-    b.add_argument("--matrix", default="")
+    b.add_argument("--torsion", type=_ints, default="")
+    b.add_argument("--orders", type=_ints, default="")
+    b.add_argument("--comm", type=_commutator, action="append")
+    b.add_argument("--matrix", type=_matrix, default="")
     b.add_argument("--first")
     b.add_argument("--second")
     b.add_argument("--action", action="append")

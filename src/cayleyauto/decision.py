@@ -5,6 +5,7 @@ diagnostics."""
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from . import fa, relations as rel
 from .fa import Word
@@ -47,101 +48,98 @@ def eval_function(r, inputs):
     arity n+1.
 
     Runs the relation automaton over the fixed input tracks with the output
-    track unknown.  The output either ends within the input columns or
-    extends past them by at most the state count, so the search is linear in
-    the input length with constants depending only on r.
-    """
+    track unknown; the output ends within the input columns or at most the
+    state count past them.  An output prefix is parent-linked, so a digit
+    costs O(1): the search is linear in the input length with constants
+    depending only on r.  `right_multiply` and the ball BFS carry index
+    tuples between steps: a letter is linear in the representative's length."""
     n = r.arity - 1
     inputs = list(inputs)
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs for an arity-{r.arity} relation")
-    y, _ = _eval_search(r, inputs)
-    return y
+    return _eval_search(r, inputs)[0]
 
 
 def _eval_search(r, inputs):
     """(output word, transitions taken); raises if zero or several outputs."""
+    y, steps = _search(r, [u.indices for u in inputs])
+    return Word(r.base, y), steps
+
+
+def _search(r, inputs):
+    """(output index tuple, transitions taken) for input index tuples.  A
+    prefix is (digit, parent) down to the root ().  Each state keeps at most
+    two, distinct as r's automaton is deterministic, so that a second
+    accepted output (r is not functional there) is always seen."""
     d = r.dfa
     index = r.input_rows()
-    maxlen = max((len(u) for u in inputs), default=0)
+    pad = rel.PAD
     steps = 0
-
-    # per automaton state keep up to two distinct output prefixes, so that a
-    # second accepted output (a functionality violation) is always detected
-    def push(store, q, words):
-        cur = store.setdefault(q, [])
-        for w in words:
-            if w not in cur:
-                cur.append(w)
-                if len(cur) > 2:
-                    cur.pop()
-
-    found = []
-
-    def record(store):
-        for q, words in store.items():
-            if q in d.accepting:
-                for w in words:
-                    if w not in found:
-                        found.append(w)
-
     # states split by whether the output track has already ended
     running = {d.initial: [()]}
     ended = {}
-    for pos in range(maxlen):
-        col = tuple(u.indices[pos] if pos < len(u) else rel.PAD for u in inputs)
+    for col in zip_longest(*inputs, fillvalue=pad):
         nrun, nend = {}, {}
         for q, words in running.items():
             for ydig, t in index[q].get(col, ()):
                 steps += 1
-                if ydig == rel.PAD:
-                    push(nend, t, words)
+                if ydig == pad:
+                    store, new = nend, words
                 else:
-                    push(nrun, t, [w + (ydig,) for w in words])
+                    store, new = nrun, [(ydig, w) for w in words]
+                cur = store.get(t)
+                store[t] = new if cur is None else (cur + new)[:2]
         for q, words in ended.items():
-            entries = index[q].get(col)
-            if entries and entries[0][0] == rel.PAD:
-                steps += 1
-                push(nend, entries[0][1], words)
+            for ydig, t in index[q].get(col, ())[:1]:  # a PAD digit sorts first
+                if ydig == pad:
+                    steps += 1
+                    cur = nend.get(t)
+                    nend[t] = words if cur is None else (cur + words)[:2]
         running, ended = nrun, nend
-    record(running)
-    record(ended)
-    # the output may outrun the inputs by at most the state count; the input
-    # tracks are all PAD there, so every column has an output digit
-    tail = (rel.PAD,) * len(inputs)
+    found = [w for store in (running, ended) for q, words in store.items()
+             if q in d.accepting for w in words]
+    # past the inputs (all PAD) the output runs on for at most the state count
+    tail = (pad,) * len(inputs)
     for _ in range(d.n_states + 1):
         nrun = {}
         for q, words in running.items():
             for ydig, t in index[q].get(tail, ()):
                 steps += 1
-                push(nrun, t, [w + (ydig,) for w in words])
+                new = [(ydig, w) for w in words]
+                cur = nrun.get(t)
+                nrun[t] = new if cur is None else (cur + new)[:2]
+                if t in d.accepting:
+                    found += new
         running = nrun
-        record(running)
         if len(found) > 1 or not running:
             break
-    if len(found) > 1:
-        raise ValueError("relation is not functional on these inputs")
-    if not found:
-        raise ValueError("no output: inputs outside the relation's domain")
-    return Word(r.base, found[0]), steps
+    if len(found) != 1:
+        raise ValueError("relation is not functional on these inputs" if found
+                         else "no output: inputs outside the relation's domain")
+    out, w = [], found[0]
+    while w:
+        ydig, w = w
+        out.append(ydig)
+    return tuple(reversed(out)), steps
 
 
 def right_multiply(P, u, w, trace=None):
-    """Representative of ν(u)·w̄ by applying each letter's edge relation."""
+    """Representative of ν(u)·w̄ by applying each letter's edge relation to
+    u's index tuple; a Word is made at the end, and per letter when tracing."""
+    y = u.indices
     for name, sign in w:
         r = P.relation(name, sign)
-        u, steps = _eval_search(r, [u])
+        y, steps = _search(r, (y,))
         if trace is not None:
-            trace.steps.append(u)
+            trace.steps.append(Word(r.base, y))
             trace.transitions += steps
-    return u
+    return Word(P.base, y)
 
 
 def eval_trace(P, u, w):
     """Right multiplication with a step-by-step record."""
     trace = EvalTrace(word=w)
-    result = right_multiply(P, u, w, trace=trace)
-    return result, trace
+    return right_multiply(P, u, w, trace=trace), trace
 
 
 def canonical_rep(P, w):
@@ -204,17 +202,17 @@ def _shells(P, radius):
         raise ValueError("radius must be nonnegative")
     rels = [P.relation(n, s) for n in P.generators for s in (1, -1)]
     seen = {P.identity.indices}
-    frontier = [P.identity]
+    frontier = [P.identity.indices]
     for _ in range(radius):
         shell = []
         for u in frontier:
             for r in rels:
-                v, _ = _eval_search(r, [u])
-                if v.indices not in seen:
-                    seen.add(v.indices)
+                v, _ = _search(r, (u,))
+                if v not in seen:
+                    seen.add(v)
                     shell.append(v)
-        shell.sort(key=lambda w: (len(w), w.indices))
-        yield shell
+        shell.sort(key=lambda v: (len(v), v))
+        yield [Word(P.base, v) for v in shell]
         frontier = shell
 
 

@@ -28,11 +28,11 @@ class GroupWord:
         optional ^<exponent> suffix, e.g. "A C A^-1 C^-1 B^-1" or "b^-2"."""
         letters = []
         for tok in text.split():
-            name, _, exp = tok.partition("^")
+            name, caret, exp = tok.partition("^")
             if not name:
                 raise ValueError(f"bad group-word token {tok!r}")
             power = 1
-            if exp:
+            if caret:
                 try:
                     power = int(exp)
                 except ValueError:

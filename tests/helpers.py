@@ -610,3 +610,73 @@ def collapse_repeated(r, args):
     if args != order:
         r = rel.permute_tracks(r, [order.index(v) for v in args])
     return tuple(order), r
+
+
+# The transducer search as it was before the output prefixes were linked and
+# the representatives carried as index tuples, kept word for word as the
+# oracle of `decision._eval_search`.
+def reference_eval_search(r, inputs):
+    """(output word, transitions taken); raises if zero or several outputs."""
+    d = r.dfa
+    index = r.input_rows()
+    maxlen = max((len(u) for u in inputs), default=0)
+    steps = 0
+
+    # per automaton state keep up to two distinct output prefixes, so that a
+    # second accepted output (a functionality violation) is always detected
+    def push(store, q, words):
+        cur = store.setdefault(q, [])
+        for w in words:
+            if w not in cur:
+                cur.append(w)
+                if len(cur) > 2:
+                    cur.pop()
+
+    found = []
+
+    def record(store):
+        for q, words in store.items():
+            if q in d.accepting:
+                for w in words:
+                    if w not in found:
+                        found.append(w)
+
+    # states split by whether the output track has already ended
+    running = {d.initial: [()]}
+    ended = {}
+    for pos in range(maxlen):
+        col = tuple(u.indices[pos] if pos < len(u) else rel.PAD for u in inputs)
+        nrun, nend = {}, {}
+        for q, words in running.items():
+            for ydig, t in index[q].get(col, ()):
+                steps += 1
+                if ydig == rel.PAD:
+                    push(nend, t, words)
+                else:
+                    push(nrun, t, [w + (ydig,) for w in words])
+        for q, words in ended.items():
+            entries = index[q].get(col)
+            if entries and entries[0][0] == rel.PAD:
+                steps += 1
+                push(nend, entries[0][1], words)
+        running, ended = nrun, nend
+    record(running)
+    record(ended)
+    # the output may outrun the inputs by at most the state count; the input
+    # tracks are all PAD there, so every column has an output digit
+    tail = (rel.PAD,) * len(inputs)
+    for _ in range(d.n_states + 1):
+        nrun = {}
+        for q, words in running.items():
+            for ydig, t in index[q].get(tail, ()):
+                steps += 1
+                push(nrun, t, [w + (ydig,) for w in words])
+        running = nrun
+        record(running)
+        if len(found) > 1 or not running:
+            break
+    if len(found) > 1:
+        raise ValueError("relation is not functional on these inputs")
+    if not found:
+        raise ValueError("no output: inputs outside the relation's domain")
+    return Word(r.base, found[0]), steps

@@ -55,6 +55,23 @@ def test_build_rejects_invalid_parameters(tmp_path):
     assert cli.main(["build", "zn"]) == 3  # missing --out
 
 
+@pytest.mark.parametrize("builder, option, value", [
+    ("abelian", "--torsion", "a"),
+    ("nilpotent2", "--orders", "2,a"),
+    ("semidirect-zn-z", "--matrix", "1,0;0,a"),
+    ("nilpotent2", "--comm", "0,1=a"),
+    ("nilpotent2", "--comm", "0=1"),
+])
+def test_build_rejects_non_integer_options_naming_them(tmp_path, capsys, builder,
+                                                       option, value):
+    out = str(tmp_path / "x.json")
+    assert cli.main(["build", builder, "-n", "2", option, value, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {option}: ")
+    assert repr(value) in err
+    assert not os.path.exists(out)
+
+
 def test_build_respects_max_states(tmp_path):
     out = str(tmp_path / "x.json")
     assert cli.main(["--max-states", "2", "build", "zn", "-n", "1",
@@ -81,6 +98,11 @@ def test_relator_and_conj_respect_max_states(heis_path, tmp_path):
         assert "Traceback" not in proc.stderr
         assert "--max-states" in proc.stderr
         assert proc.stdout == ""
+
+
+def test_eval_rejects_a_missing_exponent(zn1_path, capsys):
+    assert cli.main(["eval", zn1_path, "e1^"]) == 2
+    assert capsys.readouterr().err == "error: bad exponent in 'e1^'\n"
 
 
 def test_eval_prints_representative(zn1_path, capsys):

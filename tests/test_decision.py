@@ -1,8 +1,10 @@
+import functools
 import gc
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleyauto import decision as dec, fa, fo, presburger as pres, relations as rel
 from cayleyauto.fa import Word
@@ -30,6 +32,7 @@ from helpers import (
     broken_zn1,
     compose_check_presentation,
     random_group_word,
+    reference_eval_search,
     roster,
 )
 
@@ -142,6 +145,117 @@ def test_lazy_search_index_matches_a_full_one(make):
             for u in balls:
                 assert dec._eval_search(lazy, [u]) == dec._eval_search(full, [u])
             assert len(lazy.input_rows()) <= len(index)
+
+
+_ORACLE_GROUPS = {
+    "bs1n(2)": lambda: bs1n(2),
+    "bs1n(3)": lambda: bs1n(3),
+    "heisenberg": heisenberg,
+    "wreath C2": lambda: wreath_finite_by_z(FiniteGroupTable.cyclic(2)),
+    "zn(2)": lambda: zn(2),
+    "free(2)": lambda: free_group(2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_group(name):
+    """The group, its signed edge relations and its 3-ball."""
+    P = _ORACLE_GROUPS[name]()
+    rels = [P.relation(n, s) for n in P.generator_names for s in (1, -1)]
+    return P, rels, dec.ball(P, 3)
+
+
+def _agree_with_reference(r, inputs):
+    """The search and the reference give the same output word and step
+    count, or both raise the same error."""
+    try:
+        expected = reference_eval_search(r, inputs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            dec._eval_search(r, inputs)
+        return None
+    y, steps = dec._eval_search(r, inputs)
+    assert (y.alphabet, y.indices, steps) == (
+        expected[0].alphabet, expected[0].indices, expected[1])
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_eval_search_agrees_with_the_reference(name, data):
+    P, rels, balls = _oracle_group(name)
+    u = data.draw(st.sampled_from(balls))
+    for r in rels:
+        assert _agree_with_reference(r, [u]) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_addition_agrees_with_the_reference(a, b):
+    y = _agree_with_reference(pres.addition_relation(),
+                              [pres.encode_int(a), pres.encode_int(b)])
+    assert pres.decode_int(y) == a + b
+    assert dec.eval_function(pres.addition_relation(),
+                             [pres.encode_int(a), pres.encode_int(b)]) == y
+
+
+@pytest.mark.parametrize("v", [-9, -1, 0, 1, 2, 100])
+def test_constant_agrees_with_the_reference(v):
+    r = pres.constant_relation(v)
+    y = _agree_with_reference(r, [])
+    assert pres.decode_int(y) == v
+    assert dec.eval_function(r, []) == y
+
+
+def test_search_errors_agree_with_the_reference():
+    P = zn(1)
+    both = rel.rel_union(P.relation("e1"), P.relation("e1", -1))
+    with pytest.raises(ValueError, match="not functional"):
+        dec._eval_search(both, [P.identity])
+    assert _agree_with_reference(both, [P.identity]) is None
+    bad = Word(P.base, (P.base.size - 1,) * 3)  # not a representative
+    with pytest.raises(ValueError, match="no output"):
+        dec._eval_search(P.relation("e1"), [bad])
+    assert _agree_with_reference(P.relation("e1"), [bad]) is None
+    # two outputs that part in the first column and then run into one state:
+    # within the input columns, past them, and after both have ended (the
+    # third pair keeps them apart until then)
+    a = pres.BITS
+    for u, y1, y2, more in [((0, 0), (0, 1), (1, 1), []),
+                            ((0,), (0, 1, 1), (1, 1, 1), []),
+                            ((0, 0, 0), (0,), (1,), [((0, 0, 1), (0,))])]:
+        pairs = [(u, y1), (u, y2)] + more
+        r = rel.relation_from_tuples(a, 2, [(Word(a, x), Word(a, y)) for x, y in pairs])
+        with pytest.raises(ValueError, match="not functional"):
+            dec._eval_search(r, [Word(a, u)])
+        assert _agree_with_reference(r, [Word(a, u)]) is None
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
+def test_eval_trace_sums_the_reference_steps(name):
+    P, _, _ = _oracle_group(name)
+    rng = random.Random(name)
+    for _ in range(10):
+        w = random_group_word(rng, P.generator_names, 12)
+        result, trace = dec.eval_trace(P, P.identity, w)
+        u, total, steps = P.identity, 0, []
+        for gen, sign in w:
+            u, n = reference_eval_search(P.relation(gen, sign), [u])
+            total += n
+            steps.append(u.indices)
+        assert trace.transitions == total
+        assert [s.indices for s in trace.steps] == steps
+        assert all(s.alphabet == P.base for s in trace.steps)
+        assert (result.alphabet, result.indices) == (P.base, u.indices)
+
+
+def test_right_multiply_returns_a_word_over_the_base():
+    P = free_group(2)
+    for w in (GroupWord(()), GroupWord.parse("a a^-1"), GroupWord.parse("b^-1 b")):
+        out = dec.right_multiply(P, P.identity, w)
+        assert isinstance(out, Word)
+        assert (out.alphabet, out.indices) == (P.base, ())
 
 
 def test_eval_trace_records_each_step():

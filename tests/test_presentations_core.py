@@ -46,6 +46,10 @@ def test_group_word_rejects_bad_tokens():
         GroupWord.parse("a^x")
     with pytest.raises(ValueError):
         GroupWord.parse("^2")
+    with pytest.raises(ValueError, match=r"bad exponent in 'e1\^'"):
+        GroupWord.parse("e1^")
+    with pytest.raises(ValueError, match=r"bad exponent in 'a\^'"):
+        GroupWord.parse("b a^ b")
     with pytest.raises(ValueError):
         GroupWord([("a", 2)])
 
