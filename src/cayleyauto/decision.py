@@ -172,12 +172,15 @@ def relator_holds(P, w):
       domain) it tells nothing and the chains decide.
     - Confirm on the cyclic core: strip matching ends x^s … x^-s
       (`GroupWord.cyclic_split`), split the core as x·y with
-      |x| = ⌈n/2⌉, and compare the relations u -> u·x̄ and u -> u·ȳ⁻¹.
+      |x| = ⌈n/2⌉, and check that the relation u -> u·x̄ is included in
+      u -> u·ȳ⁻¹.  Both chains are bijections of L under the assumption
+      below, and of two bijections one includes the other only when they
+      are equal, so one inclusion search decides.
 
     The chain of a·w·a⁻¹ is the chain of w conjugated by the chain of a, so
     the two are the identity together when every edge relation is a
     bijection of L inside L², as `check_presentation` certifies.  The free
-    and the cyclic reduction, and the half-chain comparison, are exact
+    and the cyclic reduction, and the half-chain inclusion, are exact
     under that assumption; the refutation needs only the search."""
     if not len(w):
         raise ValueError("the word must be nonempty")
@@ -191,7 +194,7 @@ def relator_holds(P, w):
     half = (len(w) + 1) // 2
     x = GroupWord(w.letters[:half])
     y = GroupWord(w.letters[half:])
-    return fa.language_equal(P.right_chain(x).dfa, P.right_chain(y.inverse()).dfa)
+    return fa.is_subset(P.right_chain(x).dfa, P.right_chain(y.inverse()).dfa)
 
 
 def _shells(P, radius):

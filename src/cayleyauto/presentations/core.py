@@ -11,6 +11,10 @@ from functools import reduce
 from .. import fa, relations as rel
 from ..fa import Alphabet, Word
 
+# the most letters `GroupWord.parse` expands a text to: x^n writes out n
+# letters, and a larger total raises before any of them is made
+MAX_WORD_LETTERS = 10**6
+
 
 class GroupWord:
     """A word over a presentation's generators and their inverses, stored as
@@ -25,7 +29,9 @@ class GroupWord:
     @classmethod
     def parse(cls, text):
         """Parse the CLI syntax: whitespace-separated generator names with an
-        optional ^<exponent> suffix, e.g. "A C A^-1 C^-1 B^-1" or "b^-2"."""
+        optional ^<exponent> suffix, e.g. "A C A^-1 C^-1 B^-1" or "b^-2".
+        A text of more than MAX_WORD_LETTERS letters raises a ValueError
+        naming the token that passes the bound."""
         letters = []
         for tok in text.split():
             name, caret, exp = tok.partition("^")
@@ -37,6 +43,9 @@ class GroupWord:
                     power = int(exp)
                 except ValueError:
                     raise ValueError(f"bad exponent in {tok!r}") from None
+            if len(letters) + abs(power) > MAX_WORD_LETTERS:
+                raise ValueError(f"group-word token {tok!r} takes the word past "
+                                 f"{MAX_WORD_LETTERS} letters")
             sign = 1 if power > 0 else -1
             letters.extend((name, sign) for _ in range(abs(power)))
         return cls(letters)
@@ -116,6 +125,13 @@ def json_fields(doc, owner, fields, optional=()):
     return out
 
 
+def _minimal(r):
+    """r, or r over its minimized automaton when that is not marked minimal."""
+    if r.dfa.minimal:
+        return r
+    return rel.RegularRelation(r.base, r.arity, fa.minimize(r.dfa))
+
+
 class GraphAutomaticPresentation:
     """A group given by representatives and right-multiplication relations.
 
@@ -123,14 +139,16 @@ class GraphAutomaticPresentation:
     set of representatives; identity: the representative of the group
     identity; generators: name -> binary relation {(u, u·x)}; left: optional
     name -> binary relation {(u, x·u)}; meta: free-form description data.
+    The domain and every relation held are minimal: an automaton not marked
+    minimal (a `rel.compose` result, say) is minimized when stored.
     """
 
     def __init__(self, base, domain, identity, generators, left=None, meta=None):
         self.base = base
         self.domain = fa.minimize(domain)
         self.identity = identity
-        self.generators = dict(generators)
-        self.left = dict(left or {})
+        self.generators = {n: _minimal(r) for n, r in generators.items()}
+        self.left = {n: _minimal(r) for n, r in (left or {}).items()}
         self.meta = dict(meta or {})
         self._inverses = {}
         self._left_inverses = {}
@@ -195,7 +213,8 @@ class GraphAutomaticPresentation:
         cached equality relation.  Both shortcuts are exact when every edge
         relation is a bijection of L inside L², which
         `decision.check_presentation` certifies (in_domain, functional,
-        injective, total, surjective)."""
+        injective, total, surjective).  With two or more letters the result
+        is the last `rel.compose` product, which is not minimized."""
         return self._fold([self.relation(n, s) for n, s in self.reduce_word(w)])
 
     def reduce_left_word(self, w):
@@ -211,7 +230,7 @@ class GraphAutomaticPresentation:
         u -> w̄·u, folded from the last letter.  Names are checked, the word
         reduced (`reduce_left_word`) and the fold started as in
         `right_chain`, under the same bijectivity assumption on the left
-        relations."""
+        relations; its result is not minimized either."""
         letters = reversed(self.reduce_left_word(w).letters)
         return self._fold([self.left_relation(n, s) for n, s in letters])
 

@@ -5,13 +5,17 @@ alphabet: all tuples in (Σ∪{◇})ⁿ except the all-◇ tuple, which is exclu
 the symbol level so malformed words are unrepresentable.  Every operation
 returns a relation whose language is a subset of the valid convolutions
 (padding persists per track, final column not all-◇), determinized and
-minimized; where symbol numbers already agree (grouping tracks, arity-1
-relations) only the alphabet changes.  `project` and `compose` hand their
-branching rows to `fa.determinize`, and so does `relation_from_edges`, the
-one constructor of a relation written out as (state, column, state) edges.
-`join` conjoins relations over shared tracks; a part that names one track
-twice reads the same word on both.  Restriction to L(domain)ⁿ walks only
-the relation's own edges; complement within it is Lⁿ minus the relation.
+minimized, except `compose`: it minimizes its operands and returns its
+product as determinized, so a chain of compositions minimizes each
+intermediate once, when it becomes the next operand.  Where symbol numbers
+already agree (grouping tracks, arity-1 relations) only the alphabet
+changes, and the input's minimal mark is kept.  `project` and `compose`
+hand their branching rows to `fa.determinize`, and so does
+`relation_from_edges`, the one constructor of a relation written out as
+(state, column, state) edges.  `join` conjoins relations over shared
+tracks; a part that names one track twice reads the same word on both.
+Restriction to L(domain)ⁿ walks only the relation's own edges; complement
+within it is Lⁿ minus the relation.
 """
 
 from __future__ import annotations
@@ -433,13 +437,20 @@ def compose(r, s):
     output symbol → one product state id, or a frozenset of ids where the
     guess of the middle branches.  Acceptance comes from the tail closure,
     which `fa.determinize` asks for only after exploring.
+
+    The operands are minimized (a no-op on marked automata) and the
+    determinized product is returned as built, not minimized: the one
+    construction here whose result is not marked minimal.  A chain of
+    compositions thus minimizes each intermediate once, as the next
+    operand, and hands its last product to a consumer (`fa.is_subset`,
+    `rel_intersect`, `rel_to_text`) that needs no minimal input.
     """
     if r.arity != 2 or s.arity != 2:
         raise ValueError("compose needs binary relations")
     if r.base != s.base:
         raise ValueError("base alphabet mismatch")
-    A = fa._ensure_sink(r.dfa)
-    B = fa._ensure_sink(s.dfa)
+    A = fa._ensure_sink(fa.minimize(r.dfa))
+    B = fa._ensure_sink(fa.minimize(s.dfa))
     conv = r.conv
     # a 2-track column symbol is first + second·radix in digits, ◇ the top one
     radix = conv.radix
@@ -577,7 +588,7 @@ def compose(r, s):
     # valid as built: outer tracks follow r/s until DONE, then ◇, and there
     # is no all-◇ column
     d = fa.determinize(conv, 0, product_row, lambda p: p in final())
-    return RegularRelation(r.base, 2, fa.minimize(d))
+    return RegularRelation(r.base, 2, d)
 
 
 def is_functional(r, track):

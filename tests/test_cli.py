@@ -105,6 +105,13 @@ def test_eval_rejects_a_missing_exponent(zn1_path, capsys):
     assert capsys.readouterr().err == "error: bad exponent in 'e1^'\n"
 
 
+def test_eval_rejects_a_word_past_the_letter_bound(zn1_path, capsys):
+    assert cli.main(["eval", zn1_path, "e1^999999999999"]) == 2
+    assert capsys.readouterr().err == (
+        "error: group-word token 'e1^999999999999' takes the word past "
+        "1000000 letters\n")
+
+
 def test_eval_prints_representative(zn1_path, capsys):
     assert cli.main(["eval", zn1_path, "e1 e1 e1^-1"]) == 0
     got = capsys.readouterr().out.strip()

@@ -667,6 +667,62 @@ def test_conjugate_on_cyclic_cores_matches_the_full_chains(name):
     assert verdicts == {True, False}
 
 
+def _cyclic_cores(letters, n):
+    """The words of n letters that are their own cyclic reduction."""
+    for w in itertools.product(letters, repeat=n):
+        w = GroupWord(w)
+        if len(w.cyclic_split()[1]) == n:
+            yield w
+
+
+def test_relator_holds_and_conjugate_match_the_heisenberg_oracle(monkeypatch):
+    # cores of 5 and 6 letters fold chains of 3 letters (relators) and of 5
+    # and 6 (conjugacy), whose intermediates are minimized as operands
+    P = heisenberg()
+    ev, one = HeisenbergOracle.evaluate, (0, 0, 0)
+    names = P.generator_names
+    letters = [(n, s) for n in names for s in (1, -1)]
+    rng = random.Random("heisenberg-oracle")
+    cores = {n: list(_cyclic_cores(letters, n)) for n in (5, 6)}
+    words = []
+    for n in (5, 6):
+        relators = [w for w in cores[n] if ev(w) == one]
+        assert relators
+        words += rng.sample(relators, 2) + rng.sample(cores[n], 2)
+    u = random_group_word(rng, names, 2)
+    words += [u * w * u.inverse() for w in words]
+    words += [random_group_word(rng, names, 6) for _ in range(2)]
+    truths = [ev(w) == one for w in words]
+    assert set(truths) == {True, False}
+    for w, truth in zip(words, truths):
+        assert dec.relator_holds(P, w) == truth, str(w)
+
+    # with the transducer search giving no verdict, the chains decide alone
+    def no_verdict(P, w):
+        raise ValueError("no verdict")
+
+    monkeypatch.setattr(dec, "is_identity", no_verdict)
+    for w, truth in zip(words, truths):
+        if len(w.reduced()):
+            assert dec.relator_holds(P, w) == truth, str(w)
+    monkeypatch.undo()
+
+    p5, p6 = rng.choice(cores[5]), rng.choice(cores[6])
+    q5 = GroupWord(p5.letters[2:] + p5.letters[:2])  # a cyclic permutation
+    pairs = [(p5, q5), (p5, u * p5 * u.inverse()), (p6, random_group_word(rng, names, 6)),
+             (u * p6 * u.inverse(), p6), (p5, p6)]
+    verdicts = set()
+    for p, q in pairs:
+        truth = HeisenbergOracle.conjugate_truth(ev(p), ev(q))
+        ok, witness = dec.conjugate(P, p, q)
+        assert ok == truth, (str(p), str(q))
+        if ok:
+            x = decode_vector(witness)
+            assert HeisenbergOracle.mul(x, ev(p)) == HeisenbergOracle.mul(ev(q), x)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_conjugate_strips_the_conjugators_before_composing(monkeypatch):
     P = heisenberg()
     calls = []

@@ -9,11 +9,13 @@ from cayleyauto.presentations import (
     GroupWord,
     Nilpotent2Spec,
     bs1n,
+    extend_generator,
     fa_abelian_multiplication,
     free_group,
     heisenberg,
     zn,
 )
+from cayleyauto.presentations import core
 from cayleyauto.presentations.core import GraphAutomaticPresentation
 
 from helpers import ROSTER_NAMES, roster
@@ -52,6 +54,16 @@ def test_group_word_rejects_bad_tokens():
         GroupWord.parse("b a^ b")
     with pytest.raises(ValueError):
         GroupWord([("a", 2)])
+
+
+def test_group_word_parse_bounds_the_letter_count(monkeypatch):
+    # the bound is checked before x^n is written out
+    with pytest.raises(ValueError, match=r"token 'e1\^1000000000000' takes the word past"):
+        GroupWord.parse(f"e1^{10**12}")
+    monkeypatch.setattr(core, "MAX_WORD_LETTERS", 5)
+    assert len(GroupWord.parse("a^-3 b b")) == 5
+    with pytest.raises(ValueError, match=r"token 'b' takes the word past 5 letters"):
+        GroupWord.parse("a^5 b")
 
 
 def test_finite_group_table_cyclic():
@@ -207,6 +219,48 @@ def test_chains_of_reducible_words_match_the_identity_first_fold(name):
         assert rel.rel_to_text(P.left_chain(w)) == rel.rel_to_text(want)
     assert P.right_chain(w * w.inverse()) is P.equality_relation()
     assert P.right_chain([(h, -1), (h, 1)]) is P.equality_relation()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_chains_minimize_each_intermediate_once(k, monkeypatch):
+    # the last product goes unminimized to its consumer, so a k-letter
+    # chain refines k - 2 times, once per intermediate; a call on a marked
+    # automaton returns it and does not count
+    P = heisenberg()
+    w = GroupWord([("A", 1), ("C", -1), ("B", 1), ("A", 1), ("C", 1)][:k])
+    for name, sign in w:
+        P.relation(name, sign)
+        P.left_relation(name, sign)
+    calls = []
+    minimize = fa.minimize
+
+    def counted(d):
+        if not d.minimal:
+            calls.append(d.n_states)
+        return minimize(d)
+
+    monkeypatch.setattr(fa, "minimize", counted)
+    right = P.right_chain(w)
+    assert len(calls) == k - 2
+    assert not right.dfa.minimal
+    del calls[:]
+    P.left_chain(w)
+    assert len(calls) == k - 2
+
+
+def test_presentations_hold_marked_minimal_relations():
+    # an unmarked relation, like a chain's, is minimized when stored
+    P = heisenberg()
+    w = GroupWord.parse("A C A^-1")
+    assert not P.right_chain(w).dfa.minimal
+    extended = extend_generator(P, "D", w)
+    for Q in [extended] + [roster(name) for name in ROSTER_NAMES]:
+        assert Q.domain.minimal
+        for r in list(Q.generators.values()) + list(Q.left.values()):
+            assert r.dfa.minimal
+    assert extended.generators["A"] is P.generators["A"]
+    assert rel.rel_to_text(extended.relation("D")) == rel.rel_to_text(P.right_chain(w))
+    assert rel.rel_to_text(extended.left["D"]) == rel.rel_to_text(P.left_chain(w))
 
 
 def test_chains_check_names_before_cancelling():

@@ -186,11 +186,20 @@ def test_compose_matches_definition(seed):
 
 def assert_valid_as_built(c):
     # compose, project and cylindrify skip make_relation's validity filter;
-    # running it again must leave the minimal automaton exactly as it is
+    # running it again must give the very minimal automaton of the result
+    # (compose's result is left unminimized, the others are marked minimal)
     again = rel.make_relation(c.base, c.arity, c.dfa).dfa
-    assert again.rows == c.dfa.rows
-    assert again.accepting == c.dfa.accepting
-    assert again.sink == c.dfa.sink
+    minimal = fa.minimize(c.dfa)
+    assert again.rows == minimal.rows
+    assert again.accepting == minimal.accepting
+    assert again.sink == minimal.sink
+
+
+def assert_compose_is_projected_join(c, r, s):
+    # c = compose(r, s) by the identity its docstring states:
+    # (u,w) ∈ c iff ∃v (u,v) ∈ r and (v,w) ∈ s
+    joined = rel.join([(r, (0, 1)), (s, (1, 2))], 3)
+    assert rel.rel_to_text(c) == rel.rel_to_text(rel.project(joined, 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,7 +208,9 @@ def test_compose_output_needs_no_validity_pass(seed):
     rng = random.Random(seed)
     r, _ = small_relation(rng, 2, max_len=rng.randint(1, 3))
     s, _ = small_relation(rng, 2, max_len=rng.randint(1, 3))
-    assert_valid_as_built(rel.compose(r, s))
+    c = rel.compose(r, s)
+    assert_valid_as_built(c)
+    assert_compose_is_projected_join(c, r, s)
 
 
 @pytest.mark.parametrize(
@@ -210,7 +221,38 @@ def test_compose_of_generators_needs_no_validity_pass(build):
     signed = [P.relation(x, s) for x in P.generators for s in (1, -1)]
     for r in signed:
         for s in signed:
-            assert_valid_as_built(rel.compose(r, s))
+            c = rel.compose(r, s)
+            assert_valid_as_built(c)
+            assert_compose_is_projected_join(c, r, s)
+
+
+def test_every_construction_but_compose_returns_a_marked_minimal_automaton():
+    P = heisenberg()
+    a, c = P.relation("A"), P.relation("C", -1)
+    d = a.dfa
+    edges = [(q, a.conv.tuple_of(sym), t)
+             for q, row in d.rows.items() for sym, t in row.items() if t != d.sink]
+    composed = rel.compose(a, c)
+    built = {
+        "rel_intersect": rel.rel_intersect(a, c),
+        "rel_union": rel.rel_union(a, c),
+        "rel_difference": rel.rel_difference(a, c),
+        "project": rel.project(a, 0),
+        "join": rel.join([(a, (0, 1)), (c, (1, 2))], 3),
+        "cylindrify": rel.cylindrify(a, 1, fa.Dfa(P.base, 1, 0, {0}, {}, 0)),
+        "permute_tracks": rel.permute_tracks(a, [1, 0]),
+        "restrict_relation_to_domain": rel.restrict_relation_to_domain(a, P.domain),
+        "relation_from_edges": rel.relation_from_edges(
+            P.base, 2, d.initial, d.accepting, edges),
+        "make_relation": rel.make_relation(P.base, 2, composed.dfa),
+        "rel_from_text": rel.rel_from_text(rel.rel_to_text(composed)),
+    }
+    for name, r in built.items():
+        assert r.dfa.minimal, name
+    # compose alone leaves its product as built; grouping keeps the mark
+    assert not composed.dfa.minimal
+    assert rel.group_tracks(a, 2).dfa.minimal
+    assert not rel.group_tracks(composed, 2).dfa.minimal
 
 
 def random_domain(rng):
