@@ -243,6 +243,19 @@ def cmd_equal(args):
     return EXIT_TRUE if same else EXIT_FALSE
 
 
+def _certify(P, edges):
+    """Raise a ValueError naming the first edge of the {name: relation} map
+    that fails `decision.check_relation` against P's domain, and its failed
+    flags."""
+    from . import decision as dec
+
+    for name, r in edges.items():
+        flags = dec.check_relation(r, P.domain)
+        failed = " ".join(k for k, ok in flags.items() if not ok)
+        if failed:
+            raise ValueError(f"relation {name} fails the presentation check: {failed}")
+
+
 def cmd_relator(args):
     from . import decision as dec
 
@@ -250,12 +263,7 @@ def cmd_relator(args):
     w = GroupWord.parse(args.word)
     # the decision assumes that each edge it follows is a bijection of the
     # representatives: certify those the word names, cancelled ones too
-    edges = {name: P.relation(name) for name, _ in w}
-    for name, r in edges.items():
-        flags = dec.check_relation(r, P.domain)
-        failed = " ".join(k for k, ok in flags.items() if not ok)
-        if failed:
-            raise ValueError(f"relation {name} fails the presentation check: {failed}")
+    _certify(P, {name: P.relation(name) for name, _ in w})
     holds = dec.relator_holds(P, w)
     print("true" if holds else "false")
     return EXIT_TRUE if holds else EXIT_FALSE
@@ -285,11 +293,7 @@ def cmd_conj(args):
     if P.is_biautomatic():
         edges = {name: P.relation(name) for name, _ in p}
         edges.update((f"left:{name}", P.left_relation(name)) for name, _ in q)
-    for name, r in edges.items():
-        flags = dec.check_relation(r, P.domain)
-        failed = " ".join(k for k, ok in flags.items() if not ok)
-        if failed:
-            raise ValueError(f"relation {name} fails the presentation check: {failed}")
+    _certify(P, edges)
     ok, witness = dec.conjugate(P, p, q)
     if ok:
         print("conjugate, witness: " + " ".join(witness.names()))
@@ -345,28 +349,26 @@ def cmd_fo(args):
 
 def cmd_export(args):
     obj = _load_any(args.path, args.max_states)
+    automata = [("domain", obj.domain)]
+    if isinstance(obj, GraphAutomaticPresentation):
+        automata += [(name, r.dfa) for name, r in obj.generators.items()]
+        automata += [(f"left:{name}", r.dfa) for name, r in obj.left.items()]
+    else:
+        automata += [(name, r.dfa) for name, r in obj.relations.items()]
+    # every file name first: two automata whose names clean up alike would
+    # otherwise write one file, the second over the first
+    named = {}
+    for name, automaton in automata:
+        stem = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
+        if stem in named:
+            raise ValueError(f"automata {named[stem][0]} and {name} would both "
+                             f"be written to {stem}.dot")
+        named[stem] = name, automaton
     os.makedirs(args.dot, exist_ok=True)
-    written = []
-
-    def emit(stem, automaton):
-        stem = "".join(c if c.isalnum() or c in "-_" else "_" for c in stem)
+    for stem, (_, automaton) in named.items():
         path = os.path.join(args.dot, stem + ".dot")
         with open(path, "w") as f:
             f.write(fa.to_dot(fa.minimize(automaton), name=stem))
-        written.append(path)
-
-    emit("domain", obj.domain)
-    pairs = (
-        obj.generators.items()
-        if isinstance(obj, GraphAutomaticPresentation)
-        else obj.relations.items()
-    )
-    for name, r in pairs:
-        emit(name, r.dfa)
-    if isinstance(obj, GraphAutomaticPresentation):
-        for name, r in obj.left.items():
-            emit(f"left_{name}", r.dfa)
-    for path in written:
         print(path)
     return EXIT_TRUE
 

@@ -271,8 +271,8 @@ def check_relation(r, domain):
     representatives L = L(domain), in that order: whether r stays within L²
     and is a bijection of L.
 
-    - in_domain: r ⊆ L², by one walk over r's own edges
-      (`relations.relation_in_domain_power`);
+    - in_domain: r ⊆ L², by one walk over the minimized r's own edges
+      that cuts nothing (`relations.relation_in_domain_power`);
     - functional: no two pairs of r share a source and differ in their
       target (`relations.is_functional` on track 0), and every target of r
       lies in L;

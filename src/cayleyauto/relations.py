@@ -14,8 +14,10 @@ hand their branching rows to `fa.determinize`, and so does
 `relation_from_edges`, the one constructor of a relation written out as
 (state, column, state) edges.  `join` conjoins relations over shared
 tracks; a part that names one track twice reads the same word on both.
-Restriction to L(domain)ⁿ walks only the relation's own edges; complement
-within it is Lⁿ minus the relation.
+Restriction to L(domain)ⁿ, the validity filter and the check that a
+relation lies within L(domain)ⁿ are one walk over the relation's own edges
+(`_restrict_tracks`), which returns its minimized input when it cuts
+nothing; complement within Lⁿ is Lⁿ minus the relation.
 """
 
 from __future__ import annotations
@@ -265,59 +267,71 @@ class _TrackMoves(dict):
 def _track_step(column, ms):
     """The track states after reading a column, each track from its
     `_TrackMoves` row in ms; None when some track may not read its digit."""
-    nxt = []
-    for c, m in zip(column, ms):
-        t = m.get(c)
-        if t is None:
-            return None
-        nxt.append(t)
-    return tuple(nxt)
+    nxt = tuple(map(dict.get, ms, column))
+    return None if None in nxt else nxt
 
 
 def _restrict_tracks(d, conv, domain):
-    """L(d) ∩ L(domain)ⁿ over the column alphabet, as a minimized DFA.
+    """L(d) ∩ L(domain)ⁿ over the column alphabet, as a minimized DFA: the
+    one walker of a relation against per-track domains.
 
     Each track steps its own copy of the domain DFA (`_TrackMoves`); the
     all-◇ column is not a symbol, so the result holds only valid
     convolutions.  With Σ* as the domain this is the validity filter alone.
     Only d's own edges are tried, so d's missing edges must reject: a d
-    whose sink accepts raises a ValueError."""
+    whose sink accepts raises a ValueError.
+
+    The walk notes whether it cuts anything: a column some track may not
+    read, or an accepting state where some track may not end.  When it cuts
+    nothing it returns `fa.minimize(d)`, d itself when d is marked minimal.
+    Track states are deterministic, so every run of d has a copy in the
+    walk, and a minimal d's rows lead only to states that can accept: for a
+    minimal d, nothing is cut exactly when L(d) ⊆ L(domain)ⁿ."""
     if d.sink in d.accepting:
         raise ValueError("the automaton's sink accepts")
     moves = _TrackMoves(domain)
     tuples = conv._tuples
+    rows, sink, no_row = d.rows, d.sink, {}
+    cut = False
 
     def edges(state):
+        nonlocal cut
         q, tracks = state
         ms = [moves[ds] for ds in tracks]
         out = {}
-        for sym, t in d.rows.get(q, {}).items():
-            if t != d.sink:
+        for sym, t in rows.get(q, no_row).items():
+            if t != sink:
                 nxt = _track_step(tuples[sym], ms)
-                if nxt is not None:
+                if nxt is None:
+                    cut = True
+                else:
                     out[sym] = (t, nxt)
         return out
 
     def accepts(state):
+        nonlocal cut
         q, tracks = state
-        return q in d.accepting and all(PAD in moves[t] for t in tracks)
+        ends = q in d.accepting
+        if ends and not all(PAD in moves[t] for t in tracks):
+            cut, ends = True, False
+        return ends
 
     start = (d.initial, (moves.dom.initial,) * conv.arity)
-    return fa.minimize(fa.explore(conv, start, edges, accepts))
+    out = fa.explore(conv, start, edges, accepts)
+    return fa.minimize(out if cut else d)
 
 
 def make_relation(base, arity, automaton):
     """Canonicalize an automaton over the column alphabet of base and arity
-    into a relation, keeping only its valid convolutions.  An automaton
-    whose sink accepts is intersected with Σ*ⁿ, the valid convolutions."""
+    into a relation, keeping only its valid convolutions.  The automaton is
+    minimized first, which writes out a sink that accepts, and then walked
+    once against Σ* per track (`_restrict_tracks`): a minimal automaton
+    that holds only valid convolutions is kept as it is."""
     conv = conv_alphabet(base, arity)
     if automaton.alphabet != conv:
         raise ValueError("automaton alphabet does not match the column alphabet")
-    if automaton.sink in automaton.accepting:
-        valid = domain_power(_sigma_star(base), arity)
-        return RegularRelation(base, arity, fa.dfa_intersect(automaton, valid))
-    valid = _restrict_tracks(automaton, conv, _sigma_star(base))
-    return RegularRelation(base, arity, valid)
+    d = _restrict_tracks(fa.minimize(automaton), conv, _sigma_star(base))
+    return RegularRelation(base, arity, d)
 
 
 def _sigma_star(base):
@@ -753,32 +767,10 @@ def group_tracks(r, chunk):
 
 
 def relation_in_domain_power(r, domain):
-    """Check every member tuple has all components in L(domain).
-
-    One search over (state of the minimized r, per-track domain states),
-    along its rows, which lead only to states that can still accept.  It
-    fails at the first column some track may not read, or at an accepting
-    state where some track may not end."""
-    moves = _TrackMoves(domain)
+    """Whether every member tuple has all components in L(domain): the
+    walker (`_restrict_tracks`) cuts nothing from the minimized r."""
     d = fa.minimize(r.dfa)
-    tuples = r.conv._tuples
-    start = (d.initial, (moves.dom.initial,) * r.arity)
-    seen = {start}
-    stack = [start]
-    while stack:
-        q, tracks = stack.pop()
-        if q in d.accepting and not all(PAD in moves[ds] for ds in tracks):
-            return False
-        ms = [moves[ds] for ds in tracks]
-        for sym, t in d.rows.get(q, {}).items():
-            nxt = _track_step(tuples[sym], ms)
-            if nxt is None:
-                return False
-            state = (t, nxt)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return True
+    return _restrict_tracks(d, r.conv, domain) is d
 
 
 def join(parts, arity):
@@ -915,8 +907,11 @@ def join(parts, arity):
 
 def restrict_relation_to_domain(r, domain):
     """Intersect a relation with L(domain)ⁿ, walking only the relation's own
-    transitions."""
-    return RegularRelation(r.base, r.arity, _restrict_tracks(r.dfa, r.conv, domain))
+    transitions (`_restrict_tracks`).  A relation whose automaton the walk
+    leaves as it is, marked minimal and within L(domain)ⁿ, is returned
+    itself."""
+    d = _restrict_tracks(r.dfa, r.conv, domain)
+    return r if d is r.dfa else RegularRelation(r.base, r.arity, d)
 
 
 def domain_power(domain, n):
@@ -1066,11 +1061,10 @@ def rel_from_text(text):
     """Parse `rel_to_text`'s form, or the older one whose automaton is an
     `fa.from_text` table over the column names.
 
-    The rows are read straight into a Dfa and minimized, and one walk over
-    Σ* (`relation_in_domain_power`) confirms that it accepts only valid
-    convolutions; a state that accepts nothing is gone by then, whatever
-    it reads.  Only when the walk finds an invalid one does `make_relation`
-    filter them out."""
+    The rows are read straight into a Dfa and handed to `make_relation`,
+    which minimizes it, so a state that accepts nothing is gone whatever it
+    reads, and walks it once over Σ*: a text of valid convolutions loads as
+    its minimized automaton, and an invalid convolution is filtered out."""
     first, _, rest = text.partition("\n")
     head = first.split()
     if len(head) < 4 or head[0] != "relation" or head[2] != "over":
@@ -1083,8 +1077,7 @@ def rel_from_text(text):
     lines = filter(None, map(str.split, io.StringIO(rest)))
     top = list(itertools.islice(lines, 3))
     if top and top[0][0] == "nfa":
-        return make_relation(base, arity, fa.from_text(rest, alphabet=conv))
-    r = RegularRelation(base, arity, fa.minimize(_rows_dfa(conv, top, lines)))
-    if relation_in_domain_power(r, _sigma_star(base)):
-        return r
-    return make_relation(base, arity, r.dfa)
+        d = fa.from_text(rest, alphabet=conv)
+    else:
+        d = _rows_dfa(conv, top, lines)
+    return make_relation(base, arity, d)

@@ -392,6 +392,32 @@ def test_export_writes_dot_files(zn1_path, tmp_path, capsys):
     assert first == again
 
 
+@pytest.mark.parametrize("name, clash", [
+    ("domain", "domain and domain"),
+    ("left_e1", "left_e1 and left:e1"),
+    ("e1.x", "e1.x and e1_x"),
+])
+def test_export_refuses_two_automata_for_one_file(zn1_path, tmp_path, capsys,
+                                                  name, clash):
+    # a generator whose name cleans up like another automaton's: nothing is
+    # written and both are named, instead of one file overwriting the other
+    path = zn1_path
+    if name == "e1.x":
+        path = str(tmp_path / "one.json")
+        assert cli.main(["build", "extend-gen", "--pres", zn1_path, "--name",
+                         "e1_x", "--word", "e1", "--out", path]) == 0
+    ext = str(tmp_path / "ext.json")
+    assert cli.main(["build", "extend-gen", "--pres", path, "--name", name,
+                     "--word", "e1 e1", "--out", ext]) == 0
+    outdir = tmp_path / "dots"
+    capsys.readouterr()
+    assert cli.main(["export", ext, "--dot", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not outdir.exists()
+    stem = clash.rsplit(" ", 1)[-1].replace(":", "_").replace(".", "_")
+    assert err == f"error: automata {clash} would both be written to {stem}.dot\n"
+
+
 def test_missing_or_corrupt_files(tmp_path):
     assert cli.main(["eval", str(tmp_path / "missing.json"), "e1"]) == 2
     bad = tmp_path / "bad.json"

@@ -309,6 +309,29 @@ def test_domain_restriction_matches_set_definitions(seed):
     assert members(rel.equality_relation(dom), 3) == {(w, w) for w in in_dom}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_restriction_returns_its_input_exactly_when_nothing_is_cut(seed):
+    # the walker keeps a minimal relation that lies in L(domain)ⁿ as it is,
+    # and an unmarked automaton of the same language restricts to the same
+    # text
+    rng = random.Random(seed)
+    dom = random_domain(rng)
+    in_dom = {w.indices for w in all_words(AB, 3) if fa.accepts(dom, w)}
+    r, sr = small_relation(rng, rng.randint(1, 3), max_len=rng.randint(1, 3))
+    assert r.dfa.minimal
+    inside = all(w in in_dom for t in sr for w in t)
+    restricted = rel.restrict_relation_to_domain(r, dom)
+    assert (restricted is r) == inside
+    assert rel.relation_in_domain_power(r, dom) == inside
+    unmarked = rel.RegularRelation(AB, r.arity, fa.Dfa(
+        r.conv, r.dfa.n_states, r.dfa.initial, r.dfa.accepting, r.dfa.rows,
+        r.dfa.sink))
+    again = rel.restrict_relation_to_domain(unmarked, dom)
+    assert again is not unmarked
+    assert rel.rel_to_text(again) == rel.rel_to_text(restricted)
+
+
 def _in_domain_power_by_restriction(r, dom):
     return fa.is_subset(r.dfa, rel.restrict_relation_to_domain(r, dom).dfa)
 
@@ -342,23 +365,35 @@ def test_in_domain_power_agrees_with_restriction_on_roster(name):
             assert not _in_domain_power_by_restriction(r, punctured)
 
 
+def _unmarked_minimize_inputs(monkeypatch):
+    """Spy on `fa.minimize`: the list it returns grows by one for each
+    input not already marked minimal, each a product that is refined."""
+    refined = []
+    minimize = fa.minimize
+
+    def spy(d):
+        if not d.minimal:
+            refined.append(d)
+        return minimize(d)
+
+    monkeypatch.setattr(fa, "minimize", spy)
+    return refined
+
+
 def test_rel_text_drops_invalid_convolutions(monkeypatch):
-    # a padded track that resumes reads a word no tuple has: the validity
-    # walk finds it and only then does loading filter
+    # a padded track that resumes reads a word no tuple has: the walk over
+    # Σ* cuts it, and only then is the cut product minimized
     P = zn(1)
     r = P.relation("e1")
     clean = rel.rel_to_text(r)
     head = clean.split("\n", 1)[0] + "\n"
-    filtered = []
-    make_relation = rel.make_relation
-    monkeypatch.setattr(
-        rel, "make_relation", lambda *a: filtered.append(a) or make_relation(*a)
-    )
+    refined = _unmarked_minimize_inputs(monkeypatch)
     want = rel.rel_from_text(clean).dfa
-    assert not filtered
+    on_clean = len(refined)
+    del refined[:]
     # state 5 is entered on a ◇; column 0 is (0, 0)
     got = rel.rel_from_text(clean + "5 0 5\n").dfa
-    assert len(filtered) == 1
+    assert len(refined) == on_clean + 1
     assert (got.rows, got.accepting, got.sink) == (want.rows, want.accepting, want.sink)
     # the same edge in the older text, over the column names
     legacy = fa.to_text(r.dfa)
@@ -403,15 +438,14 @@ def test_legacy_relation_text_loads_like_its_dfa_text():
 def test_relation_text_drops_a_state_that_accepts_nothing(monkeypatch):
     # _APPEND_A edited by hand: state 3, entered on (◇,b), resumes track 0
     # on (a,a) but accepts nothing, so the relation loads as if it were not
-    # there and without filtering
-    filtered = []
-    make_relation = rel.make_relation
-    monkeypatch.setattr(
-        rel, "make_relation", lambda *a: filtered.append(a) or make_relation(*a)
-    )
+    # there: minimizing drops it before the walk, which cuts nothing
+    refined = _unmarked_minimize_inputs(monkeypatch)
+    rel.rel_from_text(_APPEND_A)
+    on_clean = len(refined)
+    del refined[:]
     edited = _APPEND_A.replace("dfa 3", "dfa 4") + "0 5 3\n3 0 3\n"
     r = rel.rel_from_text(edited)
-    assert not filtered
+    assert len(refined) == on_clean
     assert rel.rel_to_text(r) == _APPEND_A
 
 

@@ -14,6 +14,11 @@
   they write automata as edge lists (`relations.relation_from_edges`) or
   build them from the kernel's relations, so neither names `index_of` or
   `nfa_to_dfa`, and `fo.py` names no column alphabet at all.
+- One domain walker: in `relations.py` only `_restrict_tracks` steps the
+  per-track domain automata (`_track_step`), and only it and `_TrackMoves`
+  itself name `_TrackMoves`.  Restriction, the validity filter and the
+  in-domain check are that one walk; a second walk over the same tracks
+  would be a second implementation to keep in step with it.
 """
 
 import ast
@@ -115,4 +120,19 @@ def test_no_hand_filled_column_tables():
     for name, tree in _trees():
         bad += [f"{name} names {n}" for n in sorted(forbidden.get(name, ()))
                 if _names(tree)[n]]
+    assert not bad
+
+
+def test_one_domain_walker():
+    allowed = {
+        "_track_step": {"_restrict_tracks"},
+        "_TrackMoves": {"_restrict_tracks", "_TrackMoves"},
+    }
+    tree = dict(_trees())["relations.py"]
+    bad = []
+    for node in tree.body:
+        names = _names(node)
+        owner = getattr(node, "name", f"line {node.lineno}")
+        bad += [f"{owner} names {n}" for n, owners in allowed.items()
+                if names[n] and owner not in owners]
     assert not bad
