@@ -90,17 +90,21 @@ def _load_any(path, limit):
     return _guard_states(GraphAutomaticPresentation.from_json(doc), limit)
 
 
+def _automata(obj):
+    """(name, automaton) for the domain of a presentation or structure, then
+    a presentation's edge relations (left ones named `left:<generator>`) or
+    a structure's relations."""
+    yield "domain", obj.domain
+    if isinstance(obj, GraphAutomaticPresentation):
+        yield from ((name, r.dfa) for name, r in obj.generators.items())
+        yield from ((f"left:{name}", r.dfa) for name, r in obj.left.items())
+    else:
+        yield from ((name, r.dfa) for name, r in obj.relations.items())
+
+
 def _guard_states(obj, limit):
     """obj itself, once none of its automata has more than limit states."""
-    autos = []
-    if isinstance(obj, GraphAutomaticPresentation):
-        autos.append(obj.domain)
-        autos.extend(r.dfa for r in obj.generators.values())
-        autos.extend(r.dfa for r in obj.left.values())
-    else:
-        autos.append(obj.domain)
-        autos.extend(r.dfa for r in obj.relations.values())
-    worst = max(a.n_states for a in autos)
+    worst = max(a.n_states for _, a in _automata(obj))
     if worst > limit:
         raise ValueError(
             f"automaton has {worst} states, over the --max-states limit {limit}"
@@ -131,6 +135,15 @@ def _extension_data(path, limit):
     correction = [[GroupWord.parse(w) for w in row] for row in doc["correction"]]
     base = _load_presentation(base, limit)
     return FiniteExtensionData(base, doc["mult"], correction, conjugation)
+
+
+def _required(args, *names):
+    """The values of the named build options; a UsageError names the first
+    one that was not given."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise UsageError(f"build {args.builder} needs --{name}")
+    return [getattr(args, name) for name in names]
 
 
 def _build(args):
@@ -166,37 +179,35 @@ def _build(args):
         return b.fa_abelian_multiplication(args.n, args.torsion)
     from .presentations import combinators as c
 
-    if name == "direct-product":
-        return c.direct_product(
-            _load_presentation(args.first, args.max_states),
-            _load_presentation(args.second, args.max_states),
-        )
-    if name == "free-product":
-        return c.free_product(
-            _load_presentation(args.first, args.max_states),
-            _load_presentation(args.second, args.max_states),
-        )
-    if name == "semidirect":
+    if name in ("direct-product", "free-product", "semidirect"):
+        first, second = _required(args, "first", "second")
+        P = _load_presentation(first, args.max_states)
+        Q = _load_presentation(second, args.max_states)
+        if name == "direct-product":
+            return c.direct_product(P, Q)
+        if name == "free-product":
+            return c.free_product(P, Q)
         action = {}
         for item in args.action or []:
-            gen, _, path = item.partition("=")
+            gen, eq, path = item.partition("=")
+            if not (gen and eq and path):
+                raise UsageError(f"--action takes GEN=PATH, not {item!r}")
             with open(path) as f:
                 action[gen] = rel.rel_from_text(f.read())
-        return c.semidirect(
-            _load_presentation(args.first, args.max_states),
-            _load_presentation(args.second, args.max_states),
-            action,
-        )
+        return c.semidirect(P, Q, action)
     if name == "finite-extension":
-        return c.finite_extension(_extension_data(args.data, args.max_states))
+        (data,) = _required(args, "data")
+        return c.finite_extension(_extension_data(data, args.max_states))
     if name == "restrict":
-        P = _load_presentation(args.pres, args.max_states)
-        with open(args.sub) as f:
+        pres, sub_path, gens = _required(args, "pres", "sub", "gens")
+        P = _load_presentation(pres, args.max_states)
+        with open(sub_path) as f:
             sub = fa.from_text(f.read(), alphabet=P.base)
-        return c.restrict_to_regular_subgroup(P, sub, args.gens.split(","))
+        return c.restrict_to_regular_subgroup(P, sub, gens.split(","))
     if name == "extend-gen":
-        P = _load_presentation(args.pres, args.max_states)
-        return c.extend_generator(P, args.name, GroupWord.parse(args.word))
+        pres, gen, word = _required(args, "pres", "name", "word")
+        P = _load_presentation(pres, args.max_states)
+        return c.extend_generator(P, gen, GroupWord.parse(word))
     raise UsageError(f"unknown builder {name!r}")
 
 
@@ -349,16 +360,10 @@ def cmd_fo(args):
 
 def cmd_export(args):
     obj = _load_any(args.path, args.max_states)
-    automata = [("domain", obj.domain)]
-    if isinstance(obj, GraphAutomaticPresentation):
-        automata += [(name, r.dfa) for name, r in obj.generators.items()]
-        automata += [(f"left:{name}", r.dfa) for name, r in obj.left.items()]
-    else:
-        automata += [(name, r.dfa) for name, r in obj.relations.items()]
     # every file name first: two automata whose names clean up alike would
     # otherwise write one file, the second over the first
     named = {}
-    for name, automaton in automata:
+    for name, automaton in _automata(obj):
         stem = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
         if stem in named:
             raise ValueError(f"automata {named[stem][0]} and {name} would both "
@@ -398,7 +403,7 @@ def make_parser():
     b.add_argument("--data")
     b.add_argument("--pres")
     b.add_argument("--sub")
-    b.add_argument("--gens", default="")
+    b.add_argument("--gens")
     b.add_argument("--name")
     b.add_argument("--word")
     b.set_defaults(func=cmd_build)

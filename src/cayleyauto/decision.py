@@ -4,7 +4,6 @@ diagnostics."""
 
 from __future__ import annotations
 
-import math
 from itertools import zip_longest
 
 from . import fa, relations as rel
@@ -134,12 +133,6 @@ def right_multiply(P, u, w, trace=None):
             trace.steps.append(Word(r.base, y))
             trace.transitions += steps
     return Word(P.base, y)
-
-
-def eval_trace(P, u, w):
-    """Right multiplication with a step-by-step record."""
-    trace = EvalTrace(word=w)
-    return right_multiply(P, u, w, trace=trace), trace
 
 
 def canonical_rep(P, w):
@@ -334,44 +327,6 @@ def check_presentation(P):
         report["ok"] = report["ok"] and ok
     report["ok"] = report["ok"] and report["identity_in_domain"]
     return report
-
-
-def monoid_growth_bound_check(struct, elements, n):
-    """Multiply n factors through the structure's ternary operation by
-    balanced splitting and check the product length against
-    max|mᵢ| + C·ceil(log₂ n)."""
-    ops = [r for r in struct.relations.values() if r.arity == 3]
-    if not ops:
-        raise ValueError("the structure has no ternary operation relation")
-    op = ops[0]
-    if n < 1:
-        raise ValueError("need at least one factor")
-    factors = list(elements)
-    if len(factors) == 1:
-        factors = factors * n
-    if len(factors) != n:
-        raise ValueError("pass one element or exactly n elements")
-
-    value = _balanced_product(op, factors, 0, n)
-    c = fa.minimize(op.dfa).n_states * struct.domain.n_states
-    bound = max(len(m) for m in factors) + c * max(1, math.ceil(math.log2(n)))
-    return {
-        "value": value,
-        "length": len(value),
-        "bound": bound,
-        "constant": c,
-        "ok": len(value) <= bound,
-    }
-
-
-def _balanced_product(op, factors, lo, hi):
-    """factors[lo:hi] multiplied through the ternary relation op, splitting
-    at the midpoint."""
-    if hi - lo == 1:
-        return factors[lo]
-    mid = (lo + hi) // 2
-    return eval_function(op, [_balanced_product(op, factors, lo, mid),
-                              _balanced_product(op, factors, mid, hi)])
 
 
 def conjugate(P, p, q):

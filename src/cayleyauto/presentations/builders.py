@@ -323,9 +323,14 @@ def abelian_decode(n, torsion, w):
 
 
 def _abelian_parts(n, torsion):
-    """Per-track language, equality, and increment relations over the mixed
-    alphabet, plus the alphabet itself."""
-    torsion = tuple(torsion)
+    """The checked torsion orders, the mixed alphabet, the domain (one
+    track per coordinate), and each track's equality and increment
+    relations."""
+    torsion = tuple(int(om) for om in torsion)
+    if n < 0 or n + len(torsion) < 1:
+        raise ValueError("need at least one coordinate")
+    if any(om < 2 for om in torsion):
+        raise ValueError("torsion orders must be at least 2")
     U = _abelian_alphabet(torsion)
     langs = []
     eqs = []
@@ -344,20 +349,16 @@ def _abelian_parts(n, torsion):
                 U, 2, [(sym[v], sym[(v + 1) % om]) for v in range(om)]
             )
         )
-    return U, langs, eqs, ops
+    m = len(langs)
+    domain = rel.join([(langs[t], (t,)) for t in range(m)], m).dfa
+    return torsion, U, domain, eqs, ops
 
 
 def fg_abelian(n, torsion=()):
     """Z^n + Z/w1 + ... + Z/wk with one generator per coordinate (e1..en for
     the free part, d1..dk for the torsion part)."""
-    torsion = tuple(int(om) for om in torsion)
-    if n < 0 or n + len(torsion) < 1:
-        raise ValueError("need at least one coordinate")
-    if any(om < 2 for om in torsion):
-        raise ValueError("torsion orders must be at least 2")
+    torsion, U, domain, eqs, ops = _abelian_parts(n, torsion)
     m = n + len(torsion)
-    U, langs, eqs, ops = _abelian_parts(n, torsion)
-    domain = rel.join([(langs[t], (t,)) for t in range(m)], m).dfa
 
     def edge(t):
         parts = [
@@ -386,14 +387,8 @@ def fa_abelian_multiplication(n, torsion=()):
     abelian group, as an automatic structure with relation Mult."""
     from .. import fo  # imported here, so that a group build does not load it
 
-    torsion = tuple(int(om) for om in torsion)
-    if n < 0 or n + len(torsion) < 1:
-        raise ValueError("need at least one coordinate")
-    if any(om < 2 for om in torsion):
-        raise ValueError("torsion orders must be at least 2")
+    torsion, U, domain, _, _ = _abelian_parts(n, torsion)
     m = n + len(torsion)
-    U, langs, _, _ = _abelian_parts(n, torsion)
-    domain = rel.join([(langs[t], (t,)) for t in range(m)], m).dfa
     add3 = rel.embed_relation(pres.addition_relation(), U, BIT_MAP)
     parts = []
     for t in range(n):

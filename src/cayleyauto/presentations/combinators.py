@@ -148,7 +148,6 @@ def free_product(P, Q):
     different factors; the empty word is the identity."""
     U, mp, mq = _tag_maps(P, Q, extra=["."])
     SEP = U.index["."]
-    conv2 = rel.conv_alphabet(U, 2)
     nonids = []
     for F, which in ((P, "first"), (Q, "second")):
         ident = rel.relation_from_tuples(F.base, 1, [(F.identity,)])
@@ -195,7 +194,9 @@ def free_product(P, Q):
     n = len(ids)
     accepting = frozenset({START, *ends["P"], *ends["Q"]})
     domain = fa.minimize(Dfa(U, n + 1, START, accepting, rows, n))
-    col = conv2.index_of
+    # phase 1 of every edge relation: equal prefixes, walking the
+    # normal-form automaton
+    walk = [(q, (c, c), t) for q, row in rows.items() for c, t in row.items()]
 
     def edge(fac, x, nonid, tag_prefix, mapping, branch_state, other_ends):
         """Edge relation for generator x of factor `fac`, whose nonidentity
@@ -212,47 +213,25 @@ def free_product(P, Q):
         # both sides stay nonidentity syllables: modify the last syllable
         mod = rel.embed_relation(
             rel.join([(E, (0, 1)), (lang, (0,)), (lang, (1,))], 2), U, mapping
-        ).dfa
-
-        trans = {}
-
-        def add(q, sym, t):
-            trans.setdefault((q, sym), set()).add(t)
-
-        # phase 1: equal prefixes, walking the normal-form automaton
-        for q, row in rows.items():
-            for c, t in row.items():
-                add(q, col((c, c)), t)
-        oE = n
-        oL = oE + mod.n_states
-        oC = oL + len(cx) + 1
-        total = oC + len(sx) + 1
-        accept = set()
-        # modify the last syllable in place; mod is minimized, so its rows
-        # never lead to its sink, which rejects
-        for src in (START, branch_state):
-            for sym, t in mod.rows.get(mod.initial, {}).items():
-                add(src, sym, oE + t)
-        for q, row in mod.rows.items():
-            for sym, t in row.items():
-                add(oE + q, sym, oE + t)
-        accept.update(oE + q for q in mod.accepting)
+        )
+        column, d = mod.conv.tuple_of, mod.dfa
+        edges = list(walk)
+        edges += [(src, column(sym), ("mod", t)) for src in (START, branch_state)
+                  for sym, t in d.rows.get(d.initial, {}).items()]
+        edges += [(("mod", q), column(sym), ("mod", t))
+                  for q, row in d.rows.items() for sym, t in row.items()]
+        accept = {("mod", q) for q in d.accepting}
         # cancel the last syllable (cx on the first track), or append the
         # generator's own syllable after it (sx on the second)
-        for o, word, track in ((oL, cx, 0), (oC, sx, 1)):
-            syms = [
-                col((c, rel.PAD) if track == 0 else (rel.PAD, c))
-                for c in (SEP, *_retag(word, U, tag_prefix).indices)
-            ]
-            add(START, syms[1], o + 1)
-            for src in other_ends:
-                add(src, syms[0], o)
-            for i, sym in enumerate(syms[1:]):
-                add(o + i, sym, o + i + 1)
-            accept.add(o + len(word))
-        d = fa.nfa_to_dfa(conv2, total, {START}, accept, trans)
-        # one walk keeps the valid convolutions over the domain
-        return rel.restrict_relation_to_domain(rel.RegularRelation(U, 2, d), domain)
+        for phase, word, track in (("cancel", cx, 0), ("append", sx, 1)):
+            cols = [(c, rel.PAD) if track == 0 else (rel.PAD, c)
+                    for c in (SEP, *_retag(word, U, tag_prefix).indices)]
+            edges.append((START, cols[1], (phase, 1)))
+            edges += [(src, cols[0], (phase, 0)) for src in other_ends]
+            edges += [((phase, i), c, (phase, i + 1)) for i, c in enumerate(cols[1:])]
+            accept.add((phase, len(word)))
+        r = rel.relation_from_edges(U, 2, START, accept, edges)
+        return rel.restrict_relation_to_domain(r, domain)
 
     np_, nq_ = _paired_names(P, Q)
     gens = {}

@@ -12,8 +12,10 @@ already agree (grouping tracks, arity-1 relations) only the alphabet
 changes, and the input's minimal mark is kept.  `project` and `compose`
 hand their branching rows to `fa.determinize`, and so does
 `relation_from_edges`, the one constructor of a relation written out as
-(state, column, state) edges.  `join` conjoins relations over shared
-tracks; a part that names one track twice reads the same word on both.
+(state, column, state) edges: the orders, `relation_from_tuples`, the
+builders' small automata and the free product's edge relations are all
+written that way.  `join` conjoins relations over shared tracks; a part
+that names one track twice reads the same word on both.
 Restriction to L(domain)ⁿ, the validity filter and the check that a
 relation lies within L(domain)ⁿ are one walk over the relation's own edges
 (`_restrict_tracks`), which returns its minimized input when it cuts
@@ -689,7 +691,9 @@ def relation_from_edges(base, arity, initial, accepting, edges):
     ValueError.  States are any hashable values but frozensets, and two
     edges from one state on one column branch.  The edges go to
     `fa.determinize`, and `make_relation` keeps the valid convolutions, so
-    an edge that resumes a padded track is simply never taken."""
+    an edge that resumes a padded track is simply never taken.  The orders,
+    `relation_from_tuples`, the builders' small automata and the free
+    product's edge relations are its callers."""
     conv = conv_alphabet(base, arity)
     pairs = {}
     for q, column, t in edges:
@@ -944,23 +948,13 @@ def _rewrap(d, alphabet):
 
 
 def relation_from_tuples(base, arity, tuples):
-    """The finite relation holding exactly the given word tuples."""
+    """The finite relation holding exactly the given word tuples: the trie
+    of their convolutions, whose states are the convolutions' prefixes."""
     conv = conv_alphabet(base, arity)
-    rows = {0: {}}
-    accepting = set()
-    n = 1
-    for t in tuples:
-        w = convolve(list(t), alphabet=conv)
-        q = 0
-        for sym in w.indices:
-            if sym not in rows[q]:
-                rows[q][sym] = n
-                rows[n] = {}
-                n += 1
-            q = rows[q][sym]
-        accepting.add(q)
-    d = Dfa(conv, n + 1, 0, frozenset(accepting), rows, n)
-    return RegularRelation(base, arity, fa.minimize(d))
+    words = [convolve(list(t), alphabet=conv).indices for t in tuples]
+    edges = {(w[:k], conv.tuple_of(w[k]), w[:k + 1])
+             for w in words for k in range(len(w))}
+    return relation_from_edges(base, arity, (), words, edges)
 
 
 def embed_relation(r, new_base, symbol_map):

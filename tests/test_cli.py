@@ -100,6 +100,34 @@ def test_relator_and_conj_respect_max_states(heis_path, tmp_path):
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, named", [
+    (["direct-product"], "--first"),
+    (["free-product", "--first", "Z"], "--second"),
+    (["semidirect", "--second", "Z"], "--first"),
+    (["semidirect", "--first", "Z", "--second", "Z", "--action", "e1"],
+     "--action"),
+    (["restrict", "--pres", "Z"], "--sub"),
+    (["restrict", "--pres", "Z", "--sub", "sub.txt"], "--gens"),
+    (["extend-gen", "--pres", "Z", "--name", "g"], "--word"),
+    (["extend-gen", "--pres", "Z", "--word", "e1"], "--name"),
+    (["finite-extension"], "--data"),
+])
+def test_combinator_build_without_a_required_option_exits_usage(
+        zn1_path, tmp_path, args, named):
+    # own process, so that an uncaught exception would show as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    args = [zn1_path if a == "Z" else a for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleyauto.cli", "build", *args,
+         "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_rejects_a_missing_exponent(zn1_path, capsys):
     assert cli.main(["eval", zn1_path, "e1^"]) == 2
     assert capsys.readouterr().err == "error: bad exponent in 'e1^'\n"

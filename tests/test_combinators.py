@@ -88,6 +88,12 @@ def test_free_product_mixed_factors():
     assert ball_sizes(P, 5) == [1, 4, 10, 22, 46, 94]
 
 
+def test_free_products_pass_the_presentation_check():
+    half = fg_abelian(0, [2])
+    for P, Q in ((zn(1), zn(1)), (half, half), (zn(1), half)):
+        assert dec.check_presentation(free_product(P, Q))["ok"]
+
+
 def test_free_product_rejects_empty_nonidentity_representative():
     X = Alphabet(["x"])
     e, x = Word(X, ()), Word(X, (0,))

@@ -1,5 +1,4 @@
 import functools
-import gc
 import itertools
 import random
 
@@ -13,13 +12,10 @@ from cayleyauto.presentations import (
     GraphAutomaticPresentation,
     GroupWord,
     Nilpotent2Spec,
-    abelian_encode,
     bs1n,
     decode_vector,
-    fa_abelian_multiplication,
     fg_abelian,
     free_group,
-    gamma_free,
     heisenberg,
     wreath_finite_by_z,
     zn,
@@ -238,7 +234,8 @@ def test_eval_trace_sums_the_reference_steps(name):
     rng = random.Random(name)
     for _ in range(10):
         w = random_group_word(rng, P.generator_names, 12)
-        result, trace = dec.eval_trace(P, P.identity, w)
+        trace = dec.EvalTrace(word=w)
+        result = dec.right_multiply(P, P.identity, w, trace=trace)
         u, total, steps = P.identity, 0, []
         for gen, sign in w:
             u, n = reference_eval_search(P.relation(gen, sign), [u])
@@ -261,7 +258,8 @@ def test_right_multiply_returns_a_word_over_the_base():
 def test_eval_trace_records_each_step():
     P = heisenberg()
     w = GroupWord.parse("A B C^-1 A")
-    result, trace = dec.eval_trace(P, P.identity, w)
+    trace = dec.EvalTrace(word=w)
+    result = dec.right_multiply(P, P.identity, w, trace=trace)
     assert len(trace.steps) == len(w)
     assert trace.steps[-1].indices == result.indices
     assert trace.transitions > 0
@@ -755,32 +753,3 @@ def test_conjugate_checks_names_before_stripping():
         dec.conjugate(P, GroupWord.parse("Z A Z^-1"), GroupWord.parse("A"))
     with pytest.raises(KeyError, match="unknown generator 'Z'"):
         dec.conjugate(P, GroupWord.parse("B Z^-1 Z"), GroupWord.parse("Z"))
-
-
-def test_monoid_growth_bound_check():
-    struct = fa_abelian_multiplication(1)
-    one = abelian_encode(1, (), (1,))
-    report = dec.monoid_growth_bound_check(struct, [one], 256)
-    assert decode_vector(report["value"]) == (256,)
-    assert report["ok"] and report["length"] <= report["bound"]
-    single = dec.monoid_growth_bound_check(struct, [one], 1)
-    assert decode_vector(single["value"]) == (1,)
-    with pytest.raises(ValueError):
-        dec.monoid_growth_bound_check(struct, [one], 0)
-    with pytest.raises(ValueError):
-        dec.monoid_growth_bound_check(struct, [one, one], 3)
-    with pytest.raises(ValueError):
-        dec.monoid_growth_bound_check(gamma_free(1), [one], 4)
-
-
-def test_monoid_growth_bound_check_leaves_no_reference_cycles():
-    struct = fa_abelian_multiplication(1)
-    one = abelian_encode(1, (), (1,))
-    gc.collect()
-    gc.disable()
-    try:
-        report = dec.monoid_growth_bound_check(struct, [one], 8)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert decode_vector(report["value"]) == (8,)

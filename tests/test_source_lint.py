@@ -8,12 +8,15 @@
   cycle that keeps everything the closure holds alive until the next full
   garbage collection.
 - No leftover: every module-level function and class of the package is
-  named somewhere outside its own definition, in the package, the tests or
-  the benchmark.
-- No hand-filled column tables in the builders or the formula compiler:
-  they write automata as edge lists (`relations.relation_from_edges`) or
-  build them from the kernel's relations, so neither names `index_of` or
-  `nfa_to_dfa`, and `fo.py` names no column alphabet at all.
+  named somewhere outside its own definition, in the package, the
+  benchmark or the README.  The tests do not count: code that only tests
+  reach is dead weight, and library API the package does not call is
+  documented in the README.
+- No hand-filled column tables in the builders, the combinators or the
+  formula compiler: they write automata as edge lists
+  (`relations.relation_from_edges`) or build them from the kernel's
+  relations, so none names `index_of` or `nfa_to_dfa`, and `fo.py` names
+  no column alphabet at all.
 - One domain walker: in `relations.py` only `_restrict_tracks` steps the
   per-track domain automata (`_track_step`), and only it and `_TrackMoves`
   itself name `_TrackMoves`.  Restriction, the validity filter and the
@@ -91,11 +94,10 @@ def _names(node):
 
 
 def test_every_module_level_definition_is_used():
-    files = set(SOURCES)
-    for folder in ("tests", "bench"):
-        files.update((REPO / folder).rglob("*.py"))
+    files = set(SOURCES) | set((REPO / "bench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    everywhere = collections.Counter()
+    everywhere = collections.Counter(
+        re.findall(r"[A-Za-z_]\w*", (REPO / "README.md").read_text()))
     for tree in trees.values():
         everywhere.update(_names(tree))
     unused = []
@@ -114,6 +116,7 @@ def test_every_module_level_definition_is_used():
 def test_no_hand_filled_column_tables():
     forbidden = {
         "builders.py": {"index_of", "nfa_to_dfa"},
+        "combinators.py": {"index_of", "nfa_to_dfa"},
         "fo.py": {"index_of", "nfa_to_dfa", "conv_alphabet", "tuple_of"},
     }
     bad = []
