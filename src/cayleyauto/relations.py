@@ -15,7 +15,11 @@ hand their branching rows to `fa.determinize`, and so does
 (state, column, state) edges: the orders, `relation_from_tuples`, the
 builders' small automata and the free product's edge relations are all
 written that way.  `join` conjoins relations over shared tracks; a part
-that names one track twice reads the same word on both.
+that names one track twice reads the same word on both.  The products of
+`compose` and `join`, and `is_functional`'s pair search, key each state
+as one int, the operands' states as the digits of a mixed-radix number
+(DONE, a run whose word has ended, one past each operand's states), so a
+row is built by adding per-operand parts.
 Restriction to L(domain)ⁿ, the validity filter and the check that a
 relation lies within L(domain)ⁿ are one walk over the relation's own edges
 (`_restrict_tracks`), which returns its minimized input when it cuts
@@ -440,6 +444,36 @@ def project(r, track):
     return RegularRelation(r.base, r.arity - 1, fa.minimize(out))
 
 
+def _runs_by_track(d, radix, track, scale=1, weight=1):
+    """The moves of a run of the binary relation automaton d, keyed by the
+    digit it reads on one track: a list over d's states and DONE, the index
+    one past them, of {digit on the track: [(digit on the other track times
+    scale, target times weight)]}.  A 2-track column is track 0's digit plus
+    radix times track 1's, ◇ the top digit.  Edges into the sink are left
+    out.  A run's word may end at an accepting state, under ◇ on both
+    tracks, and DONE reads only that: a (◇, DONE) entry under ◇.  As d is
+    deterministic, the other digits in one list are distinct."""
+    pad = radix - 1
+    done = d.n_states
+    ends = (pad * scale, done * weight)
+    sink, no_row = d.sink, {}
+    out = []
+    for q in range(done):
+        bucket = {}
+        for sym, t in d.rows.get(q, no_row).items():
+            if t != sink:
+                high, low = divmod(sym, radix)
+                if track:
+                    bucket.setdefault(high, []).append((low * scale, t * weight))
+                else:
+                    bucket.setdefault(low, []).append((high * scale, t * weight))
+        if q in d.accepting:
+            bucket.setdefault(pad, []).append(ends)
+        out.append(bucket)
+    out.append({pad: [ends]})
+    return out
+
+
 def compose(r, s):
     """(u,w) ∈ result iff ∃v: (u,v) ∈ r and (v,w) ∈ s.
 
@@ -448,11 +482,18 @@ def compose(r, s):
     that outlast both outer tracks); extensionally equal to
     project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
     state tries only ◇ and the middle digits that both relations have
-    edges for.  The product is determinized as it is explored, by
-    `fa.determinize` over the product states' rows: each row is built once,
-    output symbol → one product state id, or a frozenset of ids where the
-    guess of the middle branches.  Acceptance comes from the tail closure,
-    which `fa.determinize` asks for only after exploring.
+    edges for.
+
+    A product state (qa, qb, vdone) is the int (qa·(|B|+1) + qb)·2 + vdone,
+    A and B being the operands' automata, with DONE, a run whose word has
+    ended, the index one past each operand's states.  B is indexed once by
+    its middle digit (`_runs_by_track`), A's row is read as it is: a
+    product row's entries add A's and B's parts of the column and of the
+    target.  A column that comes twice, where the guess of the middle
+    branches, gets the frozenset of its targets (`fa.nfa_row`).  The
+    product is determinized as it is explored, by `fa.determinize` over
+    these rows.  Acceptance comes from the tail closure, computed once
+    after exploring, over the product states whose rows were built.
 
     The operands are minimized (a no-op on marked automata) and the
     determinized product is returned as built, not minimized: the one
@@ -465,77 +506,63 @@ def compose(r, s):
         raise ValueError("compose needs binary relations")
     if r.base != s.base:
         raise ValueError("base alphabet mismatch")
-    A = fa._ensure_sink(fa.minimize(r.dfa))
-    B = fa._ensure_sink(fa.minimize(s.dfa))
+    A = fa.minimize(r.dfa)
+    B = fa.minimize(s.dfa)
     conv = r.conv
-    # a 2-track column symbol is first + second·radix in digits, ◇ the top one
     radix = conv.radix
     pad = radix - 1
-    DONE = -1
+    all_pad = pad + pad * radix  # not a column
+    a_done, b_done = A.n_states, B.n_states
+    a_weight = (b_done + 1) * 2  # of qa in a product state; qb weighs 2
+    a_rows, a_ends = A.rows, a_done * a_weight + 1
     no_row = {}
-    # index A rows by middle digit, B rows by first digit; the tail columns
-    # (◇,b) of A and (b,◇) of B, b not ◇, also by b
-    a_by_mid, a_tail = {}, {}
-    for q, row in A.rows.items():
-        bucket = a_by_mid.setdefault(q, {})
-        for sym, t in row.items():
-            if t == A.sink:
-                continue
-            b, a = divmod(sym, radix)
-            bucket.setdefault(b, []).append((a, t))
-            if a == pad and b != pad:
-                a_tail.setdefault(q, {}).setdefault(b, []).append(t)
-    b_by_first, b_tail = {}, {}
-    for q, row in B.rows.items():
-        bucket = b_by_first.setdefault(q, {})
-        for sym, t in row.items():
-            if t == B.sink:
-                continue
-            c, b = divmod(sym, radix)
-            bucket.setdefault(b, []).append((c, t))
-            if c == pad and b != pad:
-                b_tail.setdefault(q, {}).setdefault(b, []).append(t)
+    # B's moves by middle digit, as (output column part, target part)
+    b_runs = _runs_by_track(B, radix, 0, radix, 2)
+    pad_column = pad * radix  # B's ◇ part of a column
 
-    def pad_options(D, by_key):
-        """Each state's options under a middle ◇: an (x,◇) edge, or its word
-        ends here (it is DONE from then on)."""
-        out = {DONE: [(pad, DONE)]}
-        for q in range(D.n_states):
-            opts = by_key.get(q, no_row).get(pad, [])
-            out[q] = opts + [(pad, DONE)] if q in D.accepting else opts
-        return out
+    # the moves of a middle tail past both outer words: A's (◇,b) and B's
+    # (b,◇) columns, b not ◇, as middle digit → target part; A's are
+    # found on first use, for the states the tail closure reaches
+    a_tails = {}
+    b_tails = [
+        {b: kc for b, opts in by_mid.items() if b != pad
+         for c, kc in opts if c == pad_column}
+        for by_mid in b_runs
+    ]
 
-    a_pad = pad_options(A, a_by_mid)
-    b_pad = pad_options(B, b_by_first)
-
-    # acceptance closure over middle-only tail columns (◇,b)/(b,◇),
-    # computed lazily on the pairs the product construction reaches
-    def tail_succ(qa, qb):
-        at = a_tail.get(qa)
-        bt = b_tail.get(qb)
-        if not at or not bt:
-            return []
-        return [
-            (ta, tb)
-            for b, tas in at.items() if b in bt
-            for ta in tas for tb in bt[b]
-        ]
+    def a_tail(qa):
+        got = a_tails.get(qa)
+        if got is None:
+            got = a_tails[qa] = {
+                sym // radix: t * a_weight
+                for sym, t in a_rows.get(qa, no_row).items() if sym % radix == pad
+            }
+        return got
 
     def tail_closure(needed):
-        """The pairs that reach a pair of accepting states by tail columns:
-        one forward search records predecessors, one backward search from
-        the accepting pairs collects them."""
+        """The product states (DONE nowhere, vdone 0) that reach a pair of
+        accepting states by tail columns: one forward search records
+        predecessors, one backward search from the accepting pairs collects
+        them."""
         seen = set(needed)
         stack = list(seen)
         preds = {}
         while stack:
-            pair = stack.pop()
-            for nxt in tail_succ(*pair):
-                preds.setdefault(nxt, []).append(pair)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        tail = {p for p in seen if p[0] in A.accepting and p[1] in B.accepting}
+            p = stack.pop()
+            qa, rest = divmod(p, a_weight)
+            bt = b_tails[rest >> 1]
+            if not bt:
+                continue
+            for b, ka in a_tail(qa).items():
+                kb = bt.get(b)
+                if kb is not None:
+                    nxt = ka + kb
+                    preds.setdefault(nxt, []).append(p)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        tail = {p for p in seen if p // a_weight in A.accepting
+                and p % a_weight >> 1 in B.accepting}
         stack = list(tail)
         while stack:
             for p in preds.get(stack.pop(), ()):
@@ -544,66 +571,58 @@ def compose(r, s):
                     stack.append(p)
         return tail
 
-    def r_ok(qa):
-        return qa == DONE or qa in A.accepting
+    rows = {}  # product state → its row, built the first time a subset holds it
 
-    def s_ok(qb):
-        return qb == DONE or qb in B.accepting
-
-    # product states (qa, qb, vdone) get dense ids; each one's row is built
-    # the first time a subset holds it
-    start = (A.initial, B.initial, False)
-    pid = {start: 0}
-    pstates = [start]
-
-    @functools.cache
     def product_row(p):
-        qa, qb, vdone = pstates[p]
-        moves = [(a_pad[qa], b_pad[qb], True)]
-        if not vdone:
-            arow = a_by_mid.get(qa, no_row)
-            brow = b_by_first.get(qb, no_row)
-            small, big = (arow, brow) if len(arow) <= len(brow) else (brow, arow)
-            moves.extend(
-                (arow[b], brow[b], False)
-                for b in small if b != pad and b in big
-            )
+        row = rows.get(p)
+        if row is not None:
+            return row
+        qa, rest = divmod(p, a_weight)
+        brow = b_runs[rest >> 1]
         pairs = []
-        for a_opts, c_opts, v2 in moves:
-            for a, ta in a_opts:
-                for c, tb in c_opts:
-                    if a == pad and c == pad:
-                        continue  # all-◇ output column does not exist
-                    tgt = (ta, tb, v2)
-                    t = pid.get(tgt)
-                    if t is None:
-                        t = pid[tgt] = len(pstates)
-                        pstates.append(tgt)
-                    pairs.append((a + c * radix, t))
-        return fa.nfa_row(pairs)
+        # a minimized automaton's rows hold no edges into its sink
+        for sym, ta in a_rows.get(qa, no_row).items():
+            b, a = divmod(sym, radix)
+            if b == pad:  # the middle word ends
+                opts = brow.get(pad)
+                ta = ta * a_weight + 1
+            elif rest & 1:
+                continue
+            else:
+                opts = brow.get(b)
+                ta *= a_weight
+            if opts:
+                for c, kc in opts:
+                    pairs.append((a + c, ta + kc))
+        if qa == a_done or qa in A.accepting:  # A's word may end here
+            for c, kc in brow.get(pad, ()):
+                pairs.append((pad + c, a_ends + kc))
+        # a column that comes twice gets a frozenset of targets
+        row = fa.nfa_row(pairs)
+        row.pop(all_pad, None)
+        rows[p] = row
+        return row
 
     @functools.cache
     def final():
         """Accepting product states; the tail closure needs them all."""
-        tail = tail_closure(
-            {
-                (qa, qb)
-                for qa, qb, vdone in pstates
-                if not vdone and qa != DONE and qb != DONE
-            }
-        )
-        out = set()
-        for p, (qa, qb, vdone) in enumerate(pstates):
-            if vdone or qa == DONE or qb == DONE:
-                if r_ok(qa) and s_ok(qb):
+        out, needed = set(), []
+        for p in rows:
+            qa, rest = divmod(p, a_weight)
+            qb = rest >> 1
+            if rest & 1 or qa == a_done or qb == b_done:
+                if (qa == a_done or qa in A.accepting) and (
+                        qb == b_done or qb in B.accepting):
                     out.add(p)
-            elif (qa, qb) in tail:
-                out.add(p)
+            else:
+                needed.append(p)
+        out.update(tail_closure(needed))
         return out
 
     # valid as built: outer tracks follow r/s until DONE, then ◇, and there
     # is no all-◇ column
-    d = fa.determinize(conv, 0, product_row, lambda p: p in final())
+    start = A.initial * a_weight + B.initial * 2
+    d = fa.determinize(conv, start, product_row, lambda p: p in final())
     return RegularRelation(r.base, 2, d)
 
 
@@ -612,66 +631,42 @@ def is_functional(r, track):
     with at most one word on the other track.
 
     One search over pairs of runs of r that read the same word on that
-    track.  A search state is each run's state, or FIN once the run's word
-    has ended, and a flag saying whether the other tracks have differed
-    yet.  A run ends only from an accepting state, under a ◇ on the shared
-    track; the answer is False at the first state with the flag set where
-    both runs may end.  The two runs are interchangeable, so a state keeps
-    them in sorted order."""
+    track (`_runs_by_track`).  A search state is each run's state, or FIN,
+    the index one past r's states, once the run's word has ended, and a
+    flag saying whether the other tracks have differed yet: the int
+    (q₁·(n+1) + q₂)·2 + flag.  A run ends only from an accepting state,
+    under a ◇ on the shared track; the answer is False at the first state
+    with the flag set where both runs may end.  The two runs are
+    interchangeable, so a state keeps them in sorted order."""
     if r.arity != 2:
         raise ValueError("is_functional needs a binary relation")
     if track not in (0, 1):
         raise ValueError("track out of range")
     d = r.dfa
-    radix = r.conv.radix
-    pad = radix - 1
-    FIN = -1
-    # q -> {digit on the shared track: [(digit on the other track, target)]};
-    # a 2-track column is track 0's digit plus radix times track 1's
-    by_shared = {}
-    for q, row in d.rows.items():
-        bucket = by_shared[q] = {}
-        for sym, t in row.items():
-            if t != d.sink:
-                high, low = divmod(sym, radix)
-                shared, other = (low, high) if track == 0 else (high, low)
-                bucket.setdefault(shared, []).append((other, t))
-    no_row = {}
-    ended = [(pad, FIN)]
-
-    def options(q, a):
-        """The moves of a run in state q under shared digit a."""
-        if q == FIN:
-            return ended if a == pad else ()
-        opts = by_shared.get(q, no_row).get(a, [])
-        if a == pad and q in d.accepting:
-            opts = opts + ended
-        return opts
-
-    def may_end(q):
-        return q == FIN or q in d.accepting
-
-    start = (d.initial, d.initial, False)
+    runs = _runs_by_track(d, r.conv.radix, track)
+    fin = d.n_states
+    weight = (fin + 1) * 2  # of the first run's state; the second weighs 2
+    start = d.initial * (weight + 2)
     seen = {start}
     stack = [start]
     while stack:
-        q1, q2, differed = stack.pop()
-        if differed and may_end(q1) and may_end(q2):
+        p = stack.pop()
+        q1, rest = divmod(p, weight)
+        q2, differed = rest >> 1, rest & 1
+        if differed and (q1 == fin or q1 in d.accepting) and (
+                q2 == fin or q2 in d.accepting):
             return False
-        if q1 == FIN:  # FIN sorts first; a finished run needs ◇ shared
-            digits = (pad,)
-        else:
-            row1 = by_shared.get(q1, no_row)
-            row2 = by_shared.get(q2, no_row)
-            digits = [a for a in row1 if a in row2 and a != pad] + [pad]
-        for a in digits:
-            opts2 = options(q2, a)
-            for b1, t1 in options(q1, a):
+        row2 = runs[q2]
+        for a, opts1 in runs[q1].items():
+            opts2 = row2.get(a)
+            if opts2 is None:
+                continue
+            for b1, t1 in opts1:
                 for b2, t2 in opts2:
-                    if t1 == FIN and t2 == FIN:
+                    if t1 == t2 == fin:
                         continue  # both words ended: nothing is read
-                    nxt = ((t1, t2) if t1 <= t2 else (t2, t1)) + (
-                        differed or b1 != b2,)
+                    nxt = (t1 * weight + t2 * 2 if t1 <= t2
+                           else t2 * weight + t1 * 2) + (differed or b1 != b2)
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
@@ -777,6 +772,79 @@ def relation_in_domain_power(r, domain):
     return _restrict_tracks(d, r.conv, domain) is d
 
 
+class _PartMoves(dict):
+    """The moves of one part of a `join`, filled per state of its automaton
+    on first lookup: state → {old key: [(column part, key part)]}.
+
+    The old key is a move's column restricted to the result tracks an
+    earlier part fills; the column part, its digits on the tracks this part
+    fills first; both are in result weights (radix**track, ◇ the top digit),
+    so a result column is the sum of one column part per part.  The key
+    part is the target times the part's weight in a product state.  DONE,
+    the index one past the automaton's states, is a part whose tracks have
+    all ended: it reads only ◇ on them, and an accepting state may move
+    there.  A part that names a track twice moves only where both of its
+    positions read the same digit.  A symbol's (old key, column part) is
+    worked out once, on its first use (`split`)."""
+
+    def __init__(self, d, tracks, filled, arity, radix, weight):
+        super().__init__()
+        self.d = d
+        self.weight = weight
+        self.radix = radix
+        first, self.repeats = {}, []
+        for k, t in enumerate(tracks):
+            if t in first:
+                self.repeats.append((first[t], k))
+            else:
+                first[t] = k
+        self.old = [(k, radix ** t) for t, k in first.items() if t in filled]
+        self.fresh = [(k, radix ** t) for t, k in first.items() if t not in filled]
+        # a partial column col, in which the tracks no part has filled yet
+        # read 0, restricted to the old tracks: Σ col % hi − col % lo over
+        # the runs radix**lo..radix**hi of tracks that hold every old track
+        # and no other filled one
+        self.runs, lo = [], None
+        for t in range(arity + 1):
+            if t < arity and t in first and t in filled:
+                lo = t if lo is None else lo
+            elif lo is not None and (t == arity or t in filled):
+                self.runs.append((radix ** lo, radix ** t))
+                lo = None
+        pad = radix - 1
+        self.ends = (pad * sum(w for _, w in self.old),
+                     (pad * sum(w for _, w in self.fresh), d.n_states * weight))
+        self.splits = {}
+
+    def split(self, sym):
+        """(old key, column part) of a symbol of the part's own column
+        alphabet, None where a repeated track reads two digits."""
+        digits = [self.radix - 1 if c == PAD else c
+                  for c in self.d.alphabet.tuple_of(sym)]
+        if any(digits[j] != digits[k] for j, k in self.repeats):
+            return None
+        return (sum(digits[k] * w for k, w in self.old),
+                sum(digits[k] * w for k, w in self.fresh))
+
+    def __missing__(self, q):
+        d, weight, splits = self.d, self.weight, self.splits
+        out = {}
+        for sym, t in d.rows.get(q, {}).items():
+            if t == d.sink:
+                continue
+            if sym in splits:
+                got = splits[sym]
+            else:
+                got = splits[sym] = self.split(sym)
+            if got is not None:
+                out.setdefault(got[0], []).append((got[1], t * weight))
+        if q == d.n_states or q in d.accepting:
+            old, move = self.ends
+            out.setdefault(old, []).append(move)
+        self[q] = out
+        return out
+
+
 def join(parts, arity):
     """Conjunction of relations over shared tracks of an arity-`arity` tuple.
 
@@ -784,10 +852,17 @@ def join(parts, arity):
     the relation's components in the result tuple; every result track must be
     covered by at least one part.  A part that names one result track twice
     holds only where its two tracks read the same word.  Built as one
-    synchronized product, with a component considered finished once its
-    tracks are all ◇.  Column choices are enumerated sparsely: each
-    component's transitions are indexed by the digits on the tracks it shares
-    with earlier components, so the full result alphabet is never scanned.
+    synchronized product, with a component considered finished (DONE, the
+    index one past its automaton's states) once its tracks are all ◇.
+
+    A product state is the int Σ qᵢ·multᵢ, multᵢ the product of (nⱼ + 1)
+    over the parts j before i, nⱼ their state counts.  Each part's moves
+    are cached per state (`_PartMoves`), keyed by the digits on the tracks
+    an earlier part fills, each with its part of the result column and of
+    the target state, so a move is two additions.  A row is built part by
+    part as {column so far: state so far}, the column so far naming the
+    digits a later part looks up: column choices are enumerated sparsely,
+    and the full result alphabet is never scanned.
     """
     if not parts:
         raise ValueError("need at least one relation")
@@ -802,109 +877,51 @@ def join(parts, arity):
     if covered != set(range(arity)):
         raise ValueError("every result track must belong to some relation")
     conv = conv_alphabet(base, arity)
-    DONE = -1
-    # per component: automaton, positions of already-constrained vs fresh
-    # tracks within its own tuple, the result tracks the fresh ones fill, and
-    # (first, repeat) position pairs of a fresh track the part names twice
-    comps = []
-    assigned = []
-    for r, tracks in parts:
-        d = fa._ensure_sink(r.dfa)
-        sub = r.conv
-        old_pos = [k for k, t in enumerate(tracks) if t in assigned]
-        first = {}
-        repeats = []
-        for k, t in enumerate(tracks):
-            if t in first:
-                repeats.append((first[t], k))
-            elif t not in assigned:
-                first[t] = k
-        new_pos = list(first.values())
-        old_res = [assigned.index(tracks[k]) for k in old_pos]
-        new_res = []
-        for k in new_pos:
-            new_res.append(len(assigned))
-            assigned.append(tracks[k])
-        new_trk = tuple(tracks[k] for k in new_pos)
-        comps.append((d, sub, tuple(old_pos), tuple(new_pos),
-                      tuple(old_res), tuple(new_res), new_trk, tuple(repeats)))
     radix = conv.radix
-    all_pad_total = radix ** arity - 1
-    option_cache = {}
-
-    def options(i, q):
-        """Transitions of component i at state q, keyed by the digits on its
-        already-constrained tracks: key -> list of (fresh digits, the option's
-        additive contribution to the result symbol index, target)."""
-        ckey = (i, q)
-        if ckey in option_cache:
-            return option_cache[ckey]
-        d, sub, old_pos, new_pos, _, new_res, new_trk, repeats = comps[i]
-        weights = [radix ** t for t in new_trk]
-        pad_part = (radix - 1) * sum(weights)
-        out = {}
-        if q == DONE:
-            out[(PAD,) * len(old_pos)] = [((PAD,) * len(new_pos), pad_part, DONE)]
-        else:
-            for sym, t in d.rows.get(q, {}).items():
-                if t == d.sink:
-                    continue
-                tup = sub.tuple_of(sym)
-                if repeats and any(tup[j] != tup[k] for j, k in repeats):
-                    continue
-                key = tuple(tup[p] for p in old_pos)
-                fresh = tuple(tup[p] for p in new_pos)
-                contrib = sum(
-                    (radix - 1 if c == PAD else c) * w
-                    for c, w in zip(fresh, weights)
-                )
-                out.setdefault(key, []).append((fresh, contrib, t))
-            if q in d.accepting:
-                fin = (PAD,) * len(old_pos)
-                out.setdefault(fin, []).append(((PAD,) * len(new_pos), pad_part, DONE))
-        option_cache[ckey] = out
-        return out
-
-    digits = [PAD] * arity
-    targets = [None] * len(comps)
-    last = len(comps) - 1
+    comps = []  # per part: (states with DONE, weight, old-track runs, moves)
+    filled = set()
+    weight = 1
+    start = 0
+    for r, tracks in parts:
+        d = r.dfa
+        table = _PartMoves(d, tracks, filled, arity, radix, weight)
+        comps.append((d.n_states + 1, weight, table.runs, table))
+        filled.update(tracks)
+        start += d.initial * weight
+        weight *= d.n_states + 1
+    all_pad = radix ** arity - 1  # every part finished: not a column
 
     def moves(state):
-        """One option per component, picked depth first from a stack of
-        (component, symbol index so far, the option picked for the component
-        before it), not by recursion: a nested function that calls itself
-        leaves a reference cycle holding the option cache after the join.
-        digits[k] holds the column digit for the k-th assigned track and is
-        always written by an earlier component than any that reads it."""
-        row = {}
-        stack = [(0, 0, None)]
-        while stack:
-            i, acc, picked = stack.pop()
-            if picked is not None:
-                fresh, _, targets[i - 1] = picked
-                for k, c in zip(comps[i - 1][5], fresh):
-                    digits[k] = c
-            opts = options(i, state[i]).get(tuple(digits[k] for k in comps[i][4]))
-            if not opts:
+        row = {0: 0}
+        for size, weight, runs, table in comps:
+            opts = table[state // weight % size]
+            if not runs:
+                got = opts.get(0)
+                if not got:
+                    return {}
+                row = {col + c: key + k for col, key in row.items() for c, k in got}
                 continue
-            if i < last:
-                # reversed, so that options pop in their listed order: the
-                # row's order numbers the explored states
-                stack.extend((i + 1, acc + opt[1], opt) for opt in reversed(opts))
-                continue
-            for _, contrib, t in opts:
-                sym = acc + contrib
-                if sym != all_pad_total:  # every component finished: no column
-                    targets[i] = t
-                    row[sym] = tuple(targets)
+            nxt = {}
+            for col, key in row.items():
+                got = opts.get(sum(col % hi - col % lo for lo, hi in runs))
+                if got:
+                    for c, k in got:
+                        nxt[col + c] = key + k
+            if not nxt:
+                return {}
+            row = nxt
+        row.pop(all_pad, None)
         return row
 
     def accepts(state):
-        return all(q == DONE or q in c[0].accepting for c, q in zip(comps, state))
+        for size, weight, _, table in comps:
+            q = state // weight % size
+            if q != size - 1 and q not in table.d.accepting:
+                return False
+        return True
 
     # components only accept valid convolutions of their own tracks and every
     # result track is covered, so the product is already pad-consistent
-    start = tuple(d.initial for d, *_ in comps)
     out = fa.explore(conv, start, moves, accepts)
     return RegularRelation(base, arity, fa.minimize(out))
 

@@ -6,7 +6,7 @@ import random
 from typing import NamedTuple
 
 from cayleyauto import decision as dec, fa, presburger as pres, relations as rel
-from cayleyauto.fa import Dfa, Word
+from cayleyauto.fa import PAD, Dfa, Word
 from cayleyauto.presentations import (
     FiniteGroupTable,
     GraphAutomaticPresentation,
@@ -680,3 +680,335 @@ def reference_eval_search(r, inputs):
     if not found:
         raise ValueError("no output: inputs outside the relation's domain")
     return Word(r.base, found[0]), steps
+
+
+# ---------------------------------------------------------------------------
+# the product constructions as they were with tuple-keyed product states,
+# kept word for word as the oracles of the int-keyed `relations.compose` and
+# `relations.join`
+
+
+def reference_compose(r, s):
+    """(u,w) ∈ result iff ∃v: (u,v) ∈ r and (v,w) ∈ s.
+
+    Built as a synchronized product that guesses the middle track column by
+    column (with end-of-run flags and an acceptance closure for middle tails
+    that outlast both outer tracks); extensionally equal to
+    project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
+    state tries only ◇ and the middle digits that both relations have
+    edges for.  The product is determinized as it is explored, by
+    `fa.determinize` over the product states' rows: each row is built once,
+    output symbol → one product state id, or a frozenset of ids where the
+    guess of the middle branches.  Acceptance comes from the tail closure,
+    which `fa.determinize` asks for only after exploring.
+
+    The operands are minimized (a no-op on marked automata) and the
+    determinized product is returned as built, not minimized: the one
+    construction here whose result is not marked minimal.  A chain of
+    compositions thus minimizes each intermediate once, as the next
+    operand, and hands its last product to a consumer (`fa.is_subset`,
+    `rel_intersect`, `rel_to_text`) that needs no minimal input.
+    """
+    if r.arity != 2 or s.arity != 2:
+        raise ValueError("compose needs binary relations")
+    if r.base != s.base:
+        raise ValueError("base alphabet mismatch")
+    A = fa._ensure_sink(fa.minimize(r.dfa))
+    B = fa._ensure_sink(fa.minimize(s.dfa))
+    conv = r.conv
+    # a 2-track column symbol is first + second·radix in digits, ◇ the top one
+    radix = conv.radix
+    pad = radix - 1
+    DONE = -1
+    no_row = {}
+    # index A rows by middle digit, B rows by first digit; the tail columns
+    # (◇,b) of A and (b,◇) of B, b not ◇, also by b
+    a_by_mid, a_tail = {}, {}
+    for q, row in A.rows.items():
+        bucket = a_by_mid.setdefault(q, {})
+        for sym, t in row.items():
+            if t == A.sink:
+                continue
+            b, a = divmod(sym, radix)
+            bucket.setdefault(b, []).append((a, t))
+            if a == pad and b != pad:
+                a_tail.setdefault(q, {}).setdefault(b, []).append(t)
+    b_by_first, b_tail = {}, {}
+    for q, row in B.rows.items():
+        bucket = b_by_first.setdefault(q, {})
+        for sym, t in row.items():
+            if t == B.sink:
+                continue
+            c, b = divmod(sym, radix)
+            bucket.setdefault(b, []).append((c, t))
+            if c == pad and b != pad:
+                b_tail.setdefault(q, {}).setdefault(b, []).append(t)
+
+    def pad_options(D, by_key):
+        """Each state's options under a middle ◇: an (x,◇) edge, or its word
+        ends here (it is DONE from then on)."""
+        out = {DONE: [(pad, DONE)]}
+        for q in range(D.n_states):
+            opts = by_key.get(q, no_row).get(pad, [])
+            out[q] = opts + [(pad, DONE)] if q in D.accepting else opts
+        return out
+
+    a_pad = pad_options(A, a_by_mid)
+    b_pad = pad_options(B, b_by_first)
+
+    # acceptance closure over middle-only tail columns (◇,b)/(b,◇),
+    # computed lazily on the pairs the product construction reaches
+    def tail_succ(qa, qb):
+        at = a_tail.get(qa)
+        bt = b_tail.get(qb)
+        if not at or not bt:
+            return []
+        return [
+            (ta, tb)
+            for b, tas in at.items() if b in bt
+            for ta in tas for tb in bt[b]
+        ]
+
+    def tail_closure(needed):
+        """The pairs that reach a pair of accepting states by tail columns:
+        one forward search records predecessors, one backward search from
+        the accepting pairs collects them."""
+        seen = set(needed)
+        stack = list(seen)
+        preds = {}
+        while stack:
+            pair = stack.pop()
+            for nxt in tail_succ(*pair):
+                preds.setdefault(nxt, []).append(pair)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        tail = {p for p in seen if p[0] in A.accepting and p[1] in B.accepting}
+        stack = list(tail)
+        while stack:
+            for p in preds.get(stack.pop(), ()):
+                if p not in tail:
+                    tail.add(p)
+                    stack.append(p)
+        return tail
+
+    def r_ok(qa):
+        return qa == DONE or qa in A.accepting
+
+    def s_ok(qb):
+        return qb == DONE or qb in B.accepting
+
+    # product states (qa, qb, vdone) get dense ids; each one's row is built
+    # the first time a subset holds it
+    start = (A.initial, B.initial, False)
+    pid = {start: 0}
+    pstates = [start]
+
+    @functools.cache
+    def product_row(p):
+        qa, qb, vdone = pstates[p]
+        moves = [(a_pad[qa], b_pad[qb], True)]
+        if not vdone:
+            arow = a_by_mid.get(qa, no_row)
+            brow = b_by_first.get(qb, no_row)
+            small, big = (arow, brow) if len(arow) <= len(brow) else (brow, arow)
+            moves.extend(
+                (arow[b], brow[b], False)
+                for b in small if b != pad and b in big
+            )
+        pairs = []
+        for a_opts, c_opts, v2 in moves:
+            for a, ta in a_opts:
+                for c, tb in c_opts:
+                    if a == pad and c == pad:
+                        continue  # all-◇ output column does not exist
+                    tgt = (ta, tb, v2)
+                    t = pid.get(tgt)
+                    if t is None:
+                        t = pid[tgt] = len(pstates)
+                        pstates.append(tgt)
+                    pairs.append((a + c * radix, t))
+        return fa.nfa_row(pairs)
+
+    @functools.cache
+    def final():
+        """Accepting product states; the tail closure needs them all."""
+        tail = tail_closure(
+            {
+                (qa, qb)
+                for qa, qb, vdone in pstates
+                if not vdone and qa != DONE and qb != DONE
+            }
+        )
+        out = set()
+        for p, (qa, qb, vdone) in enumerate(pstates):
+            if vdone or qa == DONE or qb == DONE:
+                if r_ok(qa) and s_ok(qb):
+                    out.add(p)
+            elif (qa, qb) in tail:
+                out.add(p)
+        return out
+
+    # valid as built: outer tracks follow r/s until DONE, then ◇, and there
+    # is no all-◇ column
+    d = fa.determinize(conv, 0, product_row, lambda p: p in final())
+    return rel.RegularRelation(r.base, 2, d)
+
+
+def reference_join(parts, arity):
+    """Conjunction of relations over shared tracks of an arity-`arity` tuple.
+
+    parts is a list of (relation, tracks) where tracks names the positions of
+    the relation's components in the result tuple; every result track must be
+    covered by at least one part.  A part that names one result track twice
+    holds only where its two tracks read the same word.  Built as one
+    synchronized product, with a component considered finished once its
+    tracks are all ◇.  Column choices are enumerated sparsely: each
+    component's transitions are indexed by the digits on the tracks it shares
+    with earlier components, so the full result alphabet is never scanned.
+    """
+    if not parts:
+        raise ValueError("need at least one relation")
+    base = parts[0][0].base
+    covered = set()
+    for r, tracks in parts:
+        if r.base != base:
+            raise ValueError("base alphabet mismatch")
+        if r.arity != len(tracks):
+            raise ValueError("track count does not match relation arity")
+        covered.update(tracks)
+    if covered != set(range(arity)):
+        raise ValueError("every result track must belong to some relation")
+    conv = rel.conv_alphabet(base, arity)
+    DONE = -1
+    # per component: automaton, positions of already-constrained vs fresh
+    # tracks within its own tuple, the result tracks the fresh ones fill, and
+    # (first, repeat) position pairs of a fresh track the part names twice
+    comps = []
+    assigned = []
+    for r, tracks in parts:
+        d = fa._ensure_sink(r.dfa)
+        sub = r.conv
+        old_pos = [k for k, t in enumerate(tracks) if t in assigned]
+        first = {}
+        repeats = []
+        for k, t in enumerate(tracks):
+            if t in first:
+                repeats.append((first[t], k))
+            elif t not in assigned:
+                first[t] = k
+        new_pos = list(first.values())
+        old_res = [assigned.index(tracks[k]) for k in old_pos]
+        new_res = []
+        for k in new_pos:
+            new_res.append(len(assigned))
+            assigned.append(tracks[k])
+        new_trk = tuple(tracks[k] for k in new_pos)
+        comps.append((d, sub, tuple(old_pos), tuple(new_pos),
+                      tuple(old_res), tuple(new_res), new_trk, tuple(repeats)))
+    radix = conv.radix
+    all_pad_total = radix ** arity - 1
+    option_cache = {}
+
+    def options(i, q):
+        """Transitions of component i at state q, keyed by the digits on its
+        already-constrained tracks: key -> list of (fresh digits, the option's
+        additive contribution to the result symbol index, target)."""
+        ckey = (i, q)
+        if ckey in option_cache:
+            return option_cache[ckey]
+        d, sub, old_pos, new_pos, _, new_res, new_trk, repeats = comps[i]
+        weights = [radix ** t for t in new_trk]
+        pad_part = (radix - 1) * sum(weights)
+        out = {}
+        if q == DONE:
+            out[(PAD,) * len(old_pos)] = [((PAD,) * len(new_pos), pad_part, DONE)]
+        else:
+            for sym, t in d.rows.get(q, {}).items():
+                if t == d.sink:
+                    continue
+                tup = sub.tuple_of(sym)
+                if repeats and any(tup[j] != tup[k] for j, k in repeats):
+                    continue
+                key = tuple(tup[p] for p in old_pos)
+                fresh = tuple(tup[p] for p in new_pos)
+                contrib = sum(
+                    (radix - 1 if c == PAD else c) * w
+                    for c, w in zip(fresh, weights)
+                )
+                out.setdefault(key, []).append((fresh, contrib, t))
+            if q in d.accepting:
+                fin = (PAD,) * len(old_pos)
+                out.setdefault(fin, []).append(((PAD,) * len(new_pos), pad_part, DONE))
+        option_cache[ckey] = out
+        return out
+
+    digits = [PAD] * arity
+    targets = [None] * len(comps)
+    last = len(comps) - 1
+
+    def moves(state):
+        """One option per component, picked depth first from a stack of
+        (component, symbol index so far, the option picked for the component
+        before it), not by recursion: a nested function that calls itself
+        leaves a reference cycle holding the option cache after the join.
+        digits[k] holds the column digit for the k-th assigned track and is
+        always written by an earlier component than any that reads it."""
+        row = {}
+        stack = [(0, 0, None)]
+        while stack:
+            i, acc, picked = stack.pop()
+            if picked is not None:
+                fresh, _, targets[i - 1] = picked
+                for k, c in zip(comps[i - 1][5], fresh):
+                    digits[k] = c
+            opts = options(i, state[i]).get(tuple(digits[k] for k in comps[i][4]))
+            if not opts:
+                continue
+            if i < last:
+                # reversed, so that options pop in their listed order: the
+                # row's order numbers the explored states
+                stack.extend((i + 1, acc + opt[1], opt) for opt in reversed(opts))
+                continue
+            for _, contrib, t in opts:
+                sym = acc + contrib
+                if sym != all_pad_total:  # every component finished: no column
+                    targets[i] = t
+                    row[sym] = tuple(targets)
+        return row
+
+    def accepts(state):
+        return all(q == DONE or q in c[0].accepting for c, q in zip(comps, state))
+
+    # components only accept valid convolutions of their own tracks and every
+    # result track is covered, so the product is already pad-consistent
+    start = tuple(d.initial for d, *_ in comps)
+    out = fa.explore(conv, start, moves, accepts)
+    return rel.RegularRelation(base, arity, fa.minimize(out))
+
+
+def same_up_to_numbering(d1, d2):
+    """Whether two Dfas are the same automaton up to the numbering of their
+    states: one walk from both initial states pairs the states, and every
+    pair agrees on acceptance and on its symbols; edges into a sink count
+    as missing."""
+    if d1.alphabet != d2.alphabet or d1.n_states != d2.n_states:
+        return False
+    pair = {d1.initial: d2.initial}
+    stack = [d1.initial]
+    while stack:
+        q = stack.pop()
+        p = pair[q]
+        if (q in d1.accepting) != (p in d2.accepting):
+            return False
+        row1 = {s: t for s, t in d1.rows.get(q, {}).items() if t != d1.sink}
+        row2 = {s: t for s, t in d2.rows.get(p, {}).items() if t != d2.sink}
+        if row1.keys() != row2.keys():
+            return False
+        for s, t in row1.items():
+            if t not in pair:
+                pair[t] = row2[s]
+                stack.append(t)
+            elif pair[t] != row2[s]:
+                return False
+    return len(set(pair.values())) == len(pair)

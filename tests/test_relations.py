@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from cayleyauto import decision as dec, fa, relations as rel
 from cayleyauto.fa import Alphabet, Word
-from cayleyauto.presentations import GroupWord, bs1n, heisenberg, zn
+from cayleyauto.presentations import (
+    FiniteGroupTable,
+    GroupWord,
+    bs1n,
+    heisenberg,
+    wreath_finite_by_z,
+    zn,
+)
 
 from helpers import (
     ROSTER_BUILDERS,
@@ -15,7 +22,10 @@ from helpers import (
     all_words,
     collapse_repeated,
     flipped,
+    reference_compose,
+    reference_join,
     roster,
+    same_up_to_numbering,
 )
 
 
@@ -515,6 +525,110 @@ def test_join_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert j.arity == 3
+
+
+def test_compose_leaves_no_reference_cycles():
+    P = heisenberg()
+    a, b = P.relation("A"), P.relation("B", -1)
+    gc.collect()
+    gc.disable()
+    try:
+        c = rel.compose(a, b)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert c.arity == 2
+
+
+def _fields(d):
+    return (d.alphabet, d.n_states, d.initial, d.accepting, d.rows, d.sink,
+            d.minimal)
+
+
+def _random_join_parts(rng):
+    """Random parts over 1 to 4 result tracks: tracks shared between parts
+    and named twice within one, and words of unequal lengths, so that some
+    parts finish before others."""
+    arity = rng.randint(1, 4)
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 3)
+        r, _ = small_relation(rng, k, max_len=rng.randint(1, 2),
+                              density=rng.choice((0.1, 0.3, 0.6)))
+        parts.append((r, tuple(rng.randrange(arity) for _ in range(k))))
+    covered = {t for _, tracks in parts for t in tracks}
+    for t in sorted(set(range(arity)) - covered):
+        lang, _ = small_relation(rng, 1, max_len=2, density=0.5)
+        parts.insert(rng.randint(0, len(parts)), (lang, (t,)))
+    return parts, arity
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_join_agrees_with_the_tuple_keyed_reference(seed):
+    parts, arity = _random_join_parts(random.Random(seed))
+    got = rel.join(parts, arity)
+    assert _fields(got.dfa) == _fields(reference_join(parts, arity).dfa)
+
+
+def _assert_compose_agrees_with_the_reference(r, s):
+    got, want = rel.compose(r, s), reference_compose(r, s)
+    assert rel.rel_to_text(got) == rel.rel_to_text(want)
+    assert fa.language_equal(got.dfa, want.dfa)
+    # the product as built: the same subsets, numbered in another order
+    # where a subset holds several product states
+    assert same_up_to_numbering(got.dfa, want.dfa)
+    assert not got.dfa.minimal
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_compose_agrees_with_the_tuple_keyed_reference(seed):
+    rng = random.Random(seed)
+    r, _ = small_relation(rng, 2, max_len=rng.randint(1, 3),
+                          density=rng.choice((0.1, 0.3, 0.6)))
+    s, _ = small_relation(rng, 2, max_len=rng.randint(1, 3),
+                          density=rng.choice((0.1, 0.3, 0.6)))
+    _assert_compose_agrees_with_the_reference(r, s)
+
+
+def test_the_compose_samples_branch_on_the_middle_guess(monkeypatch):
+    # the random relations above do branch: some product row sends one
+    # output column to a frozenset of product states
+    branched = []
+    determinize = fa.determinize
+
+    def spy(alphabet, start, row, accepts):
+        def spied(q):
+            got = row(q)
+            branched.extend(t for t in got.values() if type(t) is frozenset)
+            return got
+        return determinize(alphabet, start, spied, accepts)
+
+    monkeypatch.setattr(fa, "determinize", spy)
+    for seed in range(10):
+        rng = random.Random(seed)
+        r, _ = small_relation(rng, 2, max_len=2, density=0.6)
+        s, _ = small_relation(rng, 2, max_len=2, density=0.6)
+        rel.compose(r, s)
+    assert branched
+
+
+@pytest.mark.parametrize(
+    "build",
+    [heisenberg, lambda: bs1n(2),
+     lambda: wreath_finite_by_z(FiniteGroupTable.cyclic(2))],
+    ids=["heisenberg", "bs1n2", "wreath C2"],
+)
+def test_products_of_edges_agree_with_the_tuple_keyed_reference(build):
+    P = build()
+    signed = [P.relation(x, s) for x in P.generator_names for s in (1, -1)]
+    for r in signed:
+        for s in signed:
+            _assert_compose_agrees_with_the_reference(r, s)
+            parts = [(r, (0, 1)), (s, (1, 2))]
+            got = rel.join(parts, 3)
+            assert _fields(got.dfa) == _fields(reference_join(parts, 3).dfa)
 
 
 def test_relation_from_edges_takes_the_union_of_branches():
