@@ -329,6 +329,28 @@ def check_presentation(P):
     return report
 
 
+def _core_conjugators(P, p, q):
+    """S′ = {v : v·p̄ = q̄·v} for freely reduced words p and q: the meet of
+    the relations of `right_chain(p)` and `left_chain(q)`, with the common
+    image v·p̄ = q̄·v projected away.  The two chains are on-demand automata
+    (`relations.composition_chain`) and `fa.explore` walks their pair
+    product, so only the product states the meet reaches are built,
+    nothing is minimized before the meet, and nothing outlives the call."""
+    unit = [P.equality_relation()]
+    x0, x_row, x_accepts = rel.composition_chain(
+        [P.relation(n, e) for n, e in p] or unit)
+    y0, y_row, y_accepts = rel.composition_chain(
+        [P.left_relation(n, e) for n, e in reversed(q.letters)] or unit)
+
+    def moves(pair):
+        y = y_row(pair[1])
+        return {sym: (t, y[sym]) for sym, t in x_row(pair[0]).items() if sym in y}
+
+    meet = fa.explore(rel.conv_alphabet(P.base, 2), (x0, y0), moves,
+                      lambda pair: x_accepts(pair[0]) and y_accepts(pair[1]))
+    return rel.project(rel.RegularRelation(P.base, 2, fa.minimize(meet)), 1)
+
+
 def conjugate(P, p, q):
     """(conjugate?, witness): whether p̄ and q̄ are conjugate, via the regular
     set S = {u : u·p̄ = q̄·u}; the witness is its length-lex-least member.
@@ -336,20 +358,21 @@ def conjugate(P, p, q):
     p's names are checked against the generators and q's against the left
     relations, cancelled letters included (KeyError otherwise).  Both words
     are split by `GroupWord.cyclic_split` as p = a·p′·a⁻¹ and q = c·q′·c⁻¹,
-    and S′ = {v : v·p̄′ = q̄′·v} is built from `right_chain(p′)` and
-    `left_chain(q′)`.  As u·p̄ = q̄·u exactly when v = c̄⁻¹·u·ā has
-    v·p̄′ = q̄′·v, S = c̄·S′·ā⁻¹.  S′ is carried there through the left
-    relations of c's letters, last letter first, then through the right
-    relations of a⁻¹'s letters, one image {y : (x, y) ∈ r, x in the set}
-    per edge.  The images are exactly S, and S′ is empty exactly when S
-    is, when every edge relation is a bijection of L, as
-    `check_presentation` certifies and the chains' free reduction already
-    assumes.  With nothing to strip, S is S′."""
+    and S′ = {v : v·p̄′ = q̄′·v} is built from the on-demand meet of
+    p′'s right chain and q′'s left chain (`_core_conjugators`).  As
+    u·p̄ = q̄·u exactly when v = c̄⁻¹·u·ā has v·p̄′ = q̄′·v, S = c̄·S′·ā⁻¹.
+    S′ is carried there through the left relations of c's letters, last
+    letter first, then through the right relations of a⁻¹'s letters, one
+    image {y : (x, y) ∈ r, x in the set} per edge.  The images are
+    exactly S, and S′ is empty exactly when S is, when every edge
+    relation is a bijection of L, as `check_presentation` certifies and
+    the chains' free reduction already assumes.  With nothing to strip,
+    S is S′."""
     if not P.is_biautomatic():
         raise ValueError("conjugacy needs a presentation with left relations")
     a, p = P.reduce_word(p).cyclic_split()
     c, q = P.reduce_left_word(q).cyclic_split()
-    s = rel.project(rel.rel_intersect(P.right_chain(p), P.left_chain(q)), 1)
+    s = _core_conjugators(P, p, q)
     empty, w = fa.is_empty(s.dfa)
     if empty:
         return False, None

@@ -14,7 +14,9 @@ so it rejects and every other state reaches an accepting state.
 `determinize`, which runs the subset construction over a row function, so
 the relational constructions that branch (projection, composition), the
 written-out edge lists of `relations.relation_from_edges` and the text
-format's transition tables share one implementation.
+format's transition tables share one implementation.  `subset_view` gives
+the same construction on demand, with the same subset moves, for a search
+that needs only part of it.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -197,15 +199,9 @@ def explore(alphabet, start, moves, accepts, sink=None):
     return Dfa(alphabet, n + 1, 0, accepting, rows, n)
 
 
-def determinize(alphabet, start, row, accepts):
-    """Subset construction over a row function, explored by `explore`.
-
-    row(q) gives {symbol: target} for a state q of the NFA, the target a
-    frozenset of two or more states where the NFA branches; NFA states are
-    never frozensets.  start is one state or a frozenset of them.  A
-    one-state subset is keyed by its state, so its row is used as it is;
-    larger subsets are frozensets, and the empty subset is the sink.
-    accepts(q) is called on NFA states after exploring."""
+def _subsets(start, row, accepts):
+    """The subset construction's start, moves and acceptance over a row
+    function, as `determinize` describes them."""
     if type(start) is frozenset and len(start) == 1:
         (start,) = start
 
@@ -219,7 +215,53 @@ def determinize(alphabet, start, row, accepts):
             return accepts(sub)
         return any(map(accepts, sub))
 
+    return start, moves, subset_accepts
+
+
+def determinize(alphabet, start, row, accepts):
+    """Subset construction over a row function, explored by `explore`.
+
+    row(q) gives {symbol: target} for a state q of the NFA, the target a
+    frozenset of two or more states where the NFA branches; NFA states are
+    never frozensets.  start is one state or a frozenset of them.  A
+    one-state subset is keyed by its state, so its row is used as it is;
+    larger subsets are frozensets, and the empty subset is the sink.
+    accepts(q) is called on NFA states after exploring."""
+    start, moves, subset_accepts = _subsets(start, row, accepts)
     return explore(alphabet, start, moves, subset_accepts, frozenset())
+
+
+def subset_view(start, row, accepts):
+    """The automaton `determinize` builds, as an on-demand (start, row,
+    accepts) triple of the same kind as its input: a subset is numbered
+    when a row first names it, the start being 0, and a number's row
+    ({symbol: number}, nothing for the empty subset) and acceptance are
+    worked out on their first call and kept by the view."""
+    start, moves, subset_accepts = _subsets(start, row, accepts)
+    subsets = [start]
+    ids = {start: 0}
+    rows = {}
+    verdicts = {}
+
+    def view_row(i):
+        got = rows.get(i)
+        if got is None:
+            got = rows[i] = {}
+            for sym, sub in moves(subsets[i]).items():
+                t = ids.get(sub)
+                if t is None:
+                    t = ids[sub] = len(subsets)
+                    subsets.append(sub)
+                got[sym] = t
+        return got
+
+    def view_accepts(i):
+        got = verdicts.get(i)
+        if got is None:
+            got = verdicts[i] = subset_accepts(subsets[i])
+        return got
+
+    return 0, view_row, view_accepts
 
 
 def nfa_row(pairs):

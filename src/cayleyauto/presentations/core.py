@@ -214,7 +214,9 @@ class GraphAutomaticPresentation:
         relation is a bijection of L inside L², which
         `decision.check_presentation` certifies (in_domain, functional,
         injective, total, surjective).  With two or more letters the result
-        is the last `rel.compose` product, which is not minimized."""
+        is the last `rel.compose` product, which is not minimized.  Each
+        product is built in full; `decision.conjugate` explores the same
+        products on demand instead (`rel.composition_chain`)."""
         return self._fold([self.relation(n, s) for n, s in self.reduce_word(w)])
 
     def reduce_left_word(self, w):
@@ -230,7 +232,8 @@ class GraphAutomaticPresentation:
         u -> w̄·u, folded from the last letter.  Names are checked, the word
         reduced (`reduce_left_word`) and the fold started as in
         `right_chain`, under the same bijectivity assumption on the left
-        relations; its result is not minimized either."""
+        relations; its result is not minimized either, and
+        `decision.conjugate` explores it on demand in the same way."""
         letters = reversed(self.reduce_left_word(w).letters)
         return self._fold([self.left_relation(n, s) for n, s in letters])
 

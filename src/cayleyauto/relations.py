@@ -7,7 +7,9 @@ returns a relation whose language is a subset of the valid convolutions
 (padding persists per track, final column not all-◇), determinized and
 minimized, except `compose`: it minimizes its operands and returns its
 product as determinized, so a chain of compositions minimizes each
-intermediate once, when it becomes the next operand.  Where symbol numbers
+intermediate once, when it becomes the next operand.  `composition_chain`
+builds the same products on demand, one nested in the next, for a search
+that reaches only part of the chain.  Where symbol numbers
 already agree (grouping tracks, arity-1 relations) only the alphabet
 changes, and the input's minimal mark is kept.  `project` and `compose`
 hand their branching rows to `fa.determinize`, and so does
@@ -18,8 +20,10 @@ written that way.  `join` conjoins relations over shared tracks; a part
 that names one track twice reads the same word on both.  The products of
 `compose` and `join`, and `is_functional`'s pair search, key each state
 as one int, the operands' states as the digits of a mixed-radix number
-(DONE, a run whose word has ended, one past each operand's states), so a
-row is built by adding per-operand parts.
+(DONE, a run whose word has ended, one past each operand's states, or −1
+for composition's first operand, whose states need no bound), so a row is
+built by adding per-operand parts; `_composition_rows` is the one function
+that builds composition rows.
 Restriction to L(domain)ⁿ, the validity filter and the check that a
 relation lies within L(domain)ⁿ are one walk over the relation's own edges
 (`_restrict_tracks`), which returns its minimized input when it cuts
@@ -474,47 +478,33 @@ def _runs_by_track(d, radix, track, scale=1, weight=1):
     return out
 
 
-def compose(r, s):
-    """(u,w) ∈ result iff ∃v: (u,v) ∈ r and (v,w) ∈ s.
+def _composition_rows(first, B, radix):
+    """The composition product of a first operand and a minimal Dfa B, as
+    an NFA (start, row, accepts) over the 2-track columns, for
+    `fa.determinize` or `fa.subset_view`.
 
-    Built as a synchronized product that guesses the middle track column by
-    column (with end-of-run flags and an acceptance closure for middle tails
-    that outlast both outer tracks); extensionally equal to
-    project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
-    state tries only ◇ and the middle digits that both relations have
-    edges for.
-
-    A product state (qa, qb, vdone) is the int (qa·(|B|+1) + qb)·2 + vdone,
-    A and B being the operands' automata, with DONE, a run whose word has
-    ended, the index one past each operand's states.  B is indexed once by
-    its middle digit (`_runs_by_track`), A's row is read as it is: a
-    product row's entries add A's and B's parts of the column and of the
-    target.  A column that comes twice, where the guess of the middle
-    branches, gets the frozenset of its targets (`fa.nfa_row`).  The
-    product is determinized as it is explored, by `fa.determinize` over
-    these rows.  Acceptance comes from the tail closure, computed once
-    after exploring, over the product states whose rows were built.
-
-    The operands are minimized (a no-op on marked automata) and the
-    determinized product is returned as built, not minimized: the one
-    construction here whose result is not marked minimal.  A chain of
-    compositions thus minimizes each intermediate once, as the next
-    operand, and hands its last product to a consumer (`fa.is_subset`,
-    `rel_intersect`, `rel_to_text`) that needs no minimal input.
-    """
-    if r.arity != 2 or s.arity != 2:
-        raise ValueError("compose needs binary relations")
-    if r.base != s.base:
-        raise ValueError("base alphabet mismatch")
-    A = fa.minimize(r.dfa)
-    B = fa.minimize(s.dfa)
-    conv = r.conv
-    radix = conv.radix
+    The first operand A is given the same way, (start, row, accepts) with
+    int states and deterministic rows that hold no move into a sink: a
+    minimal Dfa's rows, or a `fa.subset_view` of another such product.  A
+    product state (qa, qb, vdone) is the int (qa·(|B|+1) + qb)·2 + vdone,
+    DONE, a run whose word has ended, being −1 for A and |B| for B, so A's
+    states need no bound.  B is indexed once by its middle digit
+    (`_runs_by_track`), A's row is read as it is: a product row's entries
+    add A's and B's parts of the column and of the target.  A column that
+    comes twice, where the guess of the middle branches, gets the
+    frozenset of its targets (`fa.nfa_row`).  A state accepts when both
+    runs may end; with both running and the middle word not yet ended,
+    also when a middle tail past both outer words leads to a pair of
+    accepting states, which a search over such tails decides on the
+    state's first call and keeps.  No row is kept: the subset
+    construction asks for each product state's row about once."""
+    a_start, a_row, a_accepts = first
     pad = radix - 1
     all_pad = pad + pad * radix  # not a column
-    a_done, b_done = A.n_states, B.n_states
+    b_done = B.n_states
+    b_accepting = B.accepting
     a_weight = (b_done + 1) * 2  # of qa in a product state; qb weighs 2
-    a_rows, a_ends = A.rows, a_done * a_weight + 1
+    a_ends = 1 - a_weight  # DONE on A's side, vdone set
     no_row = {}
     # B's moves by middle digit, as (output column part, target part)
     b_runs = _runs_by_track(B, radix, 0, radix, 2)
@@ -522,66 +512,29 @@ def compose(r, s):
 
     # the moves of a middle tail past both outer words: A's (◇,b) and B's
     # (b,◇) columns, b not ◇, as middle digit → target part; A's are
-    # found on first use, for the states the tail closure reaches
+    # found on first use, for the states a tail search reaches
     a_tails = {}
     b_tails = [
         {b: kc for b, opts in by_mid.items() if b != pad
          for c, kc in opts if c == pad_column}
         for by_mid in b_runs
     ]
+    verdicts = {}
 
     def a_tail(qa):
         got = a_tails.get(qa)
         if got is None:
             got = a_tails[qa] = {
                 sym // radix: t * a_weight
-                for sym, t in a_rows.get(qa, no_row).items() if sym % radix == pad
+                for sym, t in a_row(qa).items() if sym % radix == pad
             }
         return got
 
-    def tail_closure(needed):
-        """The product states (DONE nowhere, vdone 0) that reach a pair of
-        accepting states by tail columns: one forward search records
-        predecessors, one backward search from the accepting pairs collects
-        them."""
-        seen = set(needed)
-        stack = list(seen)
-        preds = {}
-        while stack:
-            p = stack.pop()
-            qa, rest = divmod(p, a_weight)
-            bt = b_tails[rest >> 1]
-            if not bt:
-                continue
-            for b, ka in a_tail(qa).items():
-                kb = bt.get(b)
-                if kb is not None:
-                    nxt = ka + kb
-                    preds.setdefault(nxt, []).append(p)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        tail = {p for p in seen if p // a_weight in A.accepting
-                and p % a_weight >> 1 in B.accepting}
-        stack = list(tail)
-        while stack:
-            for p in preds.get(stack.pop(), ()):
-                if p not in tail:
-                    tail.add(p)
-                    stack.append(p)
-        return tail
-
-    rows = {}  # product state → its row, built the first time a subset holds it
-
-    def product_row(p):
-        row = rows.get(p)
-        if row is not None:
-            return row
+    def row(p):
         qa, rest = divmod(p, a_weight)
         brow = b_runs[rest >> 1]
         pairs = []
-        # a minimized automaton's rows hold no edges into its sink
-        for sym, ta in a_rows.get(qa, no_row).items():
+        for sym, ta in (a_row(qa) if qa >= 0 else no_row).items():
             b, a = divmod(sym, radix)
             if b == pad:  # the middle word ends
                 opts = brow.get(pad)
@@ -594,36 +547,98 @@ def compose(r, s):
             if opts:
                 for c, kc in opts:
                     pairs.append((a + c, ta + kc))
-        if qa == a_done or qa in A.accepting:  # A's word may end here
+        if qa < 0 or a_accepts(qa):  # A's word may end here
             for c, kc in brow.get(pad, ()):
                 pairs.append((pad + c, a_ends + kc))
         # a column that comes twice gets a frozenset of targets
-        row = fa.nfa_row(pairs)
-        row.pop(all_pad, None)
-        rows[p] = row
-        return row
-
-    @functools.cache
-    def final():
-        """Accepting product states; the tail closure needs them all."""
-        out, needed = set(), []
-        for p in rows:
-            qa, rest = divmod(p, a_weight)
-            qb = rest >> 1
-            if rest & 1 or qa == a_done or qb == b_done:
-                if (qa == a_done or qa in A.accepting) and (
-                        qb == b_done or qb in B.accepting):
-                    out.add(p)
-            else:
-                needed.append(p)
-        out.update(tail_closure(needed))
+        out = fa.nfa_row(pairs)
+        out.pop(all_pad, None)
         return out
 
+    def accepts(p):
+        got = verdicts.get(p)
+        if got is not None:
+            return got
+        qa, rest = divmod(p, a_weight)
+        qb = rest >> 1
+        got = (qa < 0 or a_accepts(qa)) and (qb == b_done or qb in b_accepting)
+        if got or rest & 1 or qa < 0 or qb == b_done:
+            verdicts[p] = got
+            return got
+        # both running: search the middle tails for a pair of accepting
+        # states; when there is none, no state the search saw has one
+        seen = {p}
+        stack = [p]
+        while stack:
+            qa, rest = divmod(stack.pop(), a_weight)
+            bt = b_tails[rest >> 1]
+            if not bt:
+                continue
+            for b, ka in a_tail(qa).items():
+                kb = bt.get(b)
+                if kb is not None and ka + kb not in seen:
+                    if a_accepts(ka // a_weight) and kb >> 1 in b_accepting:
+                        verdicts[p] = True
+                        return True
+                    seen.add(ka + kb)
+                    stack.append(ka + kb)
+        for q in seen:
+            verdicts[q] = False
+        return False
+
+    return a_start * a_weight + B.initial * 2, row, accepts
+
+
+def _dfa_operand(d):
+    """A Dfa as the (start, row, accepts) operand `_composition_rows` takes."""
+    rows, no_row = d.rows, {}
+    return d.initial, lambda q: rows.get(q, no_row), d.accepting.__contains__
+
+
+def compose(r, s):
+    """(u,w) ∈ result iff ∃v: (u,v) ∈ r and (v,w) ∈ s.
+
+    Built as a synchronized product that guesses the middle track column by
+    column (with end-of-run flags and a search for middle tails that
+    outlast both outer tracks); extensionally equal to
+    project(intersect(cylindrify(r,2), cylindrify(s,0)), 1).  A product
+    state tries only ◇ and the middle digits that both relations have
+    edges for.  The product's rows are `_composition_rows`, determinized
+    in full by `fa.determinize`; `composition_chain` explores the same
+    rows on demand.
+
+    The operands are minimized (a no-op on marked automata) and the
+    determinized product is returned as built, not minimized: the one
+    construction here whose result is not marked minimal.  A chain of
+    compositions thus minimizes each intermediate once, as the next
+    operand, and hands its last product to a consumer (`fa.is_subset`,
+    `rel_intersect`, `rel_to_text`) that needs no minimal input.
+    """
+    if r.arity != 2 or s.arity != 2:
+        raise ValueError("compose needs binary relations")
+    if r.base != s.base:
+        raise ValueError("base alphabet mismatch")
     # valid as built: outer tracks follow r/s until DONE, then ◇, and there
     # is no all-◇ column
-    start = A.initial * a_weight + B.initial * 2
-    d = fa.determinize(conv, start, product_row, lambda p: p in final())
-    return RegularRelation(r.base, 2, d)
+    start, row, accepts = _composition_rows(
+        _dfa_operand(fa.minimize(r.dfa)), fa.minimize(s.dfa), r.conv.radix)
+    return RegularRelation(r.base, 2, fa.determinize(r.conv, start, row, accepts))
+
+
+def composition_chain(rels):
+    """The composition rels[0] ∘ rels[1] ∘ … of binary relations over one
+    base, the first applied first, as an on-demand automaton (start, row,
+    accepts) over their column alphabet, with int states and no move into
+    a sink: each product (`_composition_rows`, as `compose` builds it) is
+    a `fa.subset_view` whose rows are built when first asked for.  Only
+    the relations themselves are minimized, and the views keep what they
+    built only as long as they are held, so a search over the chain pays
+    only for the states it visits."""
+    radix = rels[0].conv.radix
+    view = _dfa_operand(fa.minimize(rels[0].dfa))
+    for s in rels[1:]:
+        view = fa.subset_view(*_composition_rows(view, fa.minimize(s.dfa), radix))
+    return view
 
 
 def is_functional(r, track):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from cayleyauto.presentations import (
     fg_abelian,
     free_group,
     heisenberg,
+    ut,
     wreath_finite_by_z,
     zn,
 )
@@ -724,13 +726,13 @@ def test_relator_holds_and_conjugate_match_the_heisenberg_oracle(monkeypatch):
 def test_conjugate_strips_the_conjugators_before_composing(monkeypatch):
     P = heisenberg()
     calls = []
-    compose = rel.compose
+    chain = rel.composition_chain
 
-    def counted(a, b):
-        calls.append(1)
-        return compose(a, b)
+    def counted(rels):
+        calls.extend(rels[1:])  # one composition product per later relation
+        return chain(rels)
 
-    monkeypatch.setattr(rel, "compose", counted)
+    monkeypatch.setattr(rel, "composition_chain", counted)
     p, w = GroupWord.parse("A C^-1 B"), GroupWord.parse("B A")
     assert dec.conjugate(P, p, p)[0]
     direct = len(calls)
@@ -753,3 +755,128 @@ def test_conjugate_checks_names_before_stripping():
         dec.conjugate(P, GroupWord.parse("Z A Z^-1"), GroupWord.parse("A"))
     with pytest.raises(KeyError, match="unknown generator 'Z'"):
         dec.conjugate(P, GroupWord.parse("B Z^-1 Z"), GroupWord.parse("Z"))
+
+
+CONJUGACY_GROUPS = {
+    "zn2": lambda: zn(2),
+    "heisenberg": heisenberg,
+    "ut3": lambda: ut(3),
+    "abelian": lambda: fg_abelian(1, [2]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugacy_group(name):
+    return CONJUGACY_GROUPS[name]()
+
+
+def _core_conjugators_by_full_chains(P, p, q):
+    # the chains built in full, minimized as operands, and intersected
+    return rel.project(rel.rel_intersect(P.right_chain(p), P.left_chain(q)), 1)
+
+
+@st.composite
+def _conjugacy_pairs(draw):
+    name = draw(st.sampled_from(sorted(CONJUGACY_GROUPS)))
+    P = _conjugacy_group(name)
+    letters = st.tuples(st.sampled_from(P.generator_names), st.sampled_from((1, -1)))
+
+    def words(lo, hi):
+        return st.lists(letters, min_size=lo, max_size=hi).map(GroupWord)
+
+    p = draw(words(1, 4))
+    kind = draw(st.sampled_from(("conjugated", "equal", "random")))
+    if kind == "conjugated":
+        w = draw(words(1, 2))
+        q = w * p * w.inverse()
+    else:
+        q = p if kind == "equal" else draw(words(1, 4))
+    return name, p, q
+
+
+@settings(max_examples=50, deadline=None)
+@given(_conjugacy_pairs())
+def test_on_demand_conjugacy_agrees_with_the_full_chains(case):
+    name, p, q = case
+    P = _conjugacy_group(name)
+    a, pc = P.reduce_word(p).cyclic_split()
+    c, qc = P.reduce_left_word(q).cyclic_split()
+    got = dec._core_conjugators(P, pc, qc)
+    want = _core_conjugators_by_full_chains(P, pc, qc)
+    assert rel.rel_to_text(got) == rel.rel_to_text(want), (name, str(p), str(q))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dec, "_core_conjugators", _core_conjugators_by_full_chains)
+        eager = dec.conjugate(P, p, q)
+    assert dec.conjugate(P, p, q) == eager, (name, str(p), str(q))
+
+
+def test_conjugacy_builds_only_the_rows_the_meet_reaches(monkeypatch):
+    P = heisenberg()
+    built = []
+    rows_of = rel._composition_rows
+
+    def spy(first, B, radix):
+        start, row, accepts = rows_of(first, B, radix)
+
+        def counted(p):
+            built.append(p)
+            return row(p)
+
+        return start, counted, accepts
+
+    monkeypatch.setattr(rel, "_composition_rows", spy)
+    p, q = GroupWord.parse("C^-1"), GroupWord.parse("C C")
+    assert dec.conjugate(P, p, q) == (False, None)
+    assert 0 < len(built) <= 10
+    # the same left chain built in full asks for far more rows
+    del built[:]
+    P.left_chain(q)
+    assert len(built) > 100
+
+
+def test_conjugate_leaves_no_reference_cycles():
+    P = heisenberg()
+    p, q = GroupWord.parse("A C"), GroupWord.parse("B A C B^-1")
+    dec.conjugate(P, p, q)  # the presentation's own caches are filled
+    gc.collect()
+    gc.disable()
+    try:
+        got = dec.conjugate(P, p, q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert got[0]
+
+
+# UT(3) and the Heisenberg model: T12, T13 and T23 are the entries a, b, c
+UT3_NAMES = {"T12": "A", "T13": "B", "T23": "C"}
+
+
+def _as_heisenberg(w):
+    return GroupWord([(UT3_NAMES[n], e) for n, e in w])
+
+
+def test_ut3_commutator_has_the_heisenberg_sign():
+    P = ut(3)
+    ev = HeisenbergOracle.evaluate
+    commutator = GroupWord.parse("T12 T23 T12^-1 T23^-1")
+    assert ev(_as_heisenberg(commutator)) == HeisenbergOracle.GENS["B"]
+    assert dec.words_equal(P, commutator, GroupWord.parse("T13"))
+    assert not dec.words_equal(P, commutator, GroupWord.parse("T13^-1"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(("conjugated", "random")))
+def test_ut3_conjugacy_agrees_with_the_heisenberg_model(rng, kind):
+    P = _conjugacy_group("ut3")
+    names = P.generator_names
+    ev, mul = HeisenbergOracle.evaluate, HeisenbergOracle.mul
+    p = random_group_word(rng, names, 3) * GroupWord([(rng.choice(names), 1)])
+    w = random_group_word(rng, names, 2)
+    q = w * p * w.inverse() if kind == "conjugated" else random_group_word(rng, names, 4)
+    g, h = ev(_as_heisenberg(p)), ev(_as_heisenberg(q))
+    ok, witness = dec.conjugate(P, p, q)
+    assert ok == HeisenbergOracle.conjugate_truth(g, h), (str(p), str(q))
+    if ok:
+        x = decode_vector(witness)
+        assert mul(x, g) == mul(h, x), (str(p), str(q))

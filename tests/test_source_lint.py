@@ -22,6 +22,13 @@
   itself name `_TrackMoves`.  Restriction, the validity filter and the
   in-domain check are that one walk; a second walk over the same tracks
   would be a second implementation to keep in step with it.
+- One composition product: only `_composition_rows` builds composition
+  rows, and both `compose` (determinized in full) and
+  `composition_chain` (on demand) call it.  Besides it, only
+  `is_functional` indexes runs by track (`_runs_by_track`), and
+  `decision` names neither that index nor `fa.determinize`: conjugacy
+  meets on-demand chains with `fa.explore`, and a second product in
+  either module would be another one to keep in step.
 """
 
 import ast
@@ -126,16 +133,43 @@ def test_no_hand_filled_column_tables():
     assert not bad
 
 
-def test_one_domain_walker():
-    allowed = {
-        "_track_step": {"_restrict_tracks"},
-        "_TrackMoves": {"_restrict_tracks", "_TrackMoves"},
-    }
-    tree = dict(_trees())["relations.py"]
+def _named_outside(tree, allowed):
+    """'<owner> names <name>' for each top-level definition (or statement)
+    of tree that names one of allowed's names without being among its
+    allowed owners."""
     bad = []
     for node in tree.body:
         names = _names(node)
         owner = getattr(node, "name", f"line {node.lineno}")
         bad += [f"{owner} names {n}" for n, owners in allowed.items()
                 if names[n] and owner not in owners]
+    return bad
+
+
+def test_one_domain_walker():
+    allowed = {
+        "_track_step": {"_restrict_tracks"},
+        "_TrackMoves": {"_restrict_tracks", "_TrackMoves"},
+    }
+    assert not _named_outside(dict(_trees())["relations.py"], allowed)
+
+
+def test_one_composition_product():
+    trees = dict(_trees())
+    allowed = {
+        "_runs_by_track": {"_runs_by_track", "_composition_rows", "is_functional"},
+        "_composition_rows": {"_composition_rows", "compose", "composition_chain"},
+    }
+    bad = _named_outside(trees["relations.py"], allowed)
+    callers = {node.name: _names(node)["_composition_rows"]
+               for node in trees["relations.py"].body
+               if isinstance(node, FUNCTIONS)}
+    bad += [f"{f} does not build on _composition_rows"
+            for f in ("compose", "composition_chain") if not callers.get(f)]
+    for name, tree in trees.items():
+        if name != "relations.py":
+            forbidden = set(allowed)
+            if name == "decision.py":
+                forbidden.add("determinize")
+            bad += [f"{name} names {n}" for n in sorted(forbidden) if _names(tree)[n]]
     assert not bad
