@@ -23,7 +23,11 @@ as one int, the operands' states as the digits of a mixed-radix number
 (DONE, a run whose word has ended, one past each operand's states, or −1
 for composition's first operand, whose states need no bound), so a row is
 built by adding per-operand parts; `_composition_rows` is the one function
-that builds composition rows.
+that builds composition rows.  It and `is_functional` read a relation's
+runs keyed by the digit on one track (`_RunsByTrack`), an index filled
+per state on first lookup that lives for one call and is never kept on
+the relation, so a search that stops early or visits few states indexes
+only those.
 Restriction to L(domain)ⁿ, the validity filter and the check that a
 relation lies within L(domain)ⁿ are one walk over the relation's own edges
 (`_restrict_tracks`), which returns its minimized input when it cuts
@@ -448,34 +452,61 @@ def project(r, track):
     return RegularRelation(r.base, r.arity - 1, fa.minimize(out))
 
 
-def _runs_by_track(d, radix, track, scale=1, weight=1):
+class _RunsByTrack(dict):
     """The moves of a run of the binary relation automaton d, keyed by the
-    digit it reads on one track: a list over d's states and DONE, the index
-    one past them, of {digit on the track: [(digit on the other track times
-    scale, target times weight)]}.  A 2-track column is track 0's digit plus
-    radix times track 1's, ◇ the top digit.  Edges into the sink are left
-    out.  A run's word may end at an accepting state, under ◇ on both
+    digit it reads on one track: d's state, or DONE, the index one past
+    them, → {digit on the track: [(digit on the other track times scale,
+    target times weight)]}, each state's entry built on its first lookup,
+    so a search pays only for the states it visits.  The index lives as
+    long as the call that made it.  A 2-track column is track 0's digit
+    plus radix times track 1's, ◇ the top digit.  Edges into the sink are
+    left out.  A run's word may end at an accepting state, under ◇ on both
     tracks, and DONE reads only that: a (◇, DONE) entry under ◇.  As d is
     deterministic, the other digits in one list are distinct."""
-    pad = radix - 1
-    done = d.n_states
-    ends = (pad * scale, done * weight)
-    sink, no_row = d.sink, {}
-    out = []
-    for q in range(done):
-        bucket = {}
-        for sym, t in d.rows.get(q, no_row).items():
+
+    def __init__(self, d, radix, track, scale=1, weight=1):
+        super().__init__()
+        self.d = d
+        ends = ((radix - 1) * scale, d.n_states * weight)
+        self.spec = (d.rows, d.sink, d.accepting, d.n_states, radix, track,
+                     scale, weight, ends)
+
+    def __missing__(self, q):
+        rows, sink, accepting, done, radix, track, scale, weight, ends = self.spec
+        pad = radix - 1
+        if q == done:
+            bucket = self[q] = {pad: [ends]}
+            return bucket
+        bucket = self[q] = {}
+        for sym, t in rows.get(q, {}).items():
             if t != sink:
                 high, low = divmod(sym, radix)
                 if track:
                     bucket.setdefault(high, []).append((low * scale, t * weight))
                 else:
                     bucket.setdefault(low, []).append((high * scale, t * weight))
-        if q in d.accepting:
+        if q in accepting:
             bucket.setdefault(pad, []).append(ends)
-        out.append(bucket)
-    out.append({pad: [ends]})
-    return out
+        return bucket
+
+
+class _MiddleTails(dict):
+    """The second operand's moves on a middle tail past both outer words,
+    for `_composition_rows`: B's state → {middle digit b: target part} for
+    its (b, ◇) columns, b not ◇, read from B's `_RunsByTrack` index on the
+    state's first lookup."""
+
+    def __init__(self, runs, pad, pad_column):
+        super().__init__()
+        self.runs, self.pad, self.pad_column = runs, pad, pad_column
+
+    def __missing__(self, qb):
+        pad, pad_column = self.pad, self.pad_column
+        got = self[qb] = {
+            b: kc for b, opts in self.runs[qb].items() if b != pad
+            for c, kc in opts if c == pad_column
+        }
+        return got
 
 
 def _composition_rows(first, B, radix):
@@ -488,16 +519,19 @@ def _composition_rows(first, B, radix):
     minimal Dfa's rows, or a `fa.subset_view` of another such product.  A
     product state (qa, qb, vdone) is the int (qa·(|B|+1) + qb)·2 + vdone,
     DONE, a run whose word has ended, being −1 for A and |B| for B, so A's
-    states need no bound.  B is indexed once by its middle digit
-    (`_runs_by_track`), A's row is read as it is: a product row's entries
-    add A's and B's parts of the column and of the target.  A column that
-    comes twice, where the guess of the middle branches, gets the
-    frozenset of its targets (`fa.nfa_row`).  A state accepts when both
+    states need no bound.  B is indexed by its middle digit
+    (`_RunsByTrack`), each of its states on first lookup, and A's row is
+    read as it is: a product row's entries add A's and B's parts of the
+    column and of the target.  A column that comes twice, where the guess
+    of the middle branches, gets the frozenset of its targets
+    (`fa.nfa_row`).  A state accepts when both
     runs may end; with both running and the middle word not yet ended,
     also when a middle tail past both outer words leads to a pair of
     accepting states, which a search over such tails decides on the
     state's first call and keeps.  No row is kept: the subset
-    construction asks for each product state's row about once."""
+    construction asks for each product state's row about once.  The
+    indexes of B live as long as the returned functions, one call of
+    `compose` or one chain of `composition_chain`; nothing is kept on B."""
     a_start, a_row, a_accepts = first
     pad = radix - 1
     all_pad = pad + pad * radix  # not a column
@@ -507,18 +541,13 @@ def _composition_rows(first, B, radix):
     a_ends = 1 - a_weight  # DONE on A's side, vdone set
     no_row = {}
     # B's moves by middle digit, as (output column part, target part)
-    b_runs = _runs_by_track(B, radix, 0, radix, 2)
-    pad_column = pad * radix  # B's ◇ part of a column
+    b_runs = _RunsByTrack(B, radix, 0, radix, 2)
 
     # the moves of a middle tail past both outer words: A's (◇,b) and B's
-    # (b,◇) columns, b not ◇, as middle digit → target part; A's are
-    # found on first use, for the states a tail search reaches
+    # (b,◇) columns, b not ◇, as middle digit → target part, found on
+    # first use, for the states a tail search reaches
     a_tails = {}
-    b_tails = [
-        {b: kc for b, opts in by_mid.items() if b != pad
-         for c, kc in opts if c == pad_column}
-        for by_mid in b_runs
-    ]
+    b_tails = _MiddleTails(b_runs, pad, pad * radix)
     verdicts = {}
 
     def a_tail(qa):
@@ -630,10 +659,11 @@ def composition_chain(rels):
     base, the first applied first, as an on-demand automaton (start, row,
     accepts) over their column alphabet, with int states and no move into
     a sink: each product (`_composition_rows`, as `compose` builds it) is
-    a `fa.subset_view` whose rows are built when first asked for.  Only
-    the relations themselves are minimized, and the views keep what they
-    built only as long as they are held, so a search over the chain pays
-    only for the states it visits."""
+    a `fa.subset_view` whose rows are built when first asked for, and each
+    edge's index of runs is filled for a state when a row first needs it.
+    Only the relations themselves are minimized, and the views and
+    indexes keep what they built only as long as they are held, so a
+    search over the chain pays only for the states it visits."""
     radix = rels[0].conv.radix
     view = _dfa_operand(fa.minimize(rels[0].dfa))
     for s in rels[1:]:
@@ -646,19 +676,21 @@ def is_functional(r, track):
     with at most one word on the other track.
 
     One search over pairs of runs of r that read the same word on that
-    track (`_runs_by_track`).  A search state is each run's state, or FIN,
-    the index one past r's states, once the run's word has ended, and a
-    flag saying whether the other tracks have differed yet: the int
-    (q₁·(n+1) + q₂)·2 + flag.  A run ends only from an accepting state,
-    under a ◇ on the shared track; the answer is False at the first state
-    with the flag set where both runs may end.  The two runs are
-    interchangeable, so a state keeps them in sorted order."""
+    track (`_RunsByTrack`, filled for the states the search reaches and
+    dropped when it returns, so a False found early indexes only part of
+    r).  A search state is each run's state, or FIN, the index one past
+    r's states, once the run's word has ended, and a flag saying whether
+    the other tracks have differed yet: the int (q₁·(n+1) + q₂)·2 + flag.
+    A run ends only from an accepting state, under a ◇ on the shared
+    track; the answer is False at the first state with the flag set where
+    both runs may end.  The two runs are interchangeable, so a state keeps
+    them in sorted order."""
     if r.arity != 2:
         raise ValueError("is_functional needs a binary relation")
     if track not in (0, 1):
         raise ValueError("track out of range")
     d = r.dfa
-    runs = _runs_by_track(d, r.conv.radix, track)
+    runs = _RunsByTrack(d, r.conv.radix, track)
     fin = d.n_states
     weight = (fin + 1) * 2  # of the first run's state; the second weighs 2
     start = d.initial * (weight + 2)

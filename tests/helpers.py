@@ -685,7 +685,8 @@ def reference_eval_search(r, inputs):
 # ---------------------------------------------------------------------------
 # the product constructions as they were with tuple-keyed product states,
 # kept word for word as the oracles of the int-keyed `relations.compose` and
-# `relations.join`
+# `relations.join`, and the index of runs by track as it was before it
+# was filled per state
 
 
 def reference_compose(r, s):
@@ -985,6 +986,44 @@ def reference_join(parts, arity):
     start = tuple(d.initial for d, *_ in comps)
     out = fa.explore(conv, start, moves, accepts)
     return rel.RegularRelation(base, arity, fa.minimize(out))
+
+
+def reference_runs_by_track(d, radix, track, scale=1, weight=1):
+    """The moves of a run of the binary relation automaton d, keyed by the
+    digit it reads on one track: a list over d's states and DONE, the index
+    one past them, of {digit on the track: [(digit on the other track times
+    scale, target times weight)]}, built for every state at once: the
+    oracle of the per-state `relations._RunsByTrack`."""
+    pad = radix - 1
+    done = d.n_states
+    ends = (pad * scale, done * weight)
+    sink, no_row = d.sink, {}
+    out = []
+    for q in range(done):
+        bucket = {}
+        for sym, t in d.rows.get(q, no_row).items():
+            if t != sink:
+                high, low = divmod(sym, radix)
+                if track:
+                    bucket.setdefault(high, []).append((low * scale, t * weight))
+                else:
+                    bucket.setdefault(low, []).append((high * scale, t * weight))
+        if q in d.accepting:
+            bucket.setdefault(pad, []).append(ends)
+        out.append(bucket)
+    out.append({pad: [ends]})
+    return out
+
+
+def reference_middle_tails(runs, pad, pad_column):
+    """The middle-tail map of `relations._composition_rows` built for every
+    state at once from an eager index of runs: the oracle of
+    `relations._MiddleTails`."""
+    return [
+        {b: kc for b, opts in by_mid.items() if b != pad
+         for c, kc in opts if c == pad_column}
+        for by_mid in runs
+    ]
 
 
 def same_up_to_numbering(d1, d2):

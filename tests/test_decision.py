@@ -31,6 +31,7 @@ from helpers import (
     compose_check_presentation,
     random_group_word,
     reference_eval_search,
+    reference_runs_by_track,
     roster,
 )
 
@@ -721,6 +722,41 @@ def test_relator_holds_and_conjugate_match_the_heisenberg_oracle(monkeypatch):
             assert HeisenbergOracle.mul(x, ev(p)) == HeisenbergOracle.mul(ev(q), x)
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def test_conjugate_indexes_only_the_edge_states_its_meet_reaches(monkeypatch):
+    # a one-letter word is a chain of one relation, which needs no index;
+    # with two letters the C edge (408 states) is the second operand
+    P = heisenberg()
+    edge = fa.minimize(P.relation("C").dfa)
+    made = []
+
+    class Spy(rel._RunsByTrack):
+        def __init__(self, d, *args):
+            super().__init__(d, *args)
+            made.append(self)
+
+    monkeypatch.setattr(rel, "_RunsByTrack", Spy)
+    cc = GroupWord.parse("C C")
+    assert dec.conjugate(P, cc, cc)[0]
+    filled = [len(runs) for runs in made if runs.d is edge]
+    assert filled and all(0 < n < edge.n_states for n in filled), filled
+
+
+def test_conjugate_is_unchanged_by_the_per_state_index(monkeypatch):
+    P = heisenberg()
+    names = P.generator_names
+    rng = random.Random("per-state index")
+    pairs = []
+    for k in range(50):
+        p = random_group_word(rng, names, 3)
+        w = random_group_word(rng, names, 2)
+        q = w * p * w.inverse() if k % 2 else random_group_word(rng, names, 3)
+        pairs.append((p, q))
+    got = [dec.conjugate(P, p, q) for p, q in pairs]
+    monkeypatch.setattr(rel, "_RunsByTrack", reference_runs_by_track)
+    assert got == [dec.conjugate(P, p, q) for p, q in pairs]
+    assert {ok for ok, _ in got} == {True, False}
 
 
 def test_conjugate_strips_the_conjugators_before_composing(monkeypatch):

@@ -24,6 +24,8 @@ from helpers import (
     flipped,
     reference_compose,
     reference_join,
+    reference_middle_tails,
+    reference_runs_by_track,
     roster,
     same_up_to_numbering,
 )
@@ -629,6 +631,72 @@ def test_products_of_edges_agree_with_the_tuple_keyed_reference(build):
             parts = [(r, (0, 1)), (s, (1, 2))]
             got = rel.join(parts, 3)
             assert _fields(got.dfa) == _fields(reference_join(parts, 3).dfa)
+
+
+def _assert_runs_agree_with_the_eager_index(d, rng):
+    """The per-state index of d's runs, filled in a random order, equals
+    the eager one bucket for bucket, DONE included, on both tracks, in
+    `_composition_rows`' scaling (radix, 2) and `is_functional`'s (1, 1);
+    and the middle tails built from it equal the eager map."""
+    radix = d.alphabet.radix
+    pad = radix - 1
+    order = list(range(d.n_states + 1))
+    for track in (0, 1):
+        for scale, weight in ((radix, 2), (1, 1)):
+            want = reference_runs_by_track(d, radix, track, scale, weight)
+            got = rel._RunsByTrack(d, radix, track, scale, weight)
+            rng.shuffle(order)
+            for q in order:
+                assert list(got[q].items()) == list(want[q].items()), (track, scale, q)
+            assert len(got) == len(want)
+    runs = rel._RunsByTrack(d, radix, 0, radix, 2)
+    tails = rel._MiddleTails(runs, pad, pad * radix)
+    want = reference_middle_tails(
+        reference_runs_by_track(d, radix, 0, radix, 2), pad, pad * radix)
+    rng.shuffle(order)
+    for q in order:
+        assert list(tails[q].items()) == list(want[q].items()), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_runs_by_track_agrees_with_the_eager_index(seed):
+    rng = random.Random(seed)
+    r, _ = small_relation(rng, 2, max_len=rng.randint(1, 3),
+                          density=rng.choice((0.1, 0.3, 0.6)))
+    _assert_runs_agree_with_the_eager_index(r.dfa, rng)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [heisenberg, lambda: bs1n(2),
+     lambda: wreath_finite_by_z(FiniteGroupTable.cyclic(2))],
+    ids=["heisenberg", "bs1n2", "wreath C2"],
+)
+def test_runs_of_edges_agree_with_the_eager_index(build):
+    P = build()
+    rng = random.Random("runs of edges")
+    for x in P.generator_names:
+        for sign in (1, -1):
+            _assert_runs_agree_with_the_eager_index(P.relation(x, sign).dfa, rng)
+
+
+def test_is_functional_stops_indexing_where_it_finds_two_images(monkeypatch):
+    P = heisenberg()
+    r = rel.rel_union(P.relation("A"), P.relation("C"))
+    made = []
+
+    class Spy(rel._RunsByTrack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(rel, "_RunsByTrack", Spy)
+    for track in (0, 1):
+        del made[:]
+        assert not rel.is_functional(r, track)
+        [runs] = made
+        assert 0 < len(runs) < r.dfa.n_states, track
 
 
 def test_relation_from_edges_takes_the_union_of_branches():

@@ -25,10 +25,12 @@
 - One composition product: only `_composition_rows` builds composition
   rows, and both `compose` (determinized in full) and
   `composition_chain` (on demand) call it.  Besides it, only
-  `is_functional` indexes runs by track (`_runs_by_track`), and
-  `decision` names neither that index nor `fa.determinize`: conjugacy
-  meets on-demand chains with `fa.explore`, and a second product in
-  either module would be another one to keep in step.
+  `is_functional` indexes runs by track (`_RunsByTrack`, filled per state
+  for one call), and only `_composition_rows` reads that index's middle
+  tails (`_MiddleTails`); `decision` names none of these nor
+  `fa.determinize`: conjugacy meets on-demand chains with `fa.explore`,
+  and a second product in either module would be another one to keep in
+  step.
 """
 
 import ast
@@ -157,7 +159,8 @@ def test_one_domain_walker():
 def test_one_composition_product():
     trees = dict(_trees())
     allowed = {
-        "_runs_by_track": {"_runs_by_track", "_composition_rows", "is_functional"},
+        "_RunsByTrack": {"_RunsByTrack", "_composition_rows", "is_functional"},
+        "_MiddleTails": {"_MiddleTails", "_composition_rows"},
         "_composition_rows": {"_composition_rows", "compose", "composition_chain"},
     }
     bad = _named_outside(trees["relations.py"], allowed)
