@@ -8,7 +8,6 @@ from itertools import zip_longest
 
 from . import fa, relations as rel
 from .fa import Word
-from .presentations.core import GroupWord
 
 
 class EvalTrace:
@@ -67,51 +66,63 @@ def _eval_search(r, inputs):
 
 def _search(r, inputs):
     """(output index tuple, transitions taken) for input index tuples.  A
-    prefix is (digit, parent) down to the root ().  Each state keeps at most
+    prefix is (digit, parent) down to the root ().  Each state keeps one or
     two, distinct as r's automaton is deterministic, so that a second
-    accepted output (r is not functional there) is always seen."""
+    accepted output (r is not functional there) is always seen.  A binary
+    relation's index is keyed by the input digit (`input_rows`), so one
+    input is read digit by digit and PAD is its tail key; several inputs
+    are read as columns, with the all-PAD column as the tail key."""
     d = r.dfa
     index = r.input_rows()
     pad = rel.PAD
     steps = 0
+    if len(inputs) == 1:
+        cols, tail = inputs[0], pad
+    else:
+        cols, tail = zip_longest(*inputs, fillvalue=pad), (pad,) * len(inputs)
     # states split by whether the output track has already ended
     running = {d.initial: [()]}
     ended = {}
-    for col in zip_longest(*inputs, fillvalue=pad):
+    for col in cols:
         nrun, nend = {}, {}
         for q, words in running.items():
             for ydig, t in index[q].get(col, ()):
                 steps += 1
                 if ydig == pad:
                     store, new = nend, words
+                elif len(words) == 1:
+                    store, new = nrun, [(ydig, words[0])]
                 else:
-                    store, new = nrun, [(ydig, w) for w in words]
+                    store, new = nrun, [(ydig, words[0]), (ydig, words[1])]
                 cur = store.get(t)
                 store[t] = new if cur is None else (cur + new)[:2]
-        for q, words in ended.items():
-            for ydig, t in index[q].get(col, ())[:1]:  # a PAD digit sorts first
-                if ydig == pad:
-                    steps += 1
-                    cur = nend.get(t)
-                    nend[t] = words if cur is None else (cur + words)[:2]
+        if ended:
+            for q, words in ended.items():
+                for ydig, t in index[q].get(col, ())[:1]:  # a PAD digit sorts first
+                    if ydig == pad:
+                        steps += 1
+                        cur = nend.get(t)
+                        nend[t] = words if cur is None else (cur + words)[:2]
         running, ended = nrun, nend
     found = [w for store in (running, ended) for q, words in store.items()
              if q in d.accepting for w in words]
     # past the inputs (all PAD) the output runs on for at most the state count
-    tail = (pad,) * len(inputs)
-    for _ in range(d.n_states + 1):
+    budget = d.n_states + 1
+    while running and len(found) < 2 and budget:
+        budget -= 1
         nrun = {}
         for q, words in running.items():
             for ydig, t in index[q].get(tail, ()):
                 steps += 1
-                new = [(ydig, w) for w in words]
+                if len(words) == 1:
+                    new = [(ydig, words[0])]
+                else:
+                    new = [(ydig, words[0]), (ydig, words[1])]
                 cur = nrun.get(t)
                 nrun[t] = new if cur is None else (cur + new)[:2]
                 if t in d.accepting:
                     found += new
         running = nrun
-        if len(found) > 1 or not running:
-            break
     if len(found) != 1:
         raise ValueError("relation is not functional on these inputs" if found
                          else "no output: inputs outside the relation's domain")
@@ -184,9 +195,7 @@ def relator_holds(P, w):
     except ValueError:
         pass
     _, w = w.cyclic_split()
-    half = (len(w) + 1) // 2
-    x = GroupWord(w.letters[:half])
-    y = GroupWord(w.letters[half:])
+    x, y = w.split((len(w) + 1) // 2)
     return fa.is_subset(P.right_chain(x).dfa, P.right_chain(y.inverse()).dfa)
 
 

@@ -11,8 +11,6 @@ representative words and back.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .. import fa, presburger as pres, relations as rel
 from ..fa import Alphabet, Dfa, Word
 from .core import GraphAutomaticPresentation
@@ -271,6 +269,10 @@ def semidirect_zn_z(matrix):
 
 def _int_det(matrix):
     """Determinant of an integer matrix, exactly."""
+    # imported here: only this builder needs fractions (and its decimal and
+    # numbers imports), and every other CLI process would pay for them
+    from fractions import Fraction
+
     n = len(matrix)
     rows = [[Fraction(e) for e in row] for row in matrix]
     det = Fraction(1)

@@ -18,13 +18,22 @@ MAX_WORD_LETTERS = 10**6
 
 class GroupWord:
     """A word over a presentation's generators and their inverses, stored as
-    a sequence of (generator name, ±1) letters."""
+    a tuple of (generator name, ±1) letters.  The constructor checks every
+    letter; words derived from other words (inverse, reductions, products,
+    splits) are built by `_of` from letters already checked."""
 
     def __init__(self, letters):
         letters = tuple((str(n), int(s)) for n, s in letters)
         if any(s not in (1, -1) for _, s in letters):
             raise ValueError("exponent signs must be +1 or -1")
         self.letters = letters
+
+    @classmethod
+    def _of(cls, letters):
+        """The word of a tuple of letters taken from checked words."""
+        w = cls.__new__(cls)
+        w.letters = letters
+        return w
 
     @classmethod
     def parse(cls, text):
@@ -51,7 +60,7 @@ class GroupWord:
         return cls(letters)
 
     def inverse(self):
-        return GroupWord([(n, -s) for n, s in reversed(self.letters)])
+        return GroupWord._of(tuple((n, -s) for n, s in reversed(self.letters)))
 
     def reduced(self):
         """The free reduction: adjacent letters x^s x^-s cancelled until none
@@ -62,7 +71,7 @@ class GroupWord:
                 out.pop()
             else:
                 out.append((name, sign))
-        return GroupWord(out)
+        return GroupWord._of(tuple(out))
 
     def cyclic_split(self):
         """(u, core) with `reduced()` = u·core·u⁻¹: matching ends x^s … x^-s
@@ -73,10 +82,14 @@ class GroupWord:
         while j - i > 1 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
             i += 1
             j -= 1
-        return GroupWord(letters[:i]), GroupWord(letters[i:j])
+        return GroupWord._of(letters[:i]), GroupWord._of(letters[i:j])
+
+    def split(self, i):
+        """(the first i letters, the rest), as words."""
+        return GroupWord._of(self.letters[:i]), GroupWord._of(self.letters[i:])
 
     def __mul__(self, other):
-        return GroupWord(self.letters + other.letters)
+        return GroupWord._of(self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -200,7 +213,8 @@ class GraphAutomaticPresentation:
     def reduce_word(self, w):
         """The free reduction of a group word.  Every letter must name a
         generator, cancelled ones included (KeyError otherwise)."""
-        w = GroupWord(w)
+        if not isinstance(w, GroupWord):
+            w = GroupWord(w)
         for name, _ in w:
             self.relation(name)
         return w.reduced()
@@ -222,7 +236,8 @@ class GraphAutomaticPresentation:
     def reduce_left_word(self, w):
         """The free reduction of a group word whose letters must all have
         left relations, cancelled ones included (KeyError otherwise)."""
-        w = GroupWord(w)
+        if not isinstance(w, GroupWord):
+            w = GroupWord(w)
         for name, _ in w:
             self.left_relation(name)
         return w.reduced()

@@ -151,9 +151,10 @@ def conv_alphabet(base, arity):
 
 
 class _InputRows(dict):
-    """State → {column of the input tracks: [(last-track digit, target)]},
-    filled on first lookup from the state's row of the DFA; see
-    `RegularRelation.input_rows`."""
+    """State → {input key: [(last-track digit, target)]}, filled on first
+    lookup from the state's row of the DFA.  The key is the input track's
+    digit (PAD included) for a binary relation, and the column of the input
+    tracks otherwise; see `RegularRelation.input_rows`."""
 
     def __init__(self, dfa):
         super().__init__()
@@ -161,11 +162,13 @@ class _InputRows(dict):
 
     def __missing__(self, q):
         d, tuple_of = self.dfa, self.dfa.alphabet.tuple_of
+        binary = d.alphabet.arity == 2
         cols = {}
         for sym, t in d.rows.get(q, {}).items():
             if t != d.sink:
                 col = tuple_of(sym)
-                cols.setdefault(col[:-1], []).append((col[-1], t))
+                key = col[0] if binary else col[:-1]
+                cols.setdefault(key, []).append((col[-1], t))
         for entries in cols.values():
             entries.sort()
         self[q] = cols
@@ -189,9 +192,12 @@ class RegularRelation:
         self._input_rows = None
 
     def input_rows(self):
-        """Transitions keyed for solving for the last track: state → column of
-        the other tracks (PAD included) → [(last-track digit, target)], sorted
-        by digit so a PAD digit comes first.  Edges into the sink are left out.
+        """Transitions keyed for solving for the last track: state → input
+        key → [(last-track digit, target)], sorted by digit so a PAD digit
+        comes first.  The input key of a binary relation is the first track's
+        digit, an int with PAD = -1; for other arities it is the column of
+        the other tracks, a tuple (PAD included).  Edges into the sink are
+        left out.
 
         The map is made on the first call and cached; each state's entry is
         built on its first lookup (`_InputRows`), so a search pays only for

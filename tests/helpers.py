@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import weakref
 from typing import NamedTuple
 
 from cayleyauto import decision as dec, fa, presburger as pres, relations as rel
@@ -612,13 +613,36 @@ def collapse_repeated(r, args):
     return tuple(order), r
 
 
+_REFERENCE_ROWS = weakref.WeakKeyDictionary()
+
+
+def reference_input_rows(r):
+    """The search index as it was before a binary relation was keyed by its
+    input digit: state → column of the input tracks (a tuple, PAD included)
+    → [(last-track digit, target)] sorted by digit, built for every state at
+    once and kept per relation."""
+    index = _REFERENCE_ROWS.get(r)
+    if index is None:
+        d = r.dfa
+        index = {}
+        for q in range(d.n_states):
+            cols = {}
+            for sym, t in d.rows.get(q, {}).items():
+                if t != d.sink:
+                    col = r.conv.tuple_of(sym)
+                    cols.setdefault(col[:-1], []).append((col[-1], t))
+            index[q] = {col: sorted(entries) for col, entries in cols.items()}
+        _REFERENCE_ROWS[r] = index
+    return index
+
+
 # The transducer search as it was before the output prefixes were linked and
 # the representatives carried as index tuples, kept word for word as the
-# oracle of `decision._eval_search`.
+# oracle of `decision._eval_search`, over its own tuple-keyed index.
 def reference_eval_search(r, inputs):
     """(output word, transitions taken); raises if zero or several outputs."""
     d = r.dfa
-    index = r.input_rows()
+    index = reference_input_rows(r)
     maxlen = max((len(u) for u in inputs), default=0)
     steps = 0
 

@@ -31,6 +31,7 @@ from helpers import (
     compose_check_presentation,
     random_group_word,
     reference_eval_search,
+    reference_input_rows,
     reference_runs_by_track,
     roster,
 )
@@ -114,16 +115,11 @@ def test_search_index_fills_only_the_states_visited():
 
 
 def _eager_rows(r):
-    d = r.dfa
-    index = {}
-    for q in range(d.n_states):
-        cols = {}
-        for sym, t in d.rows.get(q, {}).items():
-            if t != d.sink:
-                col = r.conv.tuple_of(sym)
-                cols.setdefault(col[:-1], []).append((col[-1], t))
-        index[q] = {col: sorted(entries) for col, entries in cols.items()}
-    return index
+    # the reference's tuple-keyed index, with a binary relation's entries
+    # keyed by the input track's digit
+    return {q: {(col[0] if r.arity == 2 else col): entries
+                for col, entries in cols.items()}
+            for q, cols in reference_input_rows(r).items()}
 
 
 @pytest.mark.parametrize("make", [lambda: bs1n(2), heisenberg])
@@ -141,6 +137,7 @@ def test_lazy_search_index_matches_a_full_one(make):
             for q in range(r.dfa.n_states):
                 index[q]
             assert index == _eager_rows(r)
+            assert all(type(k) is int for cols in index.values() for k in cols)
             for u in balls:
                 assert dec._eval_search(lazy, [u]) == dec._eval_search(full, [u])
             assert len(lazy.input_rows()) <= len(index)
@@ -187,6 +184,39 @@ def test_eval_search_agrees_with_the_reference(name, data):
     u = data.draw(st.sampled_from(balls))
     for r in rels:
         assert _agree_with_reference(r, [u]) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _roster_edges(name):
+    """A roster group, its signed edge relations, and the union of its first
+    generator's two edges, built as in
+    `test_search_errors_agree_with_the_reference` (not functional unless that
+    generator has order 2)."""
+    P = roster(name)
+    rels = [P.relation(n, s) for n in P.generator_names for s in (1, -1)]
+    return P, rels, rel.rel_union(rels[0], rels[1])
+
+
+@pytest.mark.parametrize("name", ROSTER_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_search_agrees_with_the_reference_on_the_roster(name, data):
+    # the digit-keyed search against the tuple-keyed reference, from the
+    # representative of a random word of up to 30 letters and from an
+    # arbitrary index tuple, mostly outside the domain
+    P, rels, union = _roster_edges(name)
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(P.generator_names),
+                                           st.sampled_from((1, -1))), max_size=30))
+    u = P.identity
+    for gen, sign in letters:
+        u, _ = reference_eval_search(P.relation(gen, sign), [u])
+    junk = Word(P.base, tuple(data.draw(
+        st.lists(st.integers(0, P.base.size - 1), max_size=8))))
+    for r in rels:
+        assert _agree_with_reference(r, [u]) is not None
+        _agree_with_reference(r, [junk])
+    _agree_with_reference(union, [u])
+    _agree_with_reference(union, [junk])
 
 
 @settings(max_examples=60, deadline=None)

@@ -52,8 +52,10 @@ def test_group_word_rejects_bad_tokens():
         GroupWord.parse("e1^")
     with pytest.raises(ValueError, match=r"bad exponent in 'a\^'"):
         GroupWord.parse("b a^ b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="signs must be"):
         GroupWord([("a", 2)])
+    with pytest.raises(ValueError, match="signs must be"):
+        GroupWord([("a", 1), ["b", 2]])
 
 
 def test_group_word_parse_bounds_the_letter_count(monkeypatch):
@@ -195,6 +197,42 @@ def test_cyclic_reduction_is_a_cyclic_conjugate_of_the_free_one(letters):
     if len(core) > 1:
         (n, s), last = core.letters[0], core.letters[-1]
         assert last != (n, -s)
+
+
+def _assert_checked(d, letters):
+    # d is the word the checking constructor makes of these letters: a
+    # tuple of (str, int) tuples, equal and hashing alike
+    expected = GroupWord(list(letters))
+    assert type(d) is GroupWord and d == expected and hash(d) == hash(expected)
+    assert type(d.letters) is tuple
+    assert all(type(x) is tuple and type(x[0]) is str and type(x[1]) is int
+               for x in d.letters)
+
+
+_HEIS_LETTERS = st.tuples(st.sampled_from("ABC"), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_HEIS_LETTERS, _HEIS_LETTERS.map(list)), max_size=12),
+       st.lists(_HEIS_LETTERS, max_size=6), st.integers(0, 12))
+def test_derived_words_equal_the_checked_ones(a, b, i):
+    # derived words are built from letters already checked; each equals the
+    # word the checking constructor makes of the letters it used to be given
+    P = roster("heisenberg")
+    w, v = GroupWord(a), GroupWord(b)
+    _assert_checked(w.inverse(), [(n, -s) for n, s in reversed(w.letters)])
+    _assert_checked(w * v, w.letters + v.letters)
+    x, y = w.split(i)
+    _assert_checked(x, w.letters[:i])
+    _assert_checked(y, w.letters[i:])
+    free = w.reduced()
+    _assert_checked(free, free.letters)
+    for d in (P.reduce_word(w), P.reduce_left_word(w), P.reduce_word(a)):
+        _assert_checked(d, free.letters)
+    u, core = w.cyclic_split()
+    _assert_checked(u, u.letters)
+    _assert_checked(core, core.letters)
+    assert (u * core * u.inverse()).letters == free.letters
 
 
 def _identity_first_fold(P, letters, edge):
