@@ -267,6 +267,29 @@ def _certify(P, edges):
             raise ValueError(f"relation {name} fails the presentation check: {failed}")
 
 
+def _certify_left(P, names):
+    """Raise a ValueError naming the first left relation L_b, for b in
+    names, that is not left multiplication u -> b·u, and the parts that
+    fail.  A bijection L_b of the representatives is left multiplication
+    by b exactly when it agrees with b's right relation R_b at the identity
+    (the transducer search) and commutes with every right relation R_a:
+    both L_b∘R_a and R_a∘L_b are then bijections, so one `fa.is_subset`
+    decides each equality."""
+    from . import decision as dec
+
+    e = [P.identity]
+    for b in dict.fromkeys(names):
+        left = P.left_relation(b)
+        failed = []
+        if dec.eval_function(left, e) != dec.eval_function(P.relation(b), e):
+            failed.append("image of the identity")
+        failed += [f"commutation with {a}" for a, r in P.generators.items()
+                   if not fa.is_subset(rel.compose(left, r).dfa, rel.compose(r, left).dfa)]
+        if failed:
+            raise ValueError(f"relation left:{b} fails the left multiplication "
+                             f"check: {', '.join(failed)}")
+
+
 def cmd_relator(args):
     from . import decision as dec
 
@@ -298,13 +321,13 @@ def cmd_conj(args):
     P = _load_presentation(args.path, args.max_states)
     p, q = GroupWord.parse(args.word1), GroupWord.parse(args.word2)
     # certify the right relations p names and the left ones q names, as in
-    # `cmd_relator`; names resolve in `conjugate`'s order, so its errors
-    # come first
-    edges = {}
+    # `cmd_relator`, and the left ones as left multiplication; names
+    # resolve in `conjugate`'s order, so its errors come first
     if P.is_biautomatic():
         edges = {name: P.relation(name) for name, _ in p}
         edges.update((f"left:{name}", P.left_relation(name)) for name, _ in q)
-    _certify(P, edges)
+        _certify(P, edges)
+        _certify_left(P, [name for name, _ in q])
     ok, witness = dec.conjugate(P, p, q)
     if ok:
         print("conjugate, witness: " + " ".join(witness.names()))

@@ -339,25 +339,37 @@ def check_presentation(P):
 
 
 def _core_conjugators(P, p, q):
-    """S′ = {v : v·p̄ = q̄·v} for freely reduced words p and q: the meet of
-    the relations of `right_chain(p)` and `left_chain(q)`, with the common
-    image v·p̄ = q̄·v projected away.  The two chains are on-demand automata
-    (`relations.composition_chain`) and `fa.explore` walks their pair
-    product, so only the product states the meet reaches are built,
-    nothing is minimized before the meet, and nothing outlives the call."""
+    """The conjugators of the cores, as the relation
+    Mᵀ = {(v·p̄, v) : v·p̄ = q̄·v} for freely reduced words p and q, an
+    on-demand automaton (start, row, accepts) with numbered states.
+
+    M is the meet of the relations of `right_chain(p)` and
+    `left_chain(q)`; its transpose puts v on the track that a composition
+    reads next.  The two chains are on-demand automata
+    (`relations.composition_chain`), and their pair product is numbered by
+    `fa.subset_view`, which keys a deterministic row's targets as they
+    are: a pair's row is built, from the chains' rows, when a search first
+    asks for it, so only the product states a search reaches are built,
+    nothing is minimized, and nothing outlives the call."""
     unit = [P.equality_relation()]
     x0, x_row, x_accepts = rel.composition_chain(
         [P.relation(n, e) for n, e in p] or unit)
     y0, y_row, y_accepts = rel.composition_chain(
         [P.left_relation(n, e) for n, e in reversed(q.letters)] or unit)
+    radix = rel.conv_alphabet(P.base, 2).radix
 
     def moves(pair):
         y = y_row(pair[1])
-        return {sym: (t, y[sym]) for sym, t in x_row(pair[0]).items() if sym in y}
+        out = {}
+        for sym, t in x_row(pair[0]).items():
+            u = y.get(sym)
+            if u is not None:
+                high, low = divmod(sym, radix)
+                out[low * radix + high] = (t, u)
+        return out
 
-    meet = fa.explore(rel.conv_alphabet(P.base, 2), (x0, y0), moves,
-                      lambda pair: x_accepts(pair[0]) and y_accepts(pair[1]))
-    return rel.project(rel.RegularRelation(P.base, 2, fa.minimize(meet)), 1)
+    return fa.subset_view((x0, y0), moves,
+                          lambda pair: x_accepts(pair[0]) and y_accepts(pair[1]))
 
 
 def conjugate(P, p, q):
@@ -366,29 +378,30 @@ def conjugate(P, p, q):
 
     p's names are checked against the generators and q's against the left
     relations, cancelled letters included (KeyError otherwise).  Both words
-    are split by `GroupWord.cyclic_split` as p = a·p′·a⁻¹ and q = c·q′·c⁻¹,
-    and S′ = {v : v·p̄′ = q̄′·v} is built from the on-demand meet of
-    p′'s right chain and q′'s left chain (`_core_conjugators`).  As
-    u·p̄ = q̄·u exactly when v = c̄⁻¹·u·ā has v·p̄′ = q̄′·v, S = c̄·S′·ā⁻¹.
-    S′ is carried there through the left relations of c's letters, last
-    letter first, then through the right relations of a⁻¹'s letters, one
-    image {y : (x, y) ∈ r, x in the set} per edge.  The images are
-    exactly S, and S′ is empty exactly when S is, when every edge
-    relation is a bijection of L, as `check_presentation` certifies and
-    the chains' free reduction already assumes.  With nothing to strip,
-    S is S′."""
+    are split by `GroupWord.cyclic_split` as p = a·p′·a⁻¹ and q = c·q′·c⁻¹.
+    As u·p̄ = q̄·u exactly when v = c̄⁻¹·u·ā has v·p̄′ = q̄′·v, S is c̄·S′·ā⁻¹
+    for S′ = {v : v·p̄′ = q̄′·v}, and S′ is empty exactly when S is, when
+    every edge relation is a bijection of L, as `check_presentation`
+    certifies and the chains' free reduction already assumes.
+
+    Nothing is built in full: each step is one early-stopping `fa.search`
+    over on-demand automata.  The verdict is a search of the cores' meet
+    Mᵀ = {(v·p̄′, v)} (`_core_conjugators`) for an accepting pair.  S′ is
+    Mᵀ with its first track projected away.  The stripped edges, the left
+    relations of c's letters, last letter first, then the right relations
+    of a⁻¹'s letters, are chained after Mᵀ (`relations.composition_chain`;
+    with none, the chain is Mᵀ), and S is that chain with its first track
+    projected away.  The witness is the search's word over the projection
+    (`relations.projection_view`)."""
     if not P.is_biautomatic():
         raise ValueError("conjugacy needs a presentation with left relations")
     a, p = P.reduce_word(p).cyclic_split()
     c, q = P.reduce_left_word(q).cyclic_split()
-    s = _core_conjugators(P, p, q)
-    empty, w = fa.is_empty(s.dfa)
-    if empty:
+    meet = _core_conjugators(P, p, q)
+    if fa.search(*meet) is None:
         return False, None
     edges = [P.left_relation(n, e) for n, e in reversed(c.letters)]
     edges += [P.relation(n, e) for n, e in a.inverse()]
-    if edges:
-        for r in edges:
-            s = rel.project(rel.join([(s, (0,)), (r, (0, 1))], 2), 0)
-        _, w = fa.is_empty(s.dfa)
-    return True, rel.deconvolve(w)[0]
+    view = rel.composition_chain(edges, meet)
+    w = fa.search(*rel.projection_view(view, rel.conv_alphabet(P.base, 2), 0))
+    return True, Word(P.base, w)

@@ -16,7 +16,9 @@ the relational constructions that branch (projection, composition), the
 written-out edge lists of `relations.relation_from_edges` and the text
 format's transition tables share one implementation.  `subset_view` gives
 the same construction on demand, with the same subset moves, for a search
-that needs only part of it.
+that needs only part of it.  `search` is the one early-stopping search for
+an accepted word over such on-demand automata, and `is_empty` is that
+search over a Dfa's rows.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -585,27 +587,53 @@ def _symbol_edges(d, q):
     return sorted(row.items())
 
 
-def is_empty(d):
-    """(emptiness, witness): witness is a shortest accepted word, ties broken
-    length-lexicographically; None when the language is empty."""
-    accepting = d.accepting
-    if d.initial in accepting:
-        return (False, Word(d.alphabet, ()))
-    # BFS over states in level + symbol order
-    seen = {d.initial}
-    frontier = [((), d.initial)]
+def search(start, row, goal):
+    """The length-lex-least word that leads from start to a state where
+    goal holds, as a tuple of symbols; None when no such state is reached.
+
+    A breadth-first search that stops at the first such state, over an
+    automaton given on demand the way `subset_view` gives one, goal in
+    place of accepts: row(q) gives {symbol: next state}, and is asked for
+    only of the states the search expands.  Levels are expanded in the
+    order their states were found and each row in symbol order, so a state
+    is found first by its least word; goal is asked once per state, when it
+    is found, and the search stops at the first state where it holds.  A found word is kept as a
+    parent-linked prefix (symbol, prefix) down to the root (), so a step
+    costs O(1) whatever the word's length."""
+    if goal(start):
+        return ()
+    seen = {start}
+    frontier = [(start, ())]
     while frontier:
         nxt = []
-        for word, q in frontier:
-            for s, t in _symbol_edges(d, q):
-                w2 = word + (s,)
-                if t in accepting:
-                    return (False, Word(d.alphabet, w2))
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append((w2, t))
+        for q, prefix in frontier:
+            for s, t in sorted(row(q).items()):
+                if t in seen:
+                    continue
+                word = (s, prefix)
+                if goal(t):
+                    out = []
+                    while word:
+                        s, word = word
+                        out.append(s)
+                    return tuple(reversed(out))
+                seen.add(t)
+                nxt.append((t, word))
         frontier = nxt
-    return (True, None)
+    return None
+
+
+def is_empty(d):
+    """(emptiness, witness): witness is a shortest accepted word, ties broken
+    length-lexicographically; None when the language is empty.  The
+    `search` over d's rows; a sink that accepts is first written out as
+    an ordinary state (`_sink_as_state`), so that a missing symbol leads
+    to it."""
+    if d.sink in d.accepting:
+        d = _sink_as_state(d)
+    rows, no_row = d.rows, {}
+    w = search(d.initial, lambda q: rows.get(q, no_row), d.accepting.__contains__)
+    return (True, None) if w is None else (False, Word(d.alphabet, w))
 
 
 def enumerate_words(a, max_length=None, count=None):

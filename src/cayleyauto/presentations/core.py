@@ -229,8 +229,9 @@ class GraphAutomaticPresentation:
         `decision.check_presentation` certifies (in_domain, functional,
         injective, total, surjective).  With two or more letters the result
         is the last `rel.compose` product, which is not minimized.  Each
-        product is built in full; `decision.conjugate` explores the same
-        products on demand instead (`rel.composition_chain`)."""
+        product is built in full; `decision.conjugate` searches the same
+        products on demand instead (`rel.composition_chain`), building only
+        the rows its search reaches."""
         return self._fold([self.relation(n, s) for n, s in self.reduce_word(w)])
 
     def reduce_left_word(self, w):
@@ -248,7 +249,7 @@ class GraphAutomaticPresentation:
         reduced (`reduce_left_word`) and the fold started as in
         `right_chain`, under the same bijectivity assumption on the left
         relations; its result is not minimized either, and
-        `decision.conjugate` explores it on demand in the same way."""
+        `decision.conjugate` searches it on demand in the same way."""
         letters = reversed(self.reduce_left_word(w).letters)
         return self._fold([self.left_relation(n, s) for n, s in letters])
 

@@ -8,8 +8,11 @@ returns a relation whose language is a subset of the valid convolutions
 minimized, except `compose`: it minimizes its operands and returns its
 product as determinized, so a chain of compositions minimizes each
 intermediate once, when it becomes the next operand.  `composition_chain`
-builds the same products on demand, one nested in the next, for a search
-that reaches only part of the chain.  Where symbol numbers
+builds the same products on demand, one nested in the next, after an
+optional first on-demand operand, for a search that reaches only part of
+the chain; `projection_view` is `project` on demand in the same way, and
+`_projection_rows` is the one function that builds projection rows.
+Where symbol numbers
 already agree (grouping tracks, arity-1 relations) only the alphabet
 changes, and the input's minimal mark is kept.  `project` and `compose`
 hand their branching rows to `fa.determinize`, and so does
@@ -412,16 +415,27 @@ def transpose(r):
     return permute_tracks(r, [1, 0])
 
 
-def project(r, track):
-    """Existentially quantify one track, with padding saturation for the case
-    where the removed track runs longer than all remaining ones."""
-    if r.arity < 2:
-        raise ValueError("cannot project an arity-1 relation")
-    if not (0 <= track < r.arity):
-        raise ValueError("track out of range")
-    d = r.dfa
-    tuple_of = r.conv.tuple_of
-    conv_out = conv_alphabet(r.base, r.arity - 1)
+def _projection_rows(first, conv, track):
+    """The projection of an operand over the column alphabet conv that
+    removes one track, as an NFA (start, row, accepts) over the columns of
+    the other tracks, for `fa.determinize` or `fa.subset_view`.
+
+    The operand is given as (start, row, accepts) with deterministic rows:
+    a Dfa's (`_dfa_operand`) or an on-demand view's.  A projected row keeps
+    the operand's states and drops the removed track's digit from each
+    column; a column that is ◇ on every kept track disappears, and two
+    columns that become one branch (`fa.nfa_row`).  Those vanished columns
+    are the tail where the removed track runs longer than every kept one,
+    so a state accepts when a tail of them leads to an accepting state
+    (padding saturation).  A search over such tails decides that on the
+    state's first call and keeps it, with every state of a path that
+    reached acceptance and every state of a search that did not.  Rows are
+    kept too, as long as the returned functions: the subset construction
+    asks for an operand state's row once per subset that holds it."""
+    start, a_row, a_accepts = first
+    tuple_of = conv.tuple_of
+    conv_out = conv_alphabet(conv.base, conv.arity - 1)
+    verdicts = {}
 
     @functools.cache
     def small(sym):
@@ -430,32 +444,55 @@ def project(r, track):
         rest = tup[:track] + tup[track + 1:]
         return None if all(c == PAD for c in rest) else conv_out.index_of(rest)
 
-    # states from which acceptance is reachable via columns that are ◇ on
-    # every remaining track
-    tail_edges = {}
-    for q, edges in d.rows.items():
-        for sym, t in edges.items():
-            if t != d.sink and small(sym) is None:
-                tail_edges.setdefault(t, set()).add(q)
-    saturated = set(d.accepting)
-    stack = list(saturated)
-    while stack:
-        for p in tail_edges.get(stack.pop(), ()):
-            if p not in saturated:
-                saturated.add(p)
-                stack.append(p)
-
     @functools.cache
     def row(q):
-        # a column that is ◇ on every kept track disappears entirely
-        return fa.nfa_row([
-            (small(sym), t) for sym, t in d.rows.get(q, {}).items()
-            if t != d.sink and small(sym) is not None
-        ])
+        return fa.nfa_row([(small(sym), t) for sym, t in a_row(q).items()
+                           if small(sym) is not None])
 
+    def accepts(q):
+        got = verdicts.get(q)
+        if got is not None:
+            return got
+        parent = {q: None}
+        stack = [q]
+        while stack:
+            p = stack.pop()
+            if verdicts.get(p) or a_accepts(p):
+                while p is not None:
+                    verdicts[p] = True
+                    p = parent[p]
+                return True
+            for sym, t in a_row(p).items():
+                if (small(sym) is None and t not in parent
+                        and verdicts.get(t) is not False):
+                    parent[t] = p
+                    stack.append(t)
+        for p in parent:
+            verdicts[p] = False
+        return False
+
+    return start, row, accepts
+
+
+def project(r, track):
+    """Existentially quantify one track, with padding saturation for the case
+    where the removed track runs longer than all remaining ones: the rows
+    of `_projection_rows`, determinized in full and minimized."""
+    if r.arity < 2:
+        raise ValueError("cannot project an arity-1 relation")
+    if not (0 <= track < r.arity):
+        raise ValueError("track out of range")
     # valid as built: kept tracks still pad for good; their all-◇ tail is dropped
-    out = fa.determinize(conv_out, d.initial, row, saturated.__contains__)
+    start, row, accepts = _projection_rows(_dfa_operand(r.dfa), r.conv, track)
+    out = fa.determinize(conv_alphabet(r.base, r.arity - 1), start, row, accepts)
     return RegularRelation(r.base, r.arity - 1, fa.minimize(out))
+
+
+def projection_view(first, conv, track):
+    """`project`'s automaton of an operand over conv, on demand: the
+    `fa.subset_view` of `_projection_rows`, whose subsets are numbered and
+    worked out when a search first reaches them."""
+    return fa.subset_view(*_projection_rows(first, conv, track))
 
 
 class _RunsByTrack(dict):
@@ -660,20 +697,23 @@ def compose(r, s):
     return RegularRelation(r.base, 2, fa.determinize(r.conv, start, row, accepts))
 
 
-def composition_chain(rels):
+def composition_chain(rels, first=None):
     """The composition rels[0] ∘ rels[1] ∘ … of binary relations over one
     base, the first applied first, as an on-demand automaton (start, row,
     accepts) over their column alphabet, with int states and no move into
     a sink: each product (`_composition_rows`, as `compose` builds it) is
     a `fa.subset_view` whose rows are built when first asked for, and each
     edge's index of runs is filled for a state when a row first needs it.
-    Only the relations themselves are minimized, and the views and
-    indexes keep what they built only as long as they are held, so a
-    search over the chain pays only for the states it visits."""
-    radix = rels[0].conv.radix
-    view = _dfa_operand(fa.minimize(rels[0].dfa))
-    for s in rels[1:]:
-        view = fa.subset_view(*_composition_rows(view, fa.minimize(s.dfa), radix))
+    Given a first view of that kind over the same columns, the chain is
+    first ∘ rels[0] ∘ …, and rels may then be empty.  Only the relations
+    themselves are minimized, and the views and indexes keep what they
+    built only as long as they are held, so a search over the chain pays
+    only for the states it visits."""
+    if first is None:
+        first, rels = _dfa_operand(fa.minimize(rels[0].dfa)), rels[1:]
+    view = first
+    for s in rels:
+        view = fa.subset_view(*_composition_rows(view, fa.minimize(s.dfa), s.conv.radix))
     return view
 
 

@@ -1075,3 +1075,120 @@ def same_up_to_numbering(d1, d2):
             elif pair[t] != row2[s]:
                 return False
     return len(set(pair.values())) == len(pair)
+
+
+# ---------------------------------------------------------------------------
+# conjugacy as it was when every set was built in full, kept word for word
+# with the projection and the emptiness search it used, as the oracles of
+# the on-demand `decision.conjugate`, `relations.project` and `fa.is_empty`
+
+
+def reference_is_empty(d):
+    """(emptiness, witness): witness is a shortest accepted word, ties broken
+    length-lexicographically; None when the language is empty."""
+    accepting = d.accepting
+    if d.initial in accepting:
+        return (False, Word(d.alphabet, ()))
+    # BFS over states in level + symbol order
+    seen = {d.initial}
+    frontier = [((), d.initial)]
+    while frontier:
+        nxt = []
+        for word, q in frontier:
+            for s, t in fa._symbol_edges(d, q):
+                w2 = word + (s,)
+                if t in accepting:
+                    return (False, Word(d.alphabet, w2))
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append((w2, t))
+        frontier = nxt
+    return (True, None)
+
+
+def reference_project(r, track):
+    """Existentially quantify one track, with padding saturation for the case
+    where the removed track runs longer than all remaining ones."""
+    if r.arity < 2:
+        raise ValueError("cannot project an arity-1 relation")
+    if not (0 <= track < r.arity):
+        raise ValueError("track out of range")
+    d = r.dfa
+    tuple_of = r.conv.tuple_of
+    conv_out = rel.conv_alphabet(r.base, r.arity - 1)
+
+    @functools.cache
+    def small(sym):
+        """The column without the track; None when only ◇ is left."""
+        tup = tuple_of(sym)
+        rest = tup[:track] + tup[track + 1:]
+        return None if all(c == PAD for c in rest) else conv_out.index_of(rest)
+
+    # states from which acceptance is reachable via columns that are ◇ on
+    # every remaining track
+    tail_edges = {}
+    for q, edges in d.rows.items():
+        for sym, t in edges.items():
+            if t != d.sink and small(sym) is None:
+                tail_edges.setdefault(t, set()).add(q)
+    saturated = set(d.accepting)
+    stack = list(saturated)
+    while stack:
+        for p in tail_edges.get(stack.pop(), ()):
+            if p not in saturated:
+                saturated.add(p)
+                stack.append(p)
+
+    @functools.cache
+    def row(q):
+        # a column that is ◇ on every kept track disappears entirely
+        return fa.nfa_row([
+            (small(sym), t) for sym, t in d.rows.get(q, {}).items()
+            if t != d.sink and small(sym) is not None
+        ])
+
+    # valid as built: kept tracks still pad for good; their all-◇ tail is dropped
+    out = fa.determinize(conv_out, d.initial, row, saturated.__contains__)
+    return rel.RegularRelation(r.base, r.arity - 1, fa.minimize(out))
+
+
+def reference_core_conjugators(P, p, q):
+    """S′ = {v : v·p̄ = q̄·v} for freely reduced words p and q: the meet of
+    the on-demand chains of p and q, walked in full by `fa.explore`,
+    minimized, with the common image projected away."""
+    unit = [P.equality_relation()]
+    x0, x_row, x_accepts = rel.composition_chain(
+        [P.relation(n, e) for n, e in p] or unit)
+    y0, y_row, y_accepts = rel.composition_chain(
+        [P.left_relation(n, e) for n, e in reversed(q.letters)] or unit)
+
+    def moves(pair):
+        y = y_row(pair[1])
+        return {sym: (t, y[sym]) for sym, t in x_row(pair[0]).items() if sym in y}
+
+    meet = fa.explore(rel.conv_alphabet(P.base, 2), (x0, y0), moves,
+                      lambda pair: x_accepts(pair[0]) and y_accepts(pair[1]))
+    return reference_project(rel.RegularRelation(P.base, 2, fa.minimize(meet)), 1)
+
+
+def reference_conjugate(P, p, q):
+    """(conjugate?, witness) with every set built in full: S′ from the
+    cores' meet, then carried through the left relations of c's letters,
+    last letter first, and the right relations of a⁻¹'s letters, one
+    image {y : (x, y) ∈ r, x in the set} per edge, for p = a·p′·a⁻¹ and
+    q = c·q′·c⁻¹; the witness is the least member of the last image."""
+    if not P.is_biautomatic():
+        raise ValueError("conjugacy needs a presentation with left relations")
+    a, p = P.reduce_word(p).cyclic_split()
+    c, q = P.reduce_left_word(q).cyclic_split()
+    s = reference_core_conjugators(P, p, q)
+    empty, w = reference_is_empty(s.dfa)
+    if empty:
+        return False, None
+    edges = [P.left_relation(n, e) for n, e in reversed(c.letters)]
+    edges += [P.relation(n, e) for n, e in a.inverse()]
+    if edges:
+        for r in edges:
+            s = reference_project(rel.join([(s, (0,)), (r, (0, 1))], 2), 0)
+        _, w = reference_is_empty(s.dfa)
+    return True, rel.deconvolve(w)[0]

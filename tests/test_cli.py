@@ -247,6 +247,70 @@ def test_conj_matches_the_readme_example(heis_path, capsys):
     assert capsys.readouterr().out == "conjugate, witness: 0,0,1\n"
 
 
+@pytest.fixture
+def zn2_path(tmp_path):
+    path = str(tmp_path / "zn2.json")
+    assert cli.main(["build", "zn", "-n", "2", "--out", path]) == 0
+    return path
+
+
+# stdout and exit code of `conj`, byte for byte as when every conjugator set
+# was built in full
+_CONJ_OUTPUTS = [
+    ("heis", "A", "A B", 0, "conjugate, witness: 0,0,1\n"),
+    ("heis", "B", "B B", 1, "not conjugate\n"),
+    ("heis", "C", "A C A^-1", 0, "conjugate, witness: 1,0,0 0,1,1\n"),
+    ("heis", "A C", "B A C B^-1", 0, "conjugate, witness: 0,0,0\n"),
+    ("heis", "B^-1", "A^-1 A^-1 A", 1, "not conjugate\n"),
+    ("heis", "A B^-1 C", "C A B^-1", 0, "conjugate, witness: 1,0,0\n"),
+    ("heis", "", "", 0, "conjugate, witness: 0,0,0\n"),
+    ("zn1", "e1", "e1", 0, "conjugate, witness: 0\n"),
+    ("zn1", "e1 e1", "e1^-1 e1^-1", 1, "not conjugate\n"),
+    ("zn2", "e1 e2^-1", "e2^-1 e1", 0, "conjugate, witness: 0,0\n"),
+    ("zn2", "e1", "e2", 1, "not conjugate\n"),
+]
+
+
+def test_conj_output_is_unchanged(heis_path, zn1_path, zn2_path, capsys):
+    paths = {"heis": heis_path, "zn1": zn1_path, "zn2": zn2_path}
+    capsys.readouterr()
+    for group, p, q, code, out in _CONJ_OUTPUTS:
+        assert cli.main(["conj", paths[group], p, q]) == code, (group, p, q)
+        assert capsys.readouterr() == (out, ""), (group, p, q)
+
+
+def _rewrite_left(path, tmp_path, left_of):
+    """A copy of a presentation file whose left relations are replaced:
+    left_of(doc's generators, name) gives the new text of name's."""
+    doc = json.load(open(path))
+    gens = doc["generators"]
+    texts = {name: left_of(gens, name) for name in gens}
+    for name, text in texts.items():
+        gens[name]["left"] = text
+    out = tmp_path / "left.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def test_conj_refuses_left_relations_that_are_not_left_multiplication(
+        heis_path, zn2_path, tmp_path, capsys):
+    # both files pass `check`, whose flags certify only bijections
+    message = "error: relation left:{} fails the left multiplication check: {}\n"
+    swapped = _rewrite_left(zn2_path, tmp_path, lambda gens, name: gens[
+        {"e1": "e2", "e2": "e1"}[name]]["left"])
+    assert cli.main(["check", swapped]) == 0
+    for p, q, named in (("e1", "e1", "e1"), ("e1", "e2", "e2")):
+        capsys.readouterr()
+        assert cli.main(["conj", swapped, p, q]) == 2
+        assert capsys.readouterr() == ("", message.format(
+            named, "image of the identity"))
+    right = _rewrite_left(heis_path, tmp_path, lambda gens, name: gens[name]["relation"])
+    for p, q in (("A", "A B"), ("A C", "A C B")):
+        capsys.readouterr()
+        assert cli.main(["conj", right, p, q]) == 2
+        assert capsys.readouterr() == ("", message.format("A", "commutation with C"))
+
+
 def test_conj_with_an_unknown_name_in_stripped_letters_exits_invalid(heis_path):
     # own process, so that an uncaught exception would show as a traceback
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

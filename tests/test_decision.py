@@ -30,6 +30,7 @@ from helpers import (
     broken_zn1,
     compose_check_presentation,
     random_group_word,
+    reference_conjugate,
     reference_eval_search,
     reference_input_rows,
     reference_runs_by_track,
@@ -790,25 +791,30 @@ def test_conjugate_is_unchanged_by_the_per_state_index(monkeypatch):
 
 
 def test_conjugate_strips_the_conjugators_before_composing(monkeypatch):
+    # the cores' chains compose only the cores' letters; the stripped
+    # letters are chained after the meet, one product each
     P = heisenberg()
-    calls = []
+    core, stripped = [], []
     chain = rel.composition_chain
 
-    def counted(rels):
-        calls.extend(rels[1:])  # one composition product per later relation
-        return chain(rels)
+    def counted(rels, first=None):
+        if first is None:
+            core.extend(rels[1:])  # one composition product per later relation
+        else:
+            stripped.extend(rels)
+        return chain(rels, first)
 
     monkeypatch.setattr(rel, "composition_chain", counted)
     p, w = GroupWord.parse("A C^-1 B"), GroupWord.parse("B A")
     assert dec.conjugate(P, p, p)[0]
-    direct = len(calls)
+    direct = len(core)
+    assert not stripped
     for q in (w * p * w.inverse(), w.inverse() * p * w):
-        del calls[:]
-        assert dec.conjugate(P, p, q)[0]
-        assert len(calls) <= direct, str(q)
-        del calls[:]
-        assert dec.conjugate(P, q, p)[0]
-        assert len(calls) <= direct, str(q)
+        for pair in ((p, q), (q, p)):
+            del core[:], stripped[:]
+            assert dec.conjugate(P, *pair)[0]
+            assert len(core) <= direct, str(q)
+            assert len(stripped) == len(w), str(q)
 
 
 def test_conjugate_checks_names_before_stripping():
@@ -824,6 +830,7 @@ def test_conjugate_checks_names_before_stripping():
 
 
 CONJUGACY_GROUPS = {
+    "zn1": lambda: zn(1),
     "zn2": lambda: zn(2),
     "heisenberg": heisenberg,
     "ut3": lambda: ut(3),
@@ -836,9 +843,16 @@ def _conjugacy_group(name):
     return CONJUGACY_GROUPS[name]()
 
 
-def _core_conjugators_by_full_chains(P, p, q):
-    # the chains built in full, minimized as operands, and intersected
-    return rel.project(rel.rel_intersect(P.right_chain(p), P.left_chain(q)), 1)
+def _core_meet_by_full_chains(P, p, q):
+    # the chains built in full, minimized as operands, intersected, and
+    # transposed: {(v·p̄, v) : v·p̄ = q̄·v}
+    return rel.transpose(rel.rel_intersect(P.right_chain(p), P.left_chain(q)))
+
+
+def _explored(P, view):
+    """The relation of an on-demand binary automaton, built in full."""
+    d = fa.explore(rel.conv_alphabet(P.base, 2), *view)
+    return rel.RegularRelation(P.base, 2, fa.minimize(d))
 
 
 @st.composite
@@ -867,13 +881,82 @@ def test_on_demand_conjugacy_agrees_with_the_full_chains(case):
     P = _conjugacy_group(name)
     a, pc = P.reduce_word(p).cyclic_split()
     c, qc = P.reduce_left_word(q).cyclic_split()
-    got = dec._core_conjugators(P, pc, qc)
-    want = _core_conjugators_by_full_chains(P, pc, qc)
+    got = _explored(P, dec._core_conjugators(P, pc, qc))
+    want = _core_meet_by_full_chains(P, pc, qc)
     assert rel.rel_to_text(got) == rel.rel_to_text(want), (name, str(p), str(q))
+    # conjugate reads the meet only through its (start, row, accepts)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dec, "_core_conjugators", _core_conjugators_by_full_chains)
+        mp.setattr(dec, "_core_conjugators", lambda P, p, q: rel._dfa_operand(
+            fa.minimize(_core_meet_by_full_chains(P, p, q).dfa)))
         eager = dec.conjugate(P, p, q)
     assert dec.conjugate(P, p, q) == eager, (name, str(p), str(q))
+
+
+def _drawn_conjugacy_pairs(P, rng, n):
+    """n pairs (p, q) over P's generators: explicit conjugates both ways
+    round, one-letter cores such as B ~ A B A^-1 (central ones included),
+    equal words and random ones."""
+    names = P.generator_names
+    pairs = []
+    for k in range(n):
+        p = random_group_word(rng, names, 4) or GroupWord.parse(names[0])
+        w = random_group_word(rng, names, 2)
+        kind = k % 5
+        if kind == 0:
+            pairs.append((p, w * p * w.inverse()))
+        elif kind == 1:
+            pairs.append((w * p * w.inverse(), p))
+        elif kind == 2:
+            x = GroupWord([(rng.choice(names), rng.choice((1, -1)))])
+            v = GroupWord([(rng.choice(names), 1)])
+            pairs.append((x, v * x * v.inverse()) if k % 2 else
+                         (w * x * w.inverse(), x))
+        elif kind == 3:
+            pairs.append((p, p))
+        else:
+            pairs.append((p, random_group_word(rng, names, 4)))
+    return pairs
+
+
+def test_conjugate_matches_the_full_build_reference():
+    # 300 pairs: verdicts and witnesses equal those of every set built in
+    # full, carried through the stripped letters by join and projection
+    verdicts = set()
+    for name in sorted(CONJUGACY_GROUPS):
+        P = _conjugacy_group(name)
+        rng = random.Random(f"reference:{name}")
+        for p, q in _drawn_conjugacy_pairs(P, rng, 60):
+            got = dec.conjugate(P, p, q)
+            assert got == reference_conjugate(P, p, q), (name, str(p), str(q))
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+    P = heisenberg()
+    b, q = GroupWord.parse("B"), GroupWord.parse("A B A^-1")
+    assert dec.conjugate(P, b, q) == reference_conjugate(P, b, q)
+
+
+def test_conjugate_builds_nothing_in_full(monkeypatch):
+    P = _conjugacy_group("heisenberg")
+    pairs = [(GroupWord.parse(p), GroupWord.parse(q)) for p, q in (
+        ("A", "A B"), ("B", "B B"), ("C", "A C A^-1"), ("A C", "B A C B^-1"),
+        ("B^-1 A C B", "A C"), ("A", "C^-1 B C"))]
+    want = [dec.conjugate(P, p, q) for p, q in pairs]  # fills P's caches
+    assert {ok for ok, _ in want} == {True, False}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built in full")
+
+    minimize = fa.minimize
+
+    def marked_only(d):
+        assert d.minimal, "minimized an automaton not marked minimal"
+        return minimize(d)
+
+    for module, name in ((fa, "explore"), (fa, "determinize"), (fa, "is_empty"),
+                         (rel, "join"), (rel, "project")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(fa, "minimize", marked_only)
+    assert [dec.conjugate(P, p, q) for p, q in pairs] == want
 
 
 def test_conjugacy_builds_only_the_rows_the_meet_reaches(monkeypatch):

@@ -17,6 +17,7 @@ from helpers import (
     nfa_text,
     random_dfa,
     random_nfa,
+    reference_is_empty,
     renumbered,
     residual_class_count,
     with_duplicates,
@@ -314,6 +315,32 @@ def test_dead_pairs_are_never_expanded(monkeypatch):
     del visited[:]
     assert fa.language_equal(a, a)
     assert sorted(visited) == [(0, 0), (1, 1), (2, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_is_empty_matches_the_reference_search(seed):
+    # random Dfas with accepting and rejecting sinks, explicit edges into
+    # the sink, missing symbols and unreachable states
+    rng = random.Random(seed)
+    d = random_dfa(rng, Alphabet(["a", "b", "c"]))
+    assert fa.is_empty(d) == reference_is_empty(d)
+
+
+def test_search_stops_at_the_first_goal_in_length_lex_order():
+    # states are the words themselves, up to length 3; the goal is any word
+    # ending in "ba", whose least member is "ba"
+    expanded = []
+
+    def row(w):
+        expanded.append(w)
+        return {s: w + (s,) for s in (1, 0)} if len(w) < 3 else {}
+
+    assert fa.search((), row, lambda w: w[-2:] == (1, 0)) == (1, 0)
+    # the root and the word "a" are expanded; "ba" is found in the row of "b"
+    assert expanded == [(), (0,), (1,)]
+    assert fa.search((), row, lambda w: False) is None
+    assert fa.search(5, lambda q: {}, lambda q: q == 5) == ()
 
 
 def test_is_empty_witness_is_shortest():

@@ -25,6 +25,7 @@ from helpers import (
     reference_compose,
     reference_join,
     reference_middle_tails,
+    reference_project,
     reference_runs_by_track,
     roster,
     same_up_to_numbering,
@@ -184,6 +185,26 @@ def test_project_is_existential(seed):
     r, sr = small_relation(rng, 2)
     assert members(rel.project(r, 0)) == {(b,) for a, b in sr}
     assert members(rel.project(r, 1)) == {(a,) for a, b in sr}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_project_matches_the_reference_projection(seed):
+    # the projection rows are shared with the on-demand view, whose search
+    # over them must find project's least member
+    rng = random.Random(seed)
+    arity = rng.choice((2, 3))
+    r, _ = small_relation(rng, arity, max_len=rng.randint(1, 4 - arity + 1))
+    if arity == 2 and rng.random() < 0.5:
+        r = rel.compose(r, small_relation(rng, 2)[0])  # not minimized
+    for track in range(arity):
+        got = rel.project(r, track)
+        assert rel.rel_to_text(got) == rel.rel_to_text(reference_project(r, track))
+        view = rel.projection_view(rel._dfa_operand(r.dfa), r.conv, track)
+        w = fa.search(*view)
+        want = fa.is_empty(got.dfa)[1]
+        assert (w is None) == (want is None)
+        assert w is None or w == want.indices
 
 
 @settings(max_examples=30, deadline=None)

@@ -28,9 +28,15 @@
   `is_functional` indexes runs by track (`_RunsByTrack`, filled per state
   for one call), and only `_composition_rows` reads that index's middle
   tails (`_MiddleTails`); `decision` names none of these nor
-  `fa.determinize`: conjugacy meets on-demand chains with `fa.explore`,
-  and a second product in either module would be another one to keep in
-  step.
+  `fa.determinize`: conjugacy chains its stripped letters after the meet
+  through `composition_chain`, and a second product in either module
+  would be another one to keep in step.
+- One projection product: only `_projection_rows` builds projection rows,
+  and only `project` (determinized in full) and `projection_view` (on
+  demand) name it.
+- Conjugacy on demand: `conjugate` and `_core_conjugators` decide and find
+  the witness by `fa.search` over on-demand automata, so neither names
+  `explore`, `join`, `project`, `minimize` or `determinize`.
 """
 
 import ast
@@ -175,4 +181,26 @@ def test_one_composition_product():
             if name == "decision.py":
                 forbidden.add("determinize")
             bad += [f"{name} names {n}" for n in sorted(forbidden) if _names(tree)[n]]
+    assert not bad
+
+
+def test_one_projection_product():
+    trees = dict(_trees())
+    owners = {"project", "projection_view"}
+    bad = _named_outside(trees["relations.py"], {"_projection_rows": owners | {
+        "_projection_rows"}})
+    callers = {getattr(node, "name", None) for node in trees["relations.py"].body
+               if _names(node)["_projection_rows"]}
+    bad += [f"{f} does not build on _projection_rows" for f in sorted(owners - callers)]
+    bad += [f"{name} names _projection_rows" for name, tree in trees.items()
+            if name != "relations.py" and _names(tree)["_projection_rows"]]
+    assert not bad
+
+
+def test_conjugacy_builds_nothing_in_full():
+    functions = {node.name: _names(node) for node in dict(_trees())["decision.py"].body
+                 if isinstance(node, FUNCTIONS)}
+    bad = [f"{f} names {n}" for f in ("conjugate", "_core_conjugators")
+           for n in ("explore", "join", "project", "minimize", "determinize")
+           if functions[f][n]]
     assert not bad
