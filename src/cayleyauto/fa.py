@@ -17,16 +17,14 @@ written-out edge lists of `relations.relation_from_edges` and the text
 format's transition tables share one implementation.  `subset_view` gives
 the same construction on demand, with the same subset moves, for a search
 that needs only part of it.  `search` is the one early-stopping search for
-an accepted word over such on-demand automata, and `is_empty` is that
-search over a Dfa's rows.
+an accepted word over such on-demand automata; `is_empty`, `is_subset` and
+`language_equal` are that search over a Dfa's rows or two Dfas' pairs.
 
 All values are immutable after construction and every operation is a pure
 function.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 PAD = -1  # virtual component index used by convolution alphabets
@@ -535,8 +533,9 @@ def dfa_difference(a, b):
 
 
 def _pair_search(a, b, bad):
-    """Synchronized search over the reachable state pairs of two automata:
-    False as soon as a pair has bad(accepted by a, accepted by b).
+    """The least word to a state pair of two automata with bad(accepted by
+    a, accepted by b), or None: `search` over `_pair_steps`' rows, the
+    default pair keyed by the least symbol missing from both rows.
 
     A side is dead when bad is false at its sink's acceptance bit for both
     bits of the other side (`_dead_sides`).  A pair with a dead side in its
@@ -548,34 +547,30 @@ def _pair_search(a, b, bad):
     if d1.alphabet != d2.alphabet:
         raise ValueError("alphabet mismatch")
     dead1, dead2 = _dead_sides(d1, d2, bad)
-    start = (d1.initial, d2.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
-        if bad(q1 in d1.accepting, q2 in d2.accepting):
-            return False
-        out, default = _pair_steps(d1, q1, d2, q2, dead1, dead2)
-        targets = set(out.values())
+    acc1, acc2 = d1.accepting, d2.accepting
+
+    def row(pair):
+        out, default = _pair_steps(d1, pair[0], d2, pair[1], dead1, dead2)
         if default is not None:
-            targets.add(default)
-        for pair in targets:
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+            out[next(s for s in range(len(out) + 1) if s not in out)] = default
+        return out
+
+    return search((d1.initial, d2.initial), row,
+                  lambda pair: bad(pair[0] in acc1, pair[1] in acc2))
 
 
 def language_equal(a, b):
-    """Exact language equality via synchronized pair search."""
-    return _pair_search(a, b, lambda x, y: x != y)
+    """Exact language equality: no word is accepted by one and not the
+    other (`_pair_search`)."""
+    return _pair_search(a, b, lambda x, y: x != y) is None
 
 
 def is_subset(a, b):
-    """L(a) <= L(b), via synchronized pair search.  A pair where a is in a
+    """L(a) <= L(b): no word is accepted by a and not by b, by the one
+    `search` over state pairs (`_pair_search`).  A pair where a is in a
     rejecting sink, or b in an accepting sink, is never searched: when a's
     sink rejects, the search follows a's row and not b's other symbols."""
-    return _pair_search(a, b, lambda x, y: x and not y)
+    return _pair_search(a, b, lambda x, y: x and not y) is None
 
 
 def _symbol_edges(d, q):
@@ -593,13 +588,14 @@ def search(start, row, goal):
 
     A breadth-first search that stops at the first such state, over an
     automaton given on demand the way `subset_view` gives one, goal in
-    place of accepts: row(q) gives {symbol: next state}, and is asked for
-    only of the states the search expands.  Levels are expanded in the
-    order their states were found and each row in symbol order, so a state
-    is found first by its least word; goal is asked once per state, when it
-    is found, and the search stops at the first state where it holds.  A found word is kept as a
-    parent-linked prefix (symbol, prefix) down to the root (), so a step
-    costs O(1) whatever the word's length."""
+    place of accepts: row(q) gives {symbol: next state}, in any order, and
+    is asked for only of the states the search expands.  Levels are
+    expanded in the order their states were found, and a row's targets
+    not seen before are taken in symbol order (only those are sorted), so
+    a state is found first by its least word; goal is asked once per state,
+    when it is found, and the search stops at the first state where it
+    holds.  A found word is kept as a parent-linked prefix (symbol, prefix)
+    down to the root (), so a step costs O(1) whatever the word's length."""
     if goal(start):
         return ()
     seen = {start}
@@ -607,9 +603,12 @@ def search(start, row, goal):
     while frontier:
         nxt = []
         for q, prefix in frontier:
-            for s, t in sorted(row(q).items()):
+            new = [(s, t) for s, t in row(q).items() if t not in seen]
+            if len(new) > 1:
+                new.sort()  # a row's symbols are distinct: no target is compared
+            for s, t in new:
                 if t in seen:
-                    continue
+                    continue  # named again by a larger symbol of this row
                 word = (s, prefix)
                 if goal(t):
                     out = []

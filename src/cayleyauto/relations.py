@@ -11,26 +11,26 @@ intermediate once, when it becomes the next operand.  `composition_chain`
 builds the same products on demand, one nested in the next, after an
 optional first on-demand operand, for a search that reaches only part of
 the chain; `projection_view` is `project` on demand in the same way, and
-`_projection_rows` is the one function that builds projection rows.
-Where symbol numbers
-already agree (grouping tracks, arity-1 relations) only the alphabet
-changes, and the input's minimal mark is kept.  `project` and `compose`
-hand their branching rows to `fa.determinize`, and so does
-`relation_from_edges`, the one constructor of a relation written out as
-(state, column, state) edges: the orders, `relation_from_tuples`, the
-builders' small automata and the free product's edge relations are all
+`_projection_rows` is the one function that builds projection rows.  Both
+products' padding tails are decided by one search, `_tail_saturation`.
+Where symbol numbers already agree (grouping tracks, arity-1 relations)
+only the alphabet changes, and the input's minimal mark is kept.
+`project` and `compose` hand their branching rows to `fa.determinize`, and
+so does `relation_from_edges`, the one constructor of a relation written
+out as (state, column, state) edges: the orders, `relation_from_tuples`,
+the builders' small automata and the free product's edge relations are all
 written that way.  `join` conjoins relations over shared tracks; a part
 that names one track twice reads the same word on both.  The products of
-`compose` and `join`, and `is_functional`'s pair search, key each state
-as one int, the operands' states as the digits of a mixed-radix number
-(DONE, a run whose word has ended, one past each operand's states, or −1
-for composition's first operand, whose states need no bound), so a row is
-built by adding per-operand parts; `_composition_rows` is the one function
-that builds composition rows.  It and `is_functional` read a relation's
-runs keyed by the digit on one track (`_RunsByTrack`), an index filled
-per state on first lookup that lives for one call and is never kept on
-the relation, so a search that stops early or visits few states indexes
-only those.
+`compose` and `join`, and `is_functional`'s `fa.search` over pairs of
+runs, key each state as one int, the operands' states as the digits of a
+mixed-radix number (DONE, a run whose word has ended, one past each
+operand's states, or −1 for composition's first operand, whose states need
+no bound), so a row is built by adding per-operand parts;
+`_composition_rows` is the one function that builds composition rows.  It
+and `is_functional` read a relation's runs keyed by the digit on one track
+(`_RunsByTrack`), an index filled per state on first lookup that lives for
+one call and is never kept on the relation, so a search that stops early
+or visits few states indexes only those.
 Restriction to L(domain)ⁿ, the validity filter and the check that a
 relation lies within L(domain)ⁿ are one walk over the relation's own edges
 (`_restrict_tracks`), which returns its minimized input when it cuts
@@ -415,6 +415,41 @@ def transpose(r):
     return permute_tracks(r, [1, 0])
 
 
+def _tail_saturation(ends, tails):
+    """accepts(q): whether tail moves lead from q to a state where ends
+    holds, q itself included; tails(q) gives the targets of q's tail moves.
+
+    The one search of padding saturation, shared by `_projection_rows` and
+    `_composition_rows`: a depth-first search from q, decided on q's first
+    call and kept, True for every state of the path it found, False for
+    every state a failed search saw.  A later search stops at a state
+    known to succeed and skips one known to fail."""
+    verdicts = {}
+
+    def accepts(q):
+        got = verdicts.get(q)
+        if got is not None:
+            return got
+        parent = {q: None}
+        stack = [q]
+        while stack:
+            p = stack.pop()
+            if verdicts.get(p) or ends(p):
+                while p is not None:
+                    verdicts[p] = True
+                    p = parent[p]
+                return True
+            for t in tails(p):
+                if t not in parent and verdicts.get(t) is not False:
+                    parent[t] = p
+                    stack.append(t)
+        for p in parent:
+            verdicts[p] = False
+        return False
+
+    return accepts
+
+
 def _projection_rows(first, conv, track):
     """The projection of an operand over the column alphabet conv that
     removes one track, as an NFA (start, row, accepts) over the columns of
@@ -427,15 +462,12 @@ def _projection_rows(first, conv, track):
     columns that become one branch (`fa.nfa_row`).  Those vanished columns
     are the tail where the removed track runs longer than every kept one,
     so a state accepts when a tail of them leads to an accepting state
-    (padding saturation).  A search over such tails decides that on the
-    state's first call and keeps it, with every state of a path that
-    reached acceptance and every state of a search that did not.  Rows are
-    kept too, as long as the returned functions: the subset construction
-    asks for an operand state's row once per subset that holds it."""
+    (padding saturation, `_tail_saturation`).  Rows are kept too, as long
+    as the returned functions: the subset construction asks for an operand
+    state's row once per subset that holds it."""
     start, a_row, a_accepts = first
     tuple_of = conv.tuple_of
     conv_out = conv_alphabet(conv.base, conv.arity - 1)
-    verdicts = {}
 
     @functools.cache
     def small(sym):
@@ -449,29 +481,10 @@ def _projection_rows(first, conv, track):
         return fa.nfa_row([(small(sym), t) for sym, t in a_row(q).items()
                            if small(sym) is not None])
 
-    def accepts(q):
-        got = verdicts.get(q)
-        if got is not None:
-            return got
-        parent = {q: None}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            if verdicts.get(p) or a_accepts(p):
-                while p is not None:
-                    verdicts[p] = True
-                    p = parent[p]
-                return True
-            for sym, t in a_row(p).items():
-                if (small(sym) is None and t not in parent
-                        and verdicts.get(t) is not False):
-                    parent[t] = p
-                    stack.append(t)
-        for p in parent:
-            verdicts[p] = False
-        return False
+    def tails(q):
+        return [t for sym, t in a_row(q).items() if small(sym) is None]
 
-    return start, row, accepts
+    return start, row, _tail_saturation(a_accepts, tails)
 
 
 def project(r, track):
@@ -570,9 +583,9 @@ def _composition_rows(first, B, radix):
     (`fa.nfa_row`).  A state accepts when both
     runs may end; with both running and the middle word not yet ended,
     also when a middle tail past both outer words leads to a pair of
-    accepting states, which a search over such tails decides on the
-    state's first call and keeps.  No row is kept: the subset
-    construction asks for each product state's row about once.  The
+    accepting states (`_tail_saturation`, whose tail moves pair A's (◇,b)
+    and B's (b,◇) columns).  No row is kept: the subset construction asks
+    for each product state's row about once.  The
     indexes of B live as long as the returned functions, one call of
     `compose` or one chain of `composition_chain`; nothing is kept on B."""
     a_start, a_row, a_accepts = first
@@ -591,7 +604,6 @@ def _composition_rows(first, B, radix):
     # first use, for the states a tail search reaches
     a_tails = {}
     b_tails = _MiddleTails(b_runs, pad, pad * radix)
-    verdicts = {}
 
     def a_tail(qa):
         got = a_tails.get(qa)
@@ -627,38 +639,24 @@ def _composition_rows(first, B, radix):
         out.pop(all_pad, None)
         return out
 
-    def accepts(p):
-        got = verdicts.get(p)
-        if got is not None:
-            return got
+    def ends(p):
         qa, rest = divmod(p, a_weight)
         qb = rest >> 1
-        got = (qa < 0 or a_accepts(qa)) and (qb == b_done or qb in b_accepting)
-        if got or rest & 1 or qa < 0 or qb == b_done:
-            verdicts[p] = got
-            return got
-        # both running: search the middle tails for a pair of accepting
-        # states; when there is none, no state the search saw has one
-        seen = {p}
-        stack = [p]
-        while stack:
-            qa, rest = divmod(stack.pop(), a_weight)
-            bt = b_tails[rest >> 1]
-            if not bt:
-                continue
-            for b, ka in a_tail(qa).items():
-                kb = bt.get(b)
-                if kb is not None and ka + kb not in seen:
-                    if a_accepts(ka // a_weight) and kb >> 1 in b_accepting:
-                        verdicts[p] = True
-                        return True
-                    seen.add(ka + kb)
-                    stack.append(ka + kb)
-        for q in seen:
-            verdicts[q] = False
-        return False
+        return (qa < 0 or a_accepts(qa)) and (qb == b_done or qb in b_accepting)
 
-    return a_start * a_weight + B.initial * 2, row, accepts
+    def tails(p):
+        # only with both running and the middle word not yet ended; B's
+        # tails at DONE are empty
+        qa, rest = divmod(p, a_weight)
+        if rest & 1 or qa < 0:
+            return ()
+        bt = b_tails[rest >> 1]
+        if not bt:
+            return ()
+        return [ka + kb for b, ka in a_tail(qa).items()
+                if (kb := bt.get(b)) is not None]
+
+    return a_start * a_weight + B.initial * 2, row, _tail_saturation(ends, tails)
 
 
 def _dfa_operand(d):
@@ -721,49 +719,50 @@ def is_functional(r, track):
     """Whether the binary relation r pairs each word on the given track
     with at most one word on the other track.
 
-    One search over pairs of runs of r that read the same word on that
-    track (`_RunsByTrack`, filled for the states the search reaches and
-    dropped when it returns, so a False found early indexes only part of
-    r).  A search state is each run's state, or FIN, the index one past
+    One `fa.search` over pairs of runs of r that read the same word on
+    that track (`_RunsByTrack`, filled for the states the search expands
+    and dropped when it returns, so a False found early indexes only part
+    of r).  A search state is each run's state, or FIN, the index one past
     r's states, once the run's word has ended, and a flag saying whether
     the other tracks have differed yet: the int (q₁·(n+1) + q₂)·2 + flag.
-    A run ends only from an accepting state, under a ◇ on the shared
-    track; the answer is False at the first state with the flag set where
-    both runs may end.  The two runs are interchangeable, so a state keeps
-    them in sorted order."""
+    A row is keyed by the column (a, b₁, b₂) the runs read, a on the
+    shared track, as the int (a·radix + b₁)·radix + b₂.  A run ends only
+    from an accepting state, under a ◇ on the shared track; the goal is a
+    state with the flag set where both runs may end.  The two runs are
+    interchangeable, so a state keeps them in sorted order."""
     if r.arity != 2:
         raise ValueError("is_functional needs a binary relation")
     if track not in (0, 1):
         raise ValueError("track out of range")
     d = r.dfa
-    runs = _RunsByTrack(d, r.conv.radix, track)
+    radix = r.conv.radix
+    runs = _RunsByTrack(d, radix, track)
     fin = d.n_states
     weight = (fin + 1) * 2  # of the first run's state; the second weighs 2
-    start = d.initial * (weight + 2)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
+    ends = d.accepting | {fin}
+
+    def row(p):
         q1, rest = divmod(p, weight)
-        q2, differed = rest >> 1, rest & 1
-        if differed and (q1 == fin or q1 in d.accepting) and (
-                q2 == fin or q2 in d.accepting):
-            return False
-        row2 = runs[q2]
+        differed = p & 1
+        row2 = runs[rest >> 1]
+        out = {}
         for a, opts1 in runs[q1].items():
             opts2 = row2.get(a)
             if opts2 is None:
                 continue
             for b1, t1 in opts1:
+                key = (a * radix + b1) * radix
                 for b2, t2 in opts2:
                     if t1 == t2 == fin:
                         continue  # both words ended: nothing is read
-                    nxt = (t1 * weight + t2 * 2 if t1 <= t2
-                           else t2 * weight + t1 * 2) + (differed or b1 != b2)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-    return True
+                    out[key + b2] = (t1 * weight + t2 * 2 if t1 <= t2
+                                     else t2 * weight + t1 * 2) + (differed or b1 != b2)
+        return out
+
+    def goal(p):
+        return p & 1 and p // weight in ends and p % weight >> 1 in ends
+
+    return fa.search(d.initial * (weight + 2), row, goal) is None
 
 
 # ---------------------------------------------------------------------------

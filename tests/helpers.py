@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import weakref
+from collections import deque
 from typing import NamedTuple
 
 from cayleyauto import decision as dec, fa, presburger as pres, relations as rel
@@ -1192,3 +1193,101 @@ def reference_conjugate(P, p, q):
             s = reference_project(rel.join([(s, (0,)), (r, (0, 1))], 2), 0)
         _, w = reference_is_empty(s.dfa)
     return True, rel.deconvolve(w)[0]
+
+
+# ---------------------------------------------------------------------------
+# the searches as they were before every early-stopping search went through
+# `fa.search`, kept word for word as the oracles of `fa.is_subset`,
+# `fa.language_equal`, `relations.is_functional` and `fa.search`
+
+
+def reference_pair_search(a, b, bad):
+    """Synchronized search over the reachable state pairs of two automata:
+    False as soon as a pair has bad(accepted by a, accepted by b)."""
+    d1 = fa._ensure_sink(a)
+    d2 = fa._ensure_sink(b)
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("alphabet mismatch")
+    dead1, dead2 = fa._dead_sides(d1, d2, bad)
+    start = (d1.initial, d2.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        q1, q2 = queue.popleft()
+        if bad(q1 in d1.accepting, q2 in d2.accepting):
+            return False
+        out, default = fa._pair_steps(d1, q1, d2, q2, dead1, dead2)
+        targets = set(out.values())
+        if default is not None:
+            targets.add(default)
+        for pair in targets:
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True
+
+
+def reference_is_functional(r, track):
+    """Whether the binary relation r pairs each word on the given track
+    with at most one word on the other track: a depth-first search over
+    pairs of runs that read the same word on that track."""
+    if r.arity != 2:
+        raise ValueError("is_functional needs a binary relation")
+    if track not in (0, 1):
+        raise ValueError("track out of range")
+    d = r.dfa
+    runs = rel._RunsByTrack(d, r.conv.radix, track)
+    fin = d.n_states
+    weight = (fin + 1) * 2  # of the first run's state; the second weighs 2
+    start = d.initial * (weight + 2)
+    seen = {start}
+    stack = [start]
+    while stack:
+        p = stack.pop()
+        q1, rest = divmod(p, weight)
+        q2, differed = rest >> 1, rest & 1
+        if differed and (q1 == fin or q1 in d.accepting) and (
+                q2 == fin or q2 in d.accepting):
+            return False
+        row2 = runs[q2]
+        for a, opts1 in runs[q1].items():
+            opts2 = row2.get(a)
+            if opts2 is None:
+                continue
+            for b1, t1 in opts1:
+                for b2, t2 in opts2:
+                    if t1 == t2 == fin:
+                        continue  # both words ended: nothing is read
+                    nxt = (t1 * weight + t2 * 2 if t1 <= t2
+                           else t2 * weight + t1 * 2) + (differed or b1 != b2)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return True
+
+
+def reference_search(start, row, goal):
+    """The length-lex-least word that leads from start to a state where
+    goal holds, as a tuple of symbols; None when no such state is reached:
+    a breadth-first search that sorts every row it expands."""
+    if goal(start):
+        return ()
+    seen = {start}
+    frontier = [(start, ())]
+    while frontier:
+        nxt = []
+        for q, prefix in frontier:
+            for s, t in sorted(row(q).items()):
+                if t in seen:
+                    continue
+                word = (s, prefix)
+                if goal(t):
+                    out = []
+                    while word:
+                        s, word = word
+                        out.append(s)
+                    return tuple(reversed(out))
+                seen.add(t)
+                nxt.append((t, word))
+        frontier = nxt
+    return None

@@ -18,6 +18,8 @@ from helpers import (
     random_dfa,
     random_nfa,
     reference_is_empty,
+    reference_pair_search,
+    reference_search,
     renumbered,
     residual_class_count,
     with_duplicates,
@@ -341,6 +343,47 @@ def test_search_stops_at_the_first_goal_in_length_lex_order():
     assert expanded == [(), (0,), (1,)]
     assert fa.search((), row, lambda w: False) is None
     assert fa.search(5, lambda q: {}, lambda q: q == 5) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_inclusion_and_equality_match_the_reference_pair_search(s1, s2):
+    # random_dfa gives accepting and rejecting sinks and complete automata;
+    # the flipped ones add more accepting sinks
+    d1 = random_dfa(random.Random(s1), ABC, max_states=5)
+    d2 = random_dfa(random.Random(s2), ABC, max_states=5)
+    for a in (d1, fa.complement(d1), flipped(d1)):
+        for b in (d2, fa.complement(d2), flipped(d2)):
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert fa.is_subset(x, y) == reference_pair_search(x, y, _minus)
+                assert fa.language_equal(x, y) == reference_pair_search(
+                    x, y, lambda p, q: p != q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_search_matches_the_reference_on_rows_out_of_symbol_order(seed):
+    # random rows built in shuffled symbol order, several symbols often
+    # leading to one target, and a random set of goal states: the word
+    # found and the states expanded are those of the search that sorts
+    # every row
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    rows = {}
+    for q in range(n):
+        symbols = [s for s in range(rng.randint(1, 6)) if rng.random() < 0.6]
+        rng.shuffle(symbols)
+        rows[q] = {s: rng.randrange(n) for s in symbols}
+    goals = {q for q in range(n) if rng.random() < 0.15}
+    start = rng.randrange(n)
+    got, want = [], []
+
+    def row(expanded):
+        return lambda q: expanded.append(q) or rows[q]
+
+    assert fa.search(start, row(got), goals.__contains__) == reference_search(
+        start, row(want), goals.__contains__)
+    assert got == want
 
 
 def test_is_empty_witness_is_shortest():

@@ -23,6 +23,7 @@ from helpers import (
     collapse_repeated,
     flipped,
     reference_compose,
+    reference_is_functional,
     reference_join,
     reference_middle_tails,
     reference_project,
@@ -872,6 +873,36 @@ def test_is_functional_agrees_with_compose_and_brute_force(seed):
             partners.setdefault(pair[track].indices, set()).add(pair[1 - track].indices)
         want = all(len(p) == 1 for p in partners.values())
         assert rel.is_functional(r, track) == want == fa.is_subset(composed, eq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_is_functional_matches_the_reference_search(seed):
+    rng = random.Random(seed)
+    r, _ = small_relation(rng, 2, max_len=rng.randint(1, 3),
+                          density=rng.choice((0.05, 0.2, 0.5)))
+    for s in (r, rel.transpose(r)):
+        for track in (0, 1):
+            assert rel.is_functional(s, track) == reference_is_functional(s, track)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [heisenberg, lambda: bs1n(2),
+     lambda: wreath_finite_by_z(FiniteGroupTable.cyclic(2))],
+    ids=["heisenberg", "bs1n2", "wreath C2"],
+)
+def test_is_functional_matches_the_reference_on_edges(build):
+    # every signed edge is a bijection; the union of two edges is neither
+    # functional nor injective
+    P = build()
+    x, y = P.generator_names[:2]
+    union = rel.rel_union(P.relation(x), P.relation(y))
+    signed = [P.relation(g, s) for g in P.generator_names for s in (1, -1)]
+    for r in signed + [union]:
+        for track in (0, 1):
+            got = rel.is_functional(r, track)
+            assert got == reference_is_functional(r, track) == (r is not union)
 
 
 def test_is_functional_follows_a_run_past_the_end_of_the_other():

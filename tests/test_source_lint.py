@@ -37,6 +37,18 @@
 - Conjugacy on demand: `conjugate` and `_core_conjugators` decide and find
   the witness by `fa.search` over on-demand automata, so neither names
   `explore`, `join`, `project`, `minimize` or `determinize`.
+- One search: a worklist loop (a `while` or `for` that pops a stack or
+  queue, swaps in the next level of a frontier, or runs over a list its
+  body appends to) appears only in the functions that build, search or
+  enumerate: `fa.explore` (the one builder), `fa.search` (the one
+  early-stopping search), `fa._reachable` and `fa.minimize` (minimize's
+  own passes), `fa.enumerate_words` (which lists words and does not
+  search), `decision._search` (the transducer search) and
+  `decision._shells` (the ball BFS), and `relations._tail_saturation`
+  (the padding tails of projection and composition).  Inclusion,
+  equality, emptiness and functionality are `fa.search` over on-demand
+  rows, so a decision procedure has one place to stop early and one to
+  return its witness.
 """
 
 import ast
@@ -204,3 +216,68 @@ def test_conjugacy_builds_nothing_in_full():
            for n in ("explore", "join", "project", "minimize", "determinize")
            if functions[f][n]]
     assert not bad
+
+
+_CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _worklist_loops(tree):
+    """The loops of a tree that work through a worklist: a `while` whose
+    test names a stack or queue its body pops; a loop that swaps in the
+    next level of a frontier, rebinding a name its `while` test names, or
+    an inner `for` runs over, to a fresh list or dict its body built; and
+    a `for` over a list, or its `enumerate`, that its body appends to."""
+    out = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.While, ast.For)):
+            continue
+        body = [n for stmt in loop.body for n in ast.walk(stmt)]
+        called = {(n.func.value.id, n.func.attr) for n in body
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and isinstance(n.func.value, ast.Name)}
+        fresh = {n.targets[0].id for n in body
+                 if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)
+                 and isinstance(n.value, _CONTAINERS)}
+        swapped = set()
+        for n in body:
+            if isinstance(n, ast.Assign) and len(n.targets) == 1:
+                target, value = n.targets[0], n.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                swapped.update(t.id for t, v in pairs if isinstance(t, ast.Name)
+                               and isinstance(v, ast.Name) and v.id in fresh)
+        walked = {n.iter.id for n in body
+                  if isinstance(n, ast.For) and isinstance(n.iter, ast.Name)}
+        if isinstance(loop, ast.While):
+            tested = {n.id for n in ast.walk(loop.test) if isinstance(n, ast.Name)}
+            if any((x, m) in called for x in tested for m in ("pop", "popleft")):
+                out.append(loop)
+                continue
+            walked |= tested
+        if swapped & walked:
+            out.append(loop)
+            continue
+        it = loop.iter if isinstance(loop, ast.For) else None
+        if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "enumerate" and it.args):
+            it = it.args[0]
+        if isinstance(it, ast.Name) and (it.id, "append") in called:
+            out.append(loop)
+    return out
+
+
+def test_one_search():
+    allowed = {
+        "fa.explore", "fa.search", "fa._reachable", "fa.minimize",
+        "fa.enumerate_words", "decision._search", "decision._shells",
+        "relations._tail_saturation",
+    }
+    found = set()
+    for name, tree in _trees():
+        module = name[:-len(".py")]
+        for node in tree.body:
+            if _worklist_loops(node):
+                found.add(f"{module}.{getattr(node, 'name', node.lineno)}")
+    # every allowed function still holds its loop, so the rule sees them
+    assert found == allowed, sorted(found ^ allowed)
