@@ -5,6 +5,7 @@ diagnostics."""
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import mul
 
 from . import fa, relations as rel
 from .fa import Word
@@ -55,7 +56,16 @@ def eval_function(r, inputs):
     inputs = list(inputs)
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs for an arity-{r.arity} relation")
+    for u in inputs:
+        _check_base(u, r.base)
     return _eval_search(r, inputs)[0]
+
+
+def _check_base(u, base):
+    """Raise unless the word u is over base: a symbol index of another
+    alphabet would be read as base's, and one equal to |base| as ◇."""
+    if u.alphabet is not base and u.alphabet != base:
+        raise ValueError(f"word over {u.alphabet!r}, expected one over {base!r}")
 
 
 def _eval_search(r, inputs):
@@ -68,18 +78,23 @@ def _search(r, inputs):
     """(output index tuple, transitions taken) for input index tuples.  A
     prefix is (digit, parent) down to the root ().  Each state keeps one or
     two, distinct as r's automaton is deterministic, so that a second
-    accepted output (r is not functional there) is always seen.  A binary
-    relation's index is keyed by the input digit (`input_rows`), so one
-    input is read digit by digit and PAD is its tail key; several inputs
-    are read as columns, with the all-PAD column as the tail key."""
+    accepted output (r is not functional there) is always seen.  The index
+    (`input_rows`) is keyed by the int column of the input tracks, ◇ being
+    the digit radix − 1, so one input is read digit by digit and several
+    as Σ digitₖ·radixᵏ per position; the all-◇ key radix**n − 1 is the
+    tail past them.  Output digits come as they are, ◇ as radix − 1: an
+    ended output's one ◇ move is found by its digit, and the end entries
+    (targets DONE) under the tail key are skipped."""
     d = r.dfa
     index = r.input_rows()
-    pad = rel.PAD
+    tail, (pad, done) = index.ends  # the end entry: (◇…◇, (◇, DONE))
     steps = 0
     if len(inputs) == 1:
-        cols, tail = inputs[0], pad
+        cols = inputs[0]
     else:
-        cols, tail = zip_longest(*inputs, fillvalue=pad), (pad,) * len(inputs)
+        weights = [(pad + 1) ** k for k in range(len(inputs))]
+        cols = [sum(map(mul, col, weights))
+                for col in zip_longest(*inputs, fillvalue=pad)]
     # states split by whether the output track has already ended
     running = {d.initial: [()]}
     ended = {}
@@ -98,21 +113,24 @@ def _search(r, inputs):
                 store[t] = new if cur is None else (cur + new)[:2]
         if ended:
             for q, words in ended.items():
-                for ydig, t in index[q].get(col, ())[:1]:  # a PAD digit sorts first
-                    if ydig == pad:
+                for ydig, t in index[q].get(col, ()):
+                    if ydig == pad:  # at most one, as r is deterministic
                         steps += 1
                         cur = nend.get(t)
                         nend[t] = words if cur is None else (cur + words)[:2]
+                        break
         running, ended = nrun, nend
     found = [w for store in (running, ended) for q, words in store.items()
              if q in d.accepting for w in words]
-    # past the inputs (all PAD) the output runs on for at most the state count
-    budget = d.n_states + 1
+    # past the inputs (all ◇) the output runs on for at most the state count
+    budget = done + 1
     while running and len(found) < 2 and budget:
         budget -= 1
         nrun = {}
         for q, words in running.items():
             for ydig, t in index[q].get(tail, ()):
+                if t == done:
+                    continue
                 steps += 1
                 if len(words) == 1:
                     new = [(ydig, words[0])]
@@ -136,6 +154,7 @@ def _search(r, inputs):
 def right_multiply(P, u, w, trace=None):
     """Representative of ν(u)·w̄ by applying each letter's edge relation to
     u's index tuple; a Word is made at the end, and per letter when tracing."""
+    _check_base(u, P.base)
     y = u.indices
     for name, sign in w:
         r = P.relation(name, sign)

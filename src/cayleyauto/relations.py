@@ -26,11 +26,12 @@ runs, key each state as one int, the operands' states as the digits of a
 mixed-radix number (DONE, a run whose word has ended, one past each
 operand's states, or −1 for composition's first operand, whose states need
 no bound), so a row is built by adding per-operand parts;
-`_composition_rows` is the one function that builds composition rows.  It
-and `is_functional` read a relation's runs keyed by the digit on one track
-(`_RunsByTrack`), an index filled per state on first lookup that lives for
-one call and is never kept on the relation, so a search that stops early
-or visits few states indexes only those.
+`_composition_rows` is the one function that builds composition rows.
+One index reads a relation's moves keyed by the digits on some of its
+tracks (`_TrackIndex`), filled per state on first lookup, so a search that
+stops early or visits few states indexes only those: the transducer search
+(`RegularRelation.input_rows`, kept on the relation), composition's second
+operand, `is_functional` and each part of a `join` (for one call each).
 Restriction to L(domain)ⁿ, the validity filter and the check that a
 relation lies within L(domain)ⁿ are one walk over the relation's own edges
 (`_restrict_tracks`), which returns its minimized input when it cuts
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import operator
 
 from . import fa
 from .fa import PAD, Alphabet, Dfa, Word
@@ -89,6 +91,8 @@ class ConvolutionAlphabet(Alphabet):
         self.radix = base.size + 1  # pad is the extra digit
         self.size = self.radix ** arity - 1
         self._tuples = _Columns(self.radix, arity)
+        # `_TrackIndex` spec → {symbol: (key, part)}, shared by its indexes
+        self._splits = {}
 
     @functools.cached_property
     def symbols(self):
@@ -153,31 +157,6 @@ def conv_alphabet(base, arity):
     return _conv_cache[key]
 
 
-class _InputRows(dict):
-    """State → {input key: [(last-track digit, target)]}, filled on first
-    lookup from the state's row of the DFA.  The key is the input track's
-    digit (PAD included) for a binary relation, and the column of the input
-    tracks otherwise; see `RegularRelation.input_rows`."""
-
-    def __init__(self, dfa):
-        super().__init__()
-        self.dfa = dfa
-
-    def __missing__(self, q):
-        d, tuple_of = self.dfa, self.dfa.alphabet.tuple_of
-        binary = d.alphabet.arity == 2
-        cols = {}
-        for sym, t in d.rows.get(q, {}).items():
-            if t != d.sink:
-                col = tuple_of(sym)
-                key = col[0] if binary else col[:-1]
-                cols.setdefault(key, []).append((col[-1], t))
-        for entries in cols.values():
-            entries.sort()
-        self[q] = cols
-        return cols
-
-
 class RegularRelation:
     """An arity-n regular relation stored as a DFA over the column alphabet."""
 
@@ -195,19 +174,23 @@ class RegularRelation:
         self._input_rows = None
 
     def input_rows(self):
-        """Transitions keyed for solving for the last track: state → input
-        key → [(last-track digit, target)], sorted by digit so a PAD digit
-        comes first.  The input key of a binary relation is the first track's
-        digit, an int with PAD = -1; for other arities it is the column of
-        the other tracks, a tuple (PAD included).  Edges into the sink are
-        left out.
+        """Transitions keyed for solving for the last track, the
+        `_TrackIndex` state → input key → [(last-track digit, target)].
+        The input key is the column of the other tracks as an int, Σ
+        digitₖ·radixᵏ, so a binary relation's is the first track's digit;
+        ◇ is the digit radix − 1 on every track, and an accepting state
+        has the end entry (◇, DONE) under the all-◇ key.  Edges into the
+        sink are left out.
 
         The map is made on the first call and cached; each state's entry is
-        built on its first lookup (`_InputRows`), so a search pays only for
-        the states it visits and intermediate relations of the constructions,
-        never searched, pay nothing."""
+        built on its first lookup, so a search pays only for the states it
+        visits and intermediate relations of the constructions, never
+        searched, pay nothing."""
         if self._input_rows is None:
-            self._input_rows = _InputRows(self.dfa)
+            n = self.arity - 1
+            self._input_rows = _TrackIndex(
+                self.dfa, [self.conv.radix ** k for k in range(n)] + [0],
+                [0] * n + [1], 1)
         return self._input_rows
 
     def contains(self, words):
@@ -508,61 +491,66 @@ def projection_view(first, conv, track):
     return fa.subset_view(*_projection_rows(first, conv, track))
 
 
-class _RunsByTrack(dict):
-    """The moves of a run of the binary relation automaton d, keyed by the
-    digit it reads on one track: d's state, or DONE, the index one past
-    them, → {digit on the track: [(digit on the other track times scale,
-    target times weight)]}, each state's entry built on its first lookup,
-    so a search pays only for the states it visits.  The index lives as
-    long as the call that made it.  A 2-track column is track 0's digit
-    plus radix times track 1's, ◇ the top digit.  Edges into the sink are
-    left out.  A run's word may end at an accepting state, under ◇ on both
-    tracks, and DONE reads only that: a (◇, DONE) entry under ◇.  As d is
-    deterministic, the other digits in one list are distinct."""
+class _TrackIndex(dict):
+    """The moves of the relation automaton d keyed by the digits on some of
+    its tracks: d's state, or DONE, the index one past them, → {key:
+    [(part, target·weight)]}, each state's entry built on its first lookup,
+    so a search pays only for the states it visits.  The one per-track
+    index: the transducer search (`RegularRelation.input_rows`),
+    composition, `is_functional` and `join` read it, each with its own
+    spec.
 
-    def __init__(self, d, radix, track, scale=1, weight=1):
+    A move's key is Σ digitₖ·key_weights[k] over its column's digits,
+    track 0 first, and its part Σ digitₖ·part_weights[k], ◇ being the
+    digit radix − 1 on every track; a move whose column reads two digits at
+    a pair of positions in `same` is left out, as are edges into the sink.
+    A word may end at an accepting state, and DONE reads only that: the end
+    entry (all-◇ key, (◇ part, DONE·weight)), last in its list.  Other
+    entries keep the order of d's row.  A symbol's (key, part) is worked
+    out on its first use and shared by every index with the same spec over
+    the same column alphabet (`ConvolutionAlphabet._splits`); the index
+    itself lives as long as its caller keeps it."""
+
+    def __init__(self, d, key_weights, part_weights, weight, same=()):
         super().__init__()
         self.d = d
-        ends = ((radix - 1) * scale, d.n_states * weight)
-        self.spec = (d.rows, d.sink, d.accepting, d.n_states, radix, track,
-                     scale, weight, ends)
+        conv = d.alphabet
+        spec = self.spec = (tuple(key_weights), tuple(part_weights), tuple(same))
+        self.splits = conv._splits.setdefault(spec, {})
+        self.radix = conv.radix
+        self.weight = weight
+        pad = conv.radix - 1
+        self.ends = (pad * sum(key_weights),
+                     (pad * sum(part_weights), d.n_states * weight))
+
+    def _split(self, sym):
+        """(key, part) of a symbol; () where two `same` positions differ."""
+        key_weights, part_weights, same = self.spec
+        digits = []
+        for _ in key_weights:
+            sym, digit = divmod(sym, self.radix)
+            digits.append(digit)
+        if any(digits[j] != digits[k] for j, k in same):
+            return ()
+        return (sum(map(operator.mul, digits, key_weights)),
+                sum(map(operator.mul, digits, part_weights)))
 
     def __missing__(self, q):
-        rows, sink, accepting, done, radix, track, scale, weight, ends = self.spec
-        pad = radix - 1
-        if q == done:
-            bucket = self[q] = {pad: [ends]}
-            return bucket
-        bucket = self[q] = {}
-        for sym, t in rows.get(q, {}).items():
-            if t != sink:
-                high, low = divmod(sym, radix)
-                if track:
-                    bucket.setdefault(high, []).append((low * scale, t * weight))
-                else:
-                    bucket.setdefault(low, []).append((high * scale, t * weight))
-        if q in accepting:
-            bucket.setdefault(pad, []).append(ends)
-        return bucket
-
-
-class _MiddleTails(dict):
-    """The second operand's moves on a middle tail past both outer words,
-    for `_composition_rows`: B's state → {middle digit b: target part} for
-    its (b, ◇) columns, b not ◇, read from B's `_RunsByTrack` index on the
-    state's first lookup."""
-
-    def __init__(self, runs, pad, pad_column):
-        super().__init__()
-        self.runs, self.pad, self.pad_column = runs, pad, pad_column
-
-    def __missing__(self, qb):
-        pad, pad_column = self.pad, self.pad_column
-        got = self[qb] = {
-            b: kc for b, opts in self.runs[qb].items() if b != pad
-            for c, kc in opts if c == pad_column
-        }
-        return got
+        d = self.d
+        out = self[q] = {}
+        if q != d.n_states:
+            sink, weight, splits = d.sink, self.weight, self.splits
+            for sym, t in d.rows.get(q, {}).items():
+                if t != sink:
+                    got = splits.get(sym)
+                    if got is None:
+                        got = splits[sym] = self._split(sym)
+                    if got:
+                        out.setdefault(got[0], []).append((got[1], t * weight))
+        if q == d.n_states or q in d.accepting:
+            key, end = self.ends
+            out.setdefault(key, []).append(end)
+        return out
 
 
 def _composition_rows(first, B, radix):
@@ -576,7 +564,7 @@ def _composition_rows(first, B, radix):
     product state (qa, qb, vdone) is the int (qa·(|B|+1) + qb)·2 + vdone,
     DONE, a run whose word has ended, being −1 for A and |B| for B, so A's
     states need no bound.  B is indexed by its middle digit
-    (`_RunsByTrack`), each of its states on first lookup, and A's row is
+    (`_TrackIndex`), each of its states on first lookup, and A's row is
     read as it is: a product row's entries add A's and B's parts of the
     column and of the target.  A column that comes twice, where the guess
     of the middle branches, gets the frozenset of its targets
@@ -590,20 +578,20 @@ def _composition_rows(first, B, radix):
     `compose` or one chain of `composition_chain`; nothing is kept on B."""
     a_start, a_row, a_accepts = first
     pad = radix - 1
-    all_pad = pad + pad * radix  # not a column
+    pad_column = pad * radix  # an output ◇ as B's column part
+    all_pad = pad + pad_column  # not a column
     b_done = B.n_states
     b_accepting = B.accepting
     a_weight = (b_done + 1) * 2  # of qa in a product state; qb weighs 2
     a_ends = 1 - a_weight  # DONE on A's side, vdone set
     no_row = {}
     # B's moves by middle digit, as (output column part, target part)
-    b_runs = _RunsByTrack(B, radix, 0, radix, 2)
+    b_runs = _TrackIndex(B, (1, 0), (0, radix), 2)
 
     # the moves of a middle tail past both outer words: A's (◇,b) and B's
     # (b,◇) columns, b not ◇, as middle digit → target part, found on
     # first use, for the states a tail search reaches
-    a_tails = {}
-    b_tails = _MiddleTails(b_runs, pad, pad * radix)
+    a_tails, b_tails = {}, {}
 
     def a_tail(qa):
         got = a_tails.get(qa)
@@ -611,6 +599,15 @@ def _composition_rows(first, B, radix):
             got = a_tails[qa] = {
                 sym // radix: t * a_weight
                 for sym, t in a_row(qa).items() if sym % radix == pad
+            }
+        return got
+
+    def b_tail(qb):
+        got = b_tails.get(qb)
+        if got is None:
+            got = b_tails[qb] = {
+                b: kc for b, opts in b_runs[qb].items() if b != pad
+                for c, kc in opts if c == pad_column
             }
         return got
 
@@ -650,7 +647,7 @@ def _composition_rows(first, B, radix):
         qa, rest = divmod(p, a_weight)
         if rest & 1 or qa < 0:
             return ()
-        bt = b_tails[rest >> 1]
+        bt = b_tail(rest >> 1)
         if not bt:
             return ()
         return [ka + kb for b, ka in a_tail(qa).items()
@@ -720,7 +717,7 @@ def is_functional(r, track):
     with at most one word on the other track.
 
     One `fa.search` over pairs of runs of r that read the same word on
-    that track (`_RunsByTrack`, filled for the states the search expands
+    that track (`_TrackIndex`, filled for the states the search expands
     and dropped when it returns, so a False found early indexes only part
     of r).  A search state is each run's state, or FIN, the index one past
     r's states, once the run's word has ended, and a flag saying whether
@@ -736,7 +733,7 @@ def is_functional(r, track):
         raise ValueError("track out of range")
     d = r.dfa
     radix = r.conv.radix
-    runs = _RunsByTrack(d, radix, track)
+    runs = _TrackIndex(d, (1 - track, track), (track, 1 - track), 1)
     fin = d.n_states
     weight = (fin + 1) * 2  # of the first run's state; the second weighs 2
     ends = d.accepting | {fin}
@@ -864,79 +861,6 @@ def relation_in_domain_power(r, domain):
     return _restrict_tracks(d, r.conv, domain) is d
 
 
-class _PartMoves(dict):
-    """The moves of one part of a `join`, filled per state of its automaton
-    on first lookup: state → {old key: [(column part, key part)]}.
-
-    The old key is a move's column restricted to the result tracks an
-    earlier part fills; the column part, its digits on the tracks this part
-    fills first; both are in result weights (radix**track, ◇ the top digit),
-    so a result column is the sum of one column part per part.  The key
-    part is the target times the part's weight in a product state.  DONE,
-    the index one past the automaton's states, is a part whose tracks have
-    all ended: it reads only ◇ on them, and an accepting state may move
-    there.  A part that names a track twice moves only where both of its
-    positions read the same digit.  A symbol's (old key, column part) is
-    worked out once, on its first use (`split`)."""
-
-    def __init__(self, d, tracks, filled, arity, radix, weight):
-        super().__init__()
-        self.d = d
-        self.weight = weight
-        self.radix = radix
-        first, self.repeats = {}, []
-        for k, t in enumerate(tracks):
-            if t in first:
-                self.repeats.append((first[t], k))
-            else:
-                first[t] = k
-        self.old = [(k, radix ** t) for t, k in first.items() if t in filled]
-        self.fresh = [(k, radix ** t) for t, k in first.items() if t not in filled]
-        # a partial column col, in which the tracks no part has filled yet
-        # read 0, restricted to the old tracks: Σ col % hi − col % lo over
-        # the runs radix**lo..radix**hi of tracks that hold every old track
-        # and no other filled one
-        self.runs, lo = [], None
-        for t in range(arity + 1):
-            if t < arity and t in first and t in filled:
-                lo = t if lo is None else lo
-            elif lo is not None and (t == arity or t in filled):
-                self.runs.append((radix ** lo, radix ** t))
-                lo = None
-        pad = radix - 1
-        self.ends = (pad * sum(w for _, w in self.old),
-                     (pad * sum(w for _, w in self.fresh), d.n_states * weight))
-        self.splits = {}
-
-    def split(self, sym):
-        """(old key, column part) of a symbol of the part's own column
-        alphabet, None where a repeated track reads two digits."""
-        digits = [self.radix - 1 if c == PAD else c
-                  for c in self.d.alphabet.tuple_of(sym)]
-        if any(digits[j] != digits[k] for j, k in self.repeats):
-            return None
-        return (sum(digits[k] * w for k, w in self.old),
-                sum(digits[k] * w for k, w in self.fresh))
-
-    def __missing__(self, q):
-        d, weight, splits = self.d, self.weight, self.splits
-        out = {}
-        for sym, t in d.rows.get(q, {}).items():
-            if t == d.sink:
-                continue
-            if sym in splits:
-                got = splits[sym]
-            else:
-                got = splits[sym] = self.split(sym)
-            if got is not None:
-                out.setdefault(got[0], []).append((got[1], t * weight))
-        if q == d.n_states or q in d.accepting:
-            old, move = self.ends
-            out.setdefault(old, []).append(move)
-        self[q] = out
-        return out
-
-
 def join(parts, arity):
     """Conjunction of relations over shared tracks of an arity-`arity` tuple.
 
@@ -949,12 +873,13 @@ def join(parts, arity):
 
     A product state is the int Σ qᵢ·multᵢ, multᵢ the product of (nⱼ + 1)
     over the parts j before i, nⱼ their state counts.  Each part's moves
-    are cached per state (`_PartMoves`), keyed by the digits on the tracks
-    an earlier part fills, each with its part of the result column and of
-    the target state, so a move is two additions.  A row is built part by
-    part as {column so far: state so far}, the column so far naming the
-    digits a later part looks up: column choices are enumerated sparsely,
-    and the full result alphabet is never scanned.
+    are indexed per state (`_TrackIndex`, in result weights radix**track),
+    keyed by the digits on the tracks an earlier part fills, each with its
+    part of the result column and of the target state, so a move is two
+    additions.  A row is built part by part as {column so far: state so
+    far}, the column so far naming the digits a later part looks up: column
+    choices are enumerated sparsely, and the full result alphabet is never
+    scanned.
     """
     if not parts:
         raise ValueError("need at least one relation")
@@ -975,9 +900,31 @@ def join(parts, arity):
     weight = 1
     start = 0
     for r, tracks in parts:
+        # a track's first position carries its digit, keyed when an earlier
+        # part filled the track and part of the column otherwise; a later
+        # position must read the same digit
+        first, same = {}, []
+        key_weights, part_weights = [0] * len(tracks), [0] * len(tracks)
+        for k, t in enumerate(tracks):
+            if t in first:
+                same.append((first[t], k))
+            else:
+                first[t] = k
+                (key_weights if t in filled else part_weights)[k] = radix ** t
+        # a partial column col, in which the tracks no part has filled yet
+        # read 0, restricted to the old tracks: Σ col % hi − col % lo over
+        # the runs radix**lo..radix**hi of tracks that hold every old track
+        # and no other filled one
+        runs, lo = [], None
+        for t in range(arity + 1):
+            if t < arity and t in first and t in filled:
+                lo = t if lo is None else lo
+            elif lo is not None and (t == arity or t in filled):
+                runs.append((radix ** lo, radix ** t))
+                lo = None
         d = r.dfa
-        table = _PartMoves(d, tracks, filled, arity, radix, weight)
-        comps.append((d.n_states + 1, weight, table.runs, table))
+        table = _TrackIndex(d, key_weights, part_weights, weight, same)
+        comps.append((d.n_states + 1, weight, runs, table))
         filled.update(tracks)
         start += d.initial * weight
         weight *= d.n_states + 1

@@ -637,6 +637,30 @@ def reference_input_rows(r):
     return index
 
 
+def rekeyed_input_rows(r):
+    """`reference_input_rows` keyed as `RegularRelation.input_rows` is: the
+    input column as the int Σ digitₖ·radixᵏ and the last-track digit as it
+    is, ◇ being the digit radix − 1, with the end entry (◇, DONE) of an
+    accepting state under the all-◇ key, each list sorted."""
+    radix, d = r.conv.radix, r.dfa
+    pad = radix - 1
+
+    def digit(c):
+        return pad if c == PAD else c
+
+    def key(col):
+        return sum(digit(c) * radix ** k for k, c in enumerate(col))
+
+    out = {}
+    for q, cols in reference_input_rows(r).items():
+        row = {key(col): [(digit(y), t) for y, t in entries]
+               for col, entries in cols.items()}
+        if q in d.accepting:
+            row.setdefault(key((PAD,) * (r.arity - 1)), []).append((pad, d.n_states))
+        out[q] = {k: sorted(entries) for k, entries in row.items()}
+    return out
+
+
 # The transducer search as it was before the output prefixes were linked and
 # the representatives carried as index tuples, kept word for word as the
 # oracle of `decision._eval_search`, over its own tuple-keyed index.
@@ -1018,7 +1042,8 @@ def reference_runs_by_track(d, radix, track, scale=1, weight=1):
     digit it reads on one track: a list over d's states and DONE, the index
     one past them, of {digit on the track: [(digit on the other track times
     scale, target times weight)]}, built for every state at once: the
-    oracle of the per-state `relations._RunsByTrack`."""
+    oracle of the per-state `relations._TrackIndex` under the specs of
+    composition's second operand and `is_functional`."""
     pad = radix - 1
     done = d.n_states
     ends = (pad * scale, done * weight)
@@ -1040,15 +1065,79 @@ def reference_runs_by_track(d, radix, track, scale=1, weight=1):
     return out
 
 
-def reference_middle_tails(runs, pad, pad_column):
-    """The middle-tail map of `relations._composition_rows` built for every
-    state at once from an eager index of runs: the oracle of
-    `relations._MiddleTails`."""
-    return [
-        {b: kc for b, opts in by_mid.items() if b != pad
-         for c, kc in opts if c == pad_column}
-        for by_mid in runs
-    ]
+# `relations.join`'s per-part index as it was before `relations._TrackIndex`,
+# kept word for word as the oracle of `_TrackIndex` under `join`'s spec.
+class _PartMoves(dict):
+    """The moves of one part of a `join`, filled per state of its automaton
+    on first lookup: state → {old key: [(column part, key part)]}.
+
+    The old key is a move's column restricted to the result tracks an
+    earlier part fills; the column part, its digits on the tracks this part
+    fills first; both are in result weights (radix**track, ◇ the top digit),
+    so a result column is the sum of one column part per part.  The key
+    part is the target times the part's weight in a product state.  DONE,
+    the index one past the automaton's states, is a part whose tracks have
+    all ended: it reads only ◇ on them, and an accepting state may move
+    there.  A part that names a track twice moves only where both of its
+    positions read the same digit.  A symbol's (old key, column part) is
+    worked out once, on its first use (`split`)."""
+
+    def __init__(self, d, tracks, filled, arity, radix, weight):
+        super().__init__()
+        self.d = d
+        self.weight = weight
+        self.radix = radix
+        first, self.repeats = {}, []
+        for k, t in enumerate(tracks):
+            if t in first:
+                self.repeats.append((first[t], k))
+            else:
+                first[t] = k
+        self.old = [(k, radix ** t) for t, k in first.items() if t in filled]
+        self.fresh = [(k, radix ** t) for t, k in first.items() if t not in filled]
+        # a partial column col, in which the tracks no part has filled yet
+        # read 0, restricted to the old tracks: Σ col % hi − col % lo over
+        # the runs radix**lo..radix**hi of tracks that hold every old track
+        # and no other filled one
+        self.runs, lo = [], None
+        for t in range(arity + 1):
+            if t < arity and t in first and t in filled:
+                lo = t if lo is None else lo
+            elif lo is not None and (t == arity or t in filled):
+                self.runs.append((radix ** lo, radix ** t))
+                lo = None
+        pad = radix - 1
+        self.ends = (pad * sum(w for _, w in self.old),
+                     (pad * sum(w for _, w in self.fresh), d.n_states * weight))
+        self.splits = {}
+
+    def split(self, sym):
+        """(old key, column part) of a symbol of the part's own column
+        alphabet, None where a repeated track reads two digits."""
+        digits = [self.radix - 1 if c == PAD else c
+                  for c in self.d.alphabet.tuple_of(sym)]
+        if any(digits[j] != digits[k] for j, k in self.repeats):
+            return None
+        return (sum(digits[k] * w for k, w in self.old),
+                sum(digits[k] * w for k, w in self.fresh))
+
+    def __missing__(self, q):
+        d, weight, splits = self.d, self.weight, self.splits
+        out = {}
+        for sym, t in d.rows.get(q, {}).items():
+            if t == d.sink:
+                continue
+            if sym in splits:
+                got = splits[sym]
+            else:
+                got = splits[sym] = self.split(sym)
+            if got is not None:
+                out.setdefault(got[0], []).append((got[1], t * weight))
+        if q == d.n_states or q in d.accepting:
+            old, move = self.ends
+            out.setdefault(old, []).append(move)
+        self[q] = out
+        return out
 
 
 def same_up_to_numbering(d1, d2):
@@ -1236,7 +1325,7 @@ def reference_is_functional(r, track):
     if track not in (0, 1):
         raise ValueError("track out of range")
     d = r.dfa
-    runs = rel._RunsByTrack(d, r.conv.radix, track)
+    runs = reference_runs_by_track(d, r.conv.radix, track)
     fin = d.n_states
     weight = (fin + 1) * 2  # of the first run's state; the second weighs 2
     start = d.initial * (weight + 2)

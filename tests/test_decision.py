@@ -32,8 +32,8 @@ from helpers import (
     random_group_word,
     reference_conjugate,
     reference_eval_search,
-    reference_input_rows,
     reference_runs_by_track,
+    rekeyed_input_rows,
     roster,
 )
 
@@ -67,6 +67,22 @@ def test_eval_function_rejects_non_functional_relation():
         dec.eval_function(r, [u])
     with pytest.raises(ValueError):
         dec.eval_function(r, [u, u])
+
+
+def test_words_over_another_alphabet_are_rejected():
+    # a same-size alphabet's word would be read as the base's, and a symbol
+    # index equal to |base| as ◇
+    P = bs1n(2)
+    r = P.relation("a")
+    for size in (P.base.size, P.base.size + 1):
+        foreign = fa.Alphabet([f"s{i}" for i in range(size)])
+        for u in (Word(foreign, P.identity.indices), Word(foreign, (size - 1,))):
+            with pytest.raises(ValueError, match="word over Alphabet"):
+                dec.eval_function(r, [u])
+            with pytest.raises(ValueError, match="word over Alphabet"):
+                dec.right_multiply(P, u, GroupWord.parse("a"))
+    assert dec.eval_function(r, [P.identity]) == dec.right_multiply(
+        P, P.identity, GroupWord.parse("a"))
 
 
 def _assert_agrees_with_tuples(r, k):
@@ -115,14 +131,6 @@ def test_search_index_fills_only_the_states_visited():
     assert 0 < len(r.input_rows()) < len(r.dfa.rows)
 
 
-def _eager_rows(r):
-    # the reference's tuple-keyed index, with a binary relation's entries
-    # keyed by the input track's digit
-    return {q: {(col[0] if r.arity == 2 else col): entries
-                for col, entries in cols.items()}
-            for q, cols in reference_input_rows(r).items()}
-
-
 @pytest.mark.parametrize("make", [lambda: bs1n(2), heisenberg])
 def test_lazy_search_index_matches_a_full_one(make):
     # a relation whose index is filled state by state while searching gives
@@ -137,7 +145,8 @@ def test_lazy_search_index_matches_a_full_one(make):
             index = full.input_rows()
             for q in range(r.dfa.n_states):
                 index[q]
-            assert index == _eager_rows(r)
+            assert {q: {k: sorted(entries) for k, entries in cols.items()}
+                    for q, cols in index.items()} == rekeyed_input_rows(r)
             assert all(type(k) is int for cols in index.values() for k in cols)
             for u in balls:
                 assert dec._eval_search(lazy, [u]) == dec._eval_search(full, [u])
@@ -762,12 +771,12 @@ def test_conjugate_indexes_only_the_edge_states_its_meet_reaches(monkeypatch):
     edge = fa.minimize(P.relation("C").dfa)
     made = []
 
-    class Spy(rel._RunsByTrack):
+    class Spy(rel._TrackIndex):
         def __init__(self, d, *args):
             super().__init__(d, *args)
             made.append(self)
 
-    monkeypatch.setattr(rel, "_RunsByTrack", Spy)
+    monkeypatch.setattr(rel, "_TrackIndex", Spy)
     cc = GroupWord.parse("C C")
     assert dec.conjugate(P, cc, cc)[0]
     filled = [len(runs) for runs in made if runs.d is edge]
@@ -785,7 +794,10 @@ def test_conjugate_is_unchanged_by_the_per_state_index(monkeypatch):
         q = w * p * w.inverse() if k % 2 else random_group_word(rng, names, 3)
         pairs.append((p, q))
     got = [dec.conjugate(P, p, q) for p, q in pairs]
-    monkeypatch.setattr(rel, "_RunsByTrack", reference_runs_by_track)
+    # every index conjugate makes is binary, keyed on one track (key
+    # weights (1 − track, track)) with the other track's digit scaled
+    monkeypatch.setattr(rel, "_TrackIndex", lambda d, key, part, weight: (
+        reference_runs_by_track(d, d.alphabet.radix, key[1], part[1 - key[1]], weight)))
     assert got == [dec.conjugate(P, p, q) for p, q in pairs]
     assert {ok for ok, _ in got} == {True, False}
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,15 +20,16 @@ from cayleyauto.presentations import (
 from helpers import (
     ROSTER_BUILDERS,
     ROSTER_NAMES,
+    _PartMoves,
     all_words,
     collapse_repeated,
     flipped,
     reference_compose,
     reference_is_functional,
     reference_join,
-    reference_middle_tails,
     reference_project,
     reference_runs_by_track,
+    rekeyed_input_rows,
     roster,
     same_up_to_numbering,
 )
@@ -655,29 +657,30 @@ def test_products_of_edges_agree_with_the_tuple_keyed_reference(build):
             assert _fields(got.dfa) == _fields(reference_join(parts, 3).dfa)
 
 
+def _assert_index_agrees(got, want, states, rng, ordered=True):
+    """got, a `_TrackIndex` filled in a random order of states, equals the
+    eager want state for state; with ordered false, up to list order."""
+    states = list(states)
+    rng.shuffle(states)
+    for q in states:
+        row = got[q]
+        if not ordered:
+            row = {k: sorted(entries) for k, entries in row.items()}
+        assert list(row.items()) == list(want[q].items()), q
+    assert len(got) == len(states)
+
+
 def _assert_runs_agree_with_the_eager_index(d, rng):
     """The per-state index of d's runs, filled in a random order, equals
     the eager one bucket for bucket, DONE included, on both tracks, in
-    `_composition_rows`' scaling (radix, 2) and `is_functional`'s (1, 1);
-    and the middle tails built from it equal the eager map."""
+    `_composition_rows`' scaling (radix, 2) and `is_functional`'s (1, 1)."""
     radix = d.alphabet.radix
-    pad = radix - 1
-    order = list(range(d.n_states + 1))
     for track in (0, 1):
         for scale, weight in ((radix, 2), (1, 1)):
+            got = rel._TrackIndex(d, (1 - track, track),
+                                  (track * scale, (1 - track) * scale), weight)
             want = reference_runs_by_track(d, radix, track, scale, weight)
-            got = rel._RunsByTrack(d, radix, track, scale, weight)
-            rng.shuffle(order)
-            for q in order:
-                assert list(got[q].items()) == list(want[q].items()), (track, scale, q)
-            assert len(got) == len(want)
-    runs = rel._RunsByTrack(d, radix, 0, radix, 2)
-    tails = rel._MiddleTails(runs, pad, pad * radix)
-    want = reference_middle_tails(
-        reference_runs_by_track(d, radix, 0, radix, 2), pad, pad * radix)
-    rng.shuffle(order)
-    for q in order:
-        assert list(tails[q].items()) == list(want[q].items()), q
+            _assert_index_agrees(got, want, range(d.n_states + 1), rng)
 
 
 @settings(max_examples=60, deadline=None)
@@ -703,21 +706,91 @@ def test_runs_of_edges_agree_with_the_eager_index(build):
             _assert_runs_agree_with_the_eager_index(P.relation(x, sign).dfa, rng)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_track_index_matches_the_join_and_search_references(seed):
+    # join's spec, read off the indexes a random join makes (repeated and
+    # shared tracks included), against the parent's per-part moves; and
+    # the search's spec, binary and of arity 3, against the tuple-keyed
+    # index re-keyed to radix − 1
+    rng = random.Random(seed)
+    parts, arity = _random_join_parts(rng)
+    made = []
+
+    class Spy(rel._TrackIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(rel, "_TrackIndex", Spy):
+        rel.join(parts, arity)
+    assert len(made) == len(parts)
+    filled, weight = set(), 1
+    radix = parts[0][0].conv.radix
+    for (r, tracks), got in zip(parts, made):
+        d = r.dfa
+        want = _PartMoves(d, tracks, filled, arity, radix, weight)
+        _assert_index_agrees(got, want, range(d.n_states + 1), rng)
+        filled.update(tracks)
+        weight *= d.n_states + 1
+    for k in (2, 3):
+        r, _ = small_relation(rng, k, max_len=rng.randint(1, 2),
+                              density=rng.choice((0.1, 0.3, 0.6)))
+        _assert_index_agrees(r.input_rows(), rekeyed_input_rows(r),
+                             range(r.dfa.n_states), rng, ordered=False)
+
+
+def test_an_index_of_the_same_spec_decodes_no_symbol_again(monkeypatch):
+    # the (key, part) of a symbol is worked out once per column alphabet and
+    # spec: a second index with that spec, over another automaton on the
+    # same columns, reads it back; another spec works out its own
+    P = heisenberg()
+    a, c = fa.minimize(P.relation("A").dfa), fa.minimize(P.relation("C").dfa)
+    assert a.alphabet is c.alphabet
+    spec = ((1, 0), (0, 3), 2)
+    calls = []
+    split = rel._TrackIndex._split
+
+    def counted(self, sym):
+        calls.append(sym)
+        return split(self, sym)
+
+    monkeypatch.setattr(rel._TrackIndex, "_split", counted)
+    first = rel._TrackIndex(a, *spec)
+    for q in range(a.n_states + 1):
+        first[q]
+    seen = set(first.splits)
+    second = rel._TrackIndex(a, *spec)
+    del calls[:]
+    for q in range(a.n_states + 1):
+        assert second[q] == first[q]
+    assert not calls
+    other = rel._TrackIndex(c, *spec)
+    for q in range(c.n_states + 1):
+        other[q]
+    assert all(sym not in seen for sym in calls)
+    assert len(set(calls)) == len(calls)
+    transposed = rel._TrackIndex(a, (0, 1), (3, 0), 2)
+    del calls[:]
+    transposed[a.initial]
+    assert calls
+
+
 def test_is_functional_stops_indexing_where_it_finds_two_images(monkeypatch):
     P = heisenberg()
     r = rel.rel_union(P.relation("A"), P.relation("C"))
     made = []
 
-    class Spy(rel._RunsByTrack):
+    class Spy(rel._TrackIndex):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(rel, "_RunsByTrack", Spy)
+    monkeypatch.setattr(rel, "_TrackIndex", Spy)
     for track in (0, 1):
         del made[:]
         assert not rel.is_functional(r, track)
-        [runs] = made
+        [runs] = [runs for runs in made if runs.d is r.dfa]
         assert 0 < len(runs) < r.dfa.n_states, track
 
 

@@ -22,15 +22,21 @@
   itself name `_TrackMoves`.  Restriction, the validity filter and the
   in-domain check are that one walk; a second walk over the same tracks
   would be a second implementation to keep in step with it.
+- One per-track index: in `relations.py` only `_TrackIndex` indexes a
+  relation's moves by the digits on some of its tracks, and besides it
+  only `_Columns` and `_TrackMoves` fill a dict on lookup (`__missing__`).
+  Only `RegularRelation.input_rows` (the transducer search),
+  `_composition_rows`, `is_functional` and `join` name `_TrackIndex`, and
+  no other module names it; `decision` names none of the three.  Each
+  caller differs only in its spec (key and part weights, target weight,
+  repeated positions), so a second index would be a second decode of the
+  same columns to keep in step.
 - One composition product: only `_composition_rows` builds composition
   rows, and both `compose` (determinized in full) and
-  `composition_chain` (on demand) call it.  Besides it, only
-  `is_functional` indexes runs by track (`_RunsByTrack`, filled per state
-  for one call), and only `_composition_rows` reads that index's middle
-  tails (`_MiddleTails`); `decision` names none of these nor
-  `fa.determinize`: conjugacy chains its stripped letters after the meet
-  through `composition_chain`, and a second product in either module
-  would be another one to keep in step.
+  `composition_chain` (on demand) call it; `decision` names neither it
+  nor `fa.determinize`: conjugacy chains its stripped letters after the
+  meet through `composition_chain`, and a second product in either
+  module would be another one to keep in step.
 - One projection product: only `_projection_rows` builds projection rows,
   and only `project` (determinized in full) and `projection_view` (on
   demand) name it.
@@ -174,11 +180,36 @@ def test_one_domain_walker():
     assert not _named_outside(dict(_trees())["relations.py"], allowed)
 
 
+def test_one_track_index():
+    trees = dict(_trees())
+    indexes = {"_Columns", "_TrackMoves", "_TrackIndex"}
+    bad = [f"{node.name} defines __missing__"
+           for node in ast.walk(trees["relations.py"])
+           if isinstance(node, ast.ClassDef) and node.name not in indexes
+           and any(isinstance(n, FUNCTIONS) and n.name == "__missing__"
+                   for n in node.body)]
+    # the owners are the top-level definitions, a class's methods each
+    # counted as one
+    readers = {"_TrackIndex", "input_rows", "_composition_rows", "is_functional",
+               "join"}
+    for node in trees["relations.py"].body:
+        parts = [node]
+        if isinstance(node, ast.ClassDef) and node.name != "_TrackIndex":
+            parts = node.bases + node.body
+        for part in parts:
+            owner = getattr(part, "name", f"line {part.lineno}")
+            if _names(part)["_TrackIndex"] and owner not in readers:
+                bad.append(f"{owner} names _TrackIndex")
+    for name, tree in trees.items():
+        if name != "relations.py":
+            forbidden = indexes if name == "decision.py" else {"_TrackIndex"}
+            bad += [f"{name} names {n}" for n in sorted(forbidden) if _names(tree)[n]]
+    assert not bad
+
+
 def test_one_composition_product():
     trees = dict(_trees())
     allowed = {
-        "_RunsByTrack": {"_RunsByTrack", "_composition_rows", "is_functional"},
-        "_MiddleTails": {"_MiddleTails", "_composition_rows"},
         "_composition_rows": {"_composition_rows", "compose", "composition_chain"},
     }
     bad = _named_outside(trees["relations.py"], allowed)
