@@ -44,7 +44,8 @@ class GrowthReport:
 
 def eval_function(r, inputs):
     """The unique y with (x₁,..,xₙ,y) in r for a functional relation of
-    arity n+1.
+    arity n+1 that accepts only valid convolutions (`make_relation` filters
+    an arbitrary automaton down to them).
 
     Runs the relation automaton over the fixed input tracks with the output
     track unknown; the output ends within the input columns or at most the
@@ -75,17 +76,17 @@ def _eval_search(r, inputs):
 
 
 def _search(r, inputs):
-    """(output index tuple, transitions taken) for input index tuples.  A
-    prefix is (digit, parent) down to the root ().  Each state keeps one or
-    two, distinct as r's automaton is deterministic, so that a second
-    accepted output (r is not functional there) is always seen.  The index
+    """(output index tuple, transitions taken) for input index tuples.  One
+    map keeps the runs: state → one or two prefixes (digit, parent) down to
+    the root (), distinct as r is deterministic, so that a second accepted
+    output (r is not functional there) is always seen.  The index
     (`input_rows`) is keyed by the int column of the input tracks, ◇ being
-    the digit radix − 1, so one input is read digit by digit and several
-    as Σ digitₖ·radixᵏ per position; the all-◇ key radix**n − 1 is the
-    tail past them.  Output digits come as they are, ◇ as radix − 1: an
-    ended output's one ◇ move is found by its digit, and the end entries
-    (targets DONE) under the tail key are skipped."""
-    d = r.dfa
+    the digit radix − 1: one input is read digit by digit, several as
+    Σ digitₖ·radixᵏ, and the all-◇ key is the tail past them.  An output ◇
+    adds no digit: r accepts only valid convolutions, so the run's later
+    live moves read ◇ there too.  A word ends where the tail key's end entry
+    leads to DONE, not counted as a transition: acceptance is read from the
+    index alone."""
     index = r.input_rows()
     tail, (pad, done) = index.ends  # the end entry: (◇…◇, (◇, DONE))
     steps = 0
@@ -95,52 +96,40 @@ def _search(r, inputs):
         weights = [(pad + 1) ** k for k in range(len(inputs))]
         cols = [sum(map(mul, col, weights))
                 for col in zip_longest(*inputs, fillvalue=pad)]
-    # states split by whether the output track has already ended
-    running = {d.initial: [()]}
-    ended = {}
+    runs = {r.dfa.initial: [()]}
     for col in cols:
-        nrun, nend = {}, {}
-        for q, words in running.items():
+        nxt = {}
+        for q, words in runs.items():
             for ydig, t in index[q].get(col, ()):
                 steps += 1
                 if ydig == pad:
-                    store, new = nend, words
+                    new = words
                 elif len(words) == 1:
-                    store, new = nrun, [(ydig, words[0])]
+                    new = [(ydig, words[0])]
                 else:
-                    store, new = nrun, [(ydig, words[0]), (ydig, words[1])]
-                cur = store.get(t)
-                store[t] = new if cur is None else (cur + new)[:2]
-        if ended:
-            for q, words in ended.items():
-                for ydig, t in index[q].get(col, ()):
-                    if ydig == pad:  # at most one, as r is deterministic
-                        steps += 1
-                        cur = nend.get(t)
-                        nend[t] = words if cur is None else (cur + words)[:2]
-                        break
-        running, ended = nrun, nend
-    found = [w for store in (running, ended) for q, words in store.items()
-             if q in d.accepting for w in words]
-    # past the inputs (all ◇) the output runs on for at most the state count
-    budget = done + 1
-    while running and len(found) < 2 and budget:
+                    new = [(ydig, words[0]), (ydig, words[1])]
+                cur = nxt.get(t)
+                nxt[t] = new if cur is None else (cur + new)[:2]
+        runs = nxt
+    # past the inputs the output runs on for at most the state count; the
+    # first step reads which runs end with them
+    found, budget = [], done + 2
+    while runs and len(found) < 2 and budget:
         budget -= 1
-        nrun = {}
-        for q, words in running.items():
+        nxt = {}
+        for q, words in runs.items():
             for ydig, t in index[q].get(tail, ()):
                 if t == done:
+                    found += words
                     continue
                 steps += 1
                 if len(words) == 1:
                     new = [(ydig, words[0])]
                 else:
                     new = [(ydig, words[0]), (ydig, words[1])]
-                cur = nrun.get(t)
-                nrun[t] = new if cur is None else (cur + new)[:2]
-                if t in d.accepting:
-                    found += new
-        running = nrun
+                cur = nxt.get(t)
+                nxt[t] = new if cur is None else (cur + new)[:2]
+        runs = nxt
     if len(found) != 1:
         raise ValueError("relation is not functional on these inputs" if found
                          else "no output: inputs outside the relation's domain")

@@ -714,7 +714,8 @@ def from_text(text, alphabet=None):
     n_states = int(head[-1])
     if alphabet is None:
         alphabet = Alphabet(names)
-    elif list(alphabet.symbols) != names:
+    # counted first: a column alphabet builds its names on first use
+    elif len(names) != alphabet.size or list(alphabet.symbols) != names:
         raise ValueError("alphabet mismatch in automaton text")
     if not lines[1].startswith("initial:") or not lines[2].startswith("accepting:"):
         raise ValueError("bad automaton text")

@@ -52,6 +52,10 @@ from .fa import PAD, Alphabet, Dfa, Word
 _SEPARATORS = (",", ";", "|", "/", ":", "!")
 _PAD_NAMES = ("#", "~", "^", "%", "@")
 
+# the most tracks a relation text may declare (radix**arity − 1 columns);
+# the package writes two per edge, one per free variable of a formula
+MAX_TEXT_ARITY = 64
+
 
 class _Columns(dict):
     """Column symbol → its digits, track 0 first (PAD for ◇), filled on
@@ -158,7 +162,9 @@ def conv_alphabet(base, arity):
 
 
 class RegularRelation:
-    """An arity-n regular relation stored as a DFA over the column alphabet."""
+    """An arity-n regular relation stored as a DFA over the column alphabet,
+    which must accept only valid convolutions, as the package's relations
+    do: `make_relation` filters an arbitrary automaton down to them."""
 
     def __init__(self, base, arity, dfa):
         self.base = base
@@ -179,8 +185,8 @@ class RegularRelation:
         The input key is the column of the other tracks as an int, Σ
         digitₖ·radixᵏ, so a binary relation's is the first track's digit;
         ◇ is the digit radix − 1 on every track, and an accepting state
-        has the end entry (◇, DONE) under the all-◇ key.  Edges into the
-        sink are left out.
+        has the end entry (◇, DONE) under the all-◇ key, the search's one
+        test of acceptance.  Edges into the sink are left out.
 
         The map is made on the first call and cached; each state's entry is
         built on its first lookup, so a search pays only for the states it
@@ -1114,12 +1120,15 @@ def rel_from_text(text):
     The rows are read straight into a Dfa and handed to `make_relation`,
     which minimizes it, so a state that accepts nothing is gone whatever it
     reads, and walks it once over Σ*: a text of valid convolutions loads as
-    its minimized automaton, and an invalid convolution is filtered out."""
+    its minimized automaton, and an invalid convolution is filtered out.
+    The arity is bounded (`MAX_TEXT_ARITY`) before the alphabet is made."""
     first, _, rest = text.partition("\n")
     head = first.split()
     if len(head) < 4 or head[0] != "relation" or head[2] != "over":
         raise ValueError("bad relation header")
     arity = int(head[1])
+    if arity > MAX_TEXT_ARITY:
+        raise ValueError(f"relation arity {arity} above the bound {MAX_TEXT_ARITY}")
     base = Alphabet(head[3:])
     conv = conv_alphabet(base, arity)
     # the rows are split one line at a time: a list of every line's

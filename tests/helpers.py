@@ -661,6 +661,32 @@ def rekeyed_input_rows(r):
     return out
 
 
+def digits_after_pad(r):
+    """The moves of r's automaton that read a digit on a track after that
+    track's ◇, as (state, ended flags, column), found by a walk over the
+    reachable (state, one ended flag per track) pairs; moves into the sink
+    are left out.  A relation of valid convolutions makes none, and the
+    transducer search relies on that: a run whose output has read ◇ stays
+    among the others, and only moves that read ◇ there again may follow."""
+    d = r.dfa
+    start = (d.initial, (False,) * r.arity)
+    seen, stack, bad = {start}, [start], []
+    while stack:
+        q, ended = stack.pop()
+        for sym, t in d.rows.get(q, {}).items():
+            if t == d.sink:
+                continue
+            col = r.conv.tuple_of(sym)
+            if any(e and c != PAD for e, c in zip(ended, col)):
+                bad.append((q, ended, col))
+                continue
+            nxt = (t, tuple(e or c == PAD for e, c in zip(ended, col)))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return bad
+
+
 # The transducer search as it was before the output prefixes were linked and
 # the representatives carried as index tuples, kept word for word as the
 # oracle of `decision._eval_search`, over its own tuple-keyed index.

@@ -2,11 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cayleyauto import cli, decision as dec, fa
-from cayleyauto.relations import equality_relation, rel_from_text, rel_to_text
+from cayleyauto.relations import (
+    MAX_TEXT_ARITY,
+    equality_relation,
+    rel_from_text,
+    rel_to_text,
+)
 from cayleyauto.presentations import GraphAutomaticPresentation, GroupWord, zn
 
 from helpers import broken_zn1
@@ -470,6 +476,29 @@ def test_fo_on_structure(tmp_path, capsys):
     assert cli.main(["build", "fa-abelian", "-n", "1", "--out", path]) == 0
     capsys.readouterr()
     assert cli.main(["fo", path, "E z (A x (Mult(x,z,x)))"]) == 0
+
+
+def test_fo_rejects_a_relation_text_of_huge_arity(tmp_path, capsys):
+    # the header's arity is refused before a column alphabet of
+    # radix**arity − 1 columns is made: at 10**8 tracks that takes minutes
+    path = str(tmp_path / "struct.json")
+    assert cli.main(["build", "fa-abelian", "-n", "1", "--out", path]) == 0
+    capsys.readouterr()
+    with open(path) as f:
+        doc = json.load(f)
+    name, text = next(iter(doc["relations"].items()))
+    head, _, rest = text.partition("\n")
+    head = " ".join(["relation", "100000000"] + head.split()[2:])
+    doc["relations"][name] = head + "\n" + rest
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    start = time.perf_counter()
+    assert cli.main(["fo", path, "E z (z = z)"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: relation arity 100000000 above the bound {MAX_TEXT_ARITY}"]
 
 
 def test_export_writes_dot_files(zn1_path, tmp_path, capsys):

@@ -29,6 +29,7 @@ from helpers import (
     Nilpotent2Oracle,
     broken_zn1,
     compose_check_presentation,
+    digits_after_pad,
     random_group_word,
     reference_conjugate,
     reference_eval_search,
@@ -227,6 +228,53 @@ def test_search_agrees_with_the_reference_on_the_roster(name, data):
         _agree_with_reference(r, [junk])
     _agree_with_reference(union, [u])
     _agree_with_reference(union, [junk])
+
+
+@functools.lru_cache(maxsize=None)
+def _roster_products(name):
+    """A roster group, its signed right and left edge relations, and the
+    `compose` products, determinized and not minimized, of each edge with
+    itself and with the next edge of its side."""
+    P = roster(name)
+    sides = [[P.relation(n, s) for n in P.generator_names for s in (1, -1)]]
+    if P.is_biautomatic():
+        sides.append([P.left_relation(n, s) for n in P.generator_names
+                      for s in (1, -1)])
+    products = [rel.compose(r, s) for edges in sides
+                for r, s in zip(edges + edges, edges + edges[1:] + edges[:1])]
+    return P, [r for edges in sides for r in edges], products
+
+
+@pytest.mark.parametrize("name", ROSTER_NAMES)
+def test_roster_relations_read_no_digit_after_pad(name):
+    # the precondition of the one map of runs in the transducer search: no
+    # move, live or not, reads a digit on a track after that track's ◇, in
+    # the edges, their text loads and their products as built
+    _, edges, products = _roster_products(name)
+    loads = [rel.rel_from_text(rel.rel_to_text(r)) for r in edges]
+    assert not any(p.dfa.minimal for p in products)
+    for r in edges + products + loads:
+        assert digits_after_pad(r) == []
+
+
+def test_digits_after_pad_finds_a_digit_after_pad():
+    # (a, ◇) then (a, a) is accepted by this automaton, but is no valid
+    # convolution: the walk reports the second move
+    a = pres.BITS
+    conv = rel.conv_alphabet(a, 2)
+    first, second = conv.index_of((0, rel.PAD)), conv.index_of((0, 0))
+    d = fa.Dfa(conv, 4, 0, {2}, {0: {first: 1}, 1: {second: 2}}, 3)
+    assert digits_after_pad(rel.RegularRelation(a, 2, d)) == [
+        (1, (False, True), (0, 0))]
+
+
+@pytest.mark.parametrize("name", ROSTER_NAMES)
+def test_search_agrees_with_the_reference_on_compose_products(name):
+    P, _, products = _roster_products(name)
+    balls = dec.ball(P, 2)
+    for r in products:
+        for u in balls:
+            _agree_with_reference(r, [u])
 
 
 @settings(max_examples=60, deadline=None)

@@ -471,6 +471,21 @@ def test_legacy_relation_text_loads_like_its_dfa_text():
     assert members(new) == {(u.indices, u.indices + (0,)) for u in all_words(AB, 3)}
 
 
+def test_relation_text_arity_is_bounded():
+    # up to the bound a header loads; past it the text is refused before
+    # its column alphabet is made, and the older form compares its column
+    # names' count before it builds the alphabet's names
+    body = "\ndfa 1\ninitial: 0\naccepting:\n"
+    r = rel.rel_from_text(f"relation {rel.MAX_TEXT_ARITY} over a b" + body)
+    assert (r.arity, r.conv.size) == (rel.MAX_TEXT_ARITY, 3 ** rel.MAX_TEXT_ARITY - 1)
+    assert not r.dfa.accepting
+    with pytest.raises(ValueError, match=f"above the bound {rel.MAX_TEXT_ARITY}"):
+        rel.rel_from_text(f"relation {rel.MAX_TEXT_ARITY + 1} over a b" + body)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        rel.rel_from_text("relation 20 over a b\nnfa a b 1\ninitial: 0\naccepting:\n")
+    assert "symbols" not in rel.conv_alphabet(AB, 20).__dict__
+
+
 def test_relation_text_drops_a_state_that_accepts_nothing(monkeypatch):
     # _APPEND_A edited by hand: state 3, entered on (◇,b), resumes track 0
     # on (a,a) but accepts nothing, so the relation loads as if it were not

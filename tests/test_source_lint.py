@@ -55,6 +55,12 @@
   equality, emptiness and functionality are `fa.search` over on-demand
   rows, so a decision procedure has one place to stop early and one to
   return its witness.
+- Acceptance from the index: `decision._search` names neither
+  `accepting` nor `ended`.  Its one map of runs reads where a word ends
+  from the end entries of `RegularRelation.input_rows`, which hold every
+  accepting state, so a second test of the automaton's accepting set, or
+  a second map for runs whose output has ended, would be another place
+  to keep in step with the index.
 """
 
 import ast
@@ -312,3 +318,10 @@ def test_one_search():
                 found.add(f"{module}.{getattr(node, 'name', node.lineno)}")
     # every allowed function still holds its loop, so the rule sees them
     assert found == allowed, sorted(found ^ allowed)
+
+
+def test_search_reads_acceptance_from_its_index():
+    search = next(node for node in dict(_trees())["decision.py"].body
+                  if isinstance(node, FUNCTIONS) and node.name == "_search")
+    names = _names(search)
+    assert not [n for n in ("accepting", "ended") if names[n]]
